@@ -16,9 +16,10 @@
 //!   `Bytes::copy_from_slice`/`to_vec` increments.
 //!
 //! Results are a **trajectory**: each run appends an entry (git revision,
-//! mode, per-flow figures) to the `history` array of
-//! `BENCH_dataplane.json`, so the committed file records how throughput
-//! evolved across the PR sequence. Two gates make the bench fail loudly:
+//! mode, one row per flow) to the `history` array of
+//! `BENCH_dataplane.json` in the shared [`umtslab_bench`] schema, so the
+//! committed file records how throughput evolved. Two gates make the
+//! bench fail loudly:
 //!
 //! * the wired fast path must perform **zero** payload-byte copies in the
 //!   1 Mbps flow's steady state, and
@@ -33,17 +34,10 @@
 //! `--quick` shrinks the flow durations for CI smoke use; quick entries
 //! are only ever compared against other quick entries.
 
-use std::fmt::Write as _;
-
 use umtslab::experiment::{ExperimentConfig, PathKind, TwoNodeTestbed, INRIA_ADDR};
 use umtslab::prelude::*;
 use umtslab::umtslab_net::copy_counters;
-
-const SEED: u64 = 42;
-const BENCH_PATH: &str = "BENCH_dataplane.json";
-/// The regression gate: pkts/s below this fraction of the previous
-/// same-mode entry fails the run.
-const GATE_FRACTION: f64 = 0.9;
+use umtslab_bench::{median_run, Entry, Row, DATAPLANE};
 
 struct FlowReport {
     label: String,
@@ -56,20 +50,8 @@ struct FlowReport {
     bytes_cloned_per_packet: f64,
 }
 
-/// Repetitions per flow; the median wall time wins. The simulated work
-/// is identical each time (same seed), so the repetitions differ only in
-/// host noise — the median strips both slow outliers (scheduler
-/// preemption) and fast ones (turbo bursts), which a min/max would chase.
+/// Repetitions per flow; the median wall time wins.
 const REPS: usize = 5;
-
-/// Runs one flow on the wired path `REPS` times and returns the
-/// median-wall repetition.
-fn run_flow(spec: FlowSpec, measure: Duration) -> FlowReport {
-    let mut runs: Vec<FlowReport> =
-        (0..REPS).map(|_| run_flow_once(spec.clone(), measure)).collect();
-    runs.sort_by(|a, b| a.wall_seconds.total_cmp(&b.wall_seconds));
-    runs.swap_remove(REPS / 2)
-}
 
 /// One measured repetition of a flow's steady-state window.
 fn run_flow_once(spec: FlowSpec, measure: Duration) -> FlowReport {
@@ -80,7 +62,7 @@ fn run_flow_once(spec: FlowSpec, measure: Duration) -> FlowReport {
     let warmup = Duration::from_secs(2);
     spec.duration = warmup + measure;
 
-    let cfg = ExperimentConfig::paper(spec.clone(), PathKind::EthernetToEthernet, SEED);
+    let cfg = ExperimentConfig::paper(spec.clone(), PathKind::EthernetToEthernet, DATAPLANE.seed);
     let mut env = TwoNodeTestbed::build(&cfg);
     let flow_start = env.tb.now() + cfg.settle;
     let dport = spec.dport;
@@ -114,133 +96,6 @@ fn run_flow_once(spec: FlowSpec, measure: Duration) -> FlowReport {
     }
 }
 
-/// The current git revision (short), or `unknown` outside a checkout.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Renders one history entry (one run) at the array's indent level.
-fn render_entry(git_rev: &str, quick: bool, reports: &[FlowReport]) -> String {
-    let mut out = String::new();
-    out.push_str("    {\n");
-    let _ = writeln!(out, "      \"git_rev\": \"{git_rev}\",");
-    let _ = writeln!(out, "      \"quick\": {quick},");
-    out.push_str("      \"flows\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str("        {\n");
-        let _ = writeln!(out, "          \"flow\": \"{}\",", r.label);
-        let _ = writeln!(out, "          \"sim_seconds\": {:.3},", r.sim_seconds);
-        let _ = writeln!(out, "          \"packets_forwarded\": {},", r.packets_forwarded);
-        let _ = writeln!(out, "          \"wall_seconds\": {:.6},", r.wall_seconds);
-        let _ = writeln!(out, "          \"packets_per_sec\": {:.1},", r.packets_per_sec);
-        let _ = writeln!(out, "          \"deep_copies\": {},", r.deep_copies);
-        let _ = writeln!(out, "          \"deep_copy_bytes\": {},", r.deep_copy_bytes);
-        let _ = writeln!(
-            out,
-            "          \"bytes_cloned_per_packet\": {:.3}",
-            r.bytes_cloned_per_packet
-        );
-        out.push_str(if i + 1 < reports.len() { "        },\n" } else { "        }\n" });
-    }
-    out.push_str("      ]\n    }");
-    out
-}
-
-/// Renders the whole trajectory document from raw entry strings.
-fn render_json(entries: &[String]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"dataplane\",");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    out.push_str("  \"history\": [\n");
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Extracts the raw history entries (top-level objects of the `history`
-/// array) from a previously written trajectory document. Returns an empty
-/// list for a missing file or any shape this renderer didn't produce.
-fn load_history(text: &str) -> Vec<String> {
-    let Some(start) = text.find("\"history\": [") else {
-        return Vec::new();
-    };
-    let body = &text[start + "\"history\": [".len()..];
-    let mut entries = Vec::new();
-    let mut depth = 0usize;
-    let mut entry_start = None;
-    for (i, c) in body.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    entry_start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    if let Some(s) = entry_start.take() {
-                        // Re-indent defensively: entries are stored at the
-                        // fixed 4-space level `render_entry` emits.
-                        entries.push(format!("    {}", body[s..=i].trim()));
-                    }
-                }
-            }
-            ']' if depth == 0 => break,
-            _ => {}
-        }
-    }
-    entries
-}
-
-/// Pulls `(flow label, pkts/s)` pairs out of one raw history entry.
-fn entry_flows(entry: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut label = None;
-    for line in entry.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("\"flow\": \"") {
-            label = rest.strip_suffix("\",").map(str::to_string);
-        } else if let Some(rest) = line.strip_prefix("\"packets_per_sec\": ") {
-            if let (Some(l), Ok(v)) = (label.take(), rest.trim_end_matches(',').parse::<f64>()) {
-                out.push((l, v));
-            }
-        }
-    }
-    out
-}
-
-/// Checks the new reports against the last same-mode history entry.
-/// Returns the regression messages (empty = gate passes).
-fn regression_check(prior: &[String], quick: bool, reports: &[FlowReport]) -> Vec<String> {
-    let mode = format!("\"quick\": {quick},");
-    let Some(prev) = prior.iter().rev().find(|e| e.contains(&mode)) else {
-        return Vec::new();
-    };
-    let mut failures = Vec::new();
-    for (label, prev_pps) in entry_flows(prev) {
-        let Some(now) = reports.iter().find(|r| r.label == label) else {
-            continue;
-        };
-        if now.packets_per_sec < prev_pps * GATE_FRACTION {
-            failures.push(format!(
-                "{label}: {:.1} pkts/s is {:.1}% of the previous entry's {prev_pps:.1}",
-                now.packets_per_sec,
-                now.packets_per_sec / prev_pps * 100.0,
-            ));
-        }
-    }
-    failures
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -248,7 +103,8 @@ fn main() {
     let measure = if quick { Duration::from_secs(4) } else { Duration::from_secs(30) };
 
     println!(
-        "dataplane bench: wired two-node path, seed {SEED}, {} mode",
+        "dataplane bench: wired two-node path, seed {}, {} mode",
+        DATAPLANE.seed,
         if quick { "quick" } else { "full" }
     );
     println!(
@@ -259,7 +115,7 @@ fn main() {
     let flows = [FlowSpec::voip_g711(), FlowSpec::cbr_1mbps()];
     let mut reports = Vec::new();
     for spec in flows {
-        let r = run_flow(spec, measure);
+        let r = median_run(REPS, || run_flow_once(spec.clone(), measure), |r| r.wall_seconds);
         println!(
             "{:<12} {:>10} {:>10.3} {:>14.1} {:>12} {:>10.3}",
             r.label,
@@ -272,11 +128,20 @@ fn main() {
         reports.push(r);
     }
 
-    let prior = std::fs::read_to_string(BENCH_PATH).map(|t| load_history(&t)).unwrap_or_default();
-    let mut entries = prior.clone();
-    entries.push(render_entry(&git_rev(), quick, &reports));
-    std::fs::write(BENCH_PATH, render_json(&entries)).expect("write BENCH_dataplane.json");
-    println!("appended history entry {} to {BENCH_PATH}", entries.len());
+    let rows = reports
+        .iter()
+        .map(|r| {
+            Row::new(r.label.as_str(), r.packets_per_sec)
+                .with("sim_seconds", format!("{:.3}", r.sim_seconds))
+                .with("packets_forwarded", r.packets_forwarded)
+                .with("wall_seconds", format!("{:.6}", r.wall_seconds))
+                .with("deep_copies", r.deep_copies)
+                .with("deep_copy_bytes", r.deep_copy_bytes)
+                .with("bytes_cloned_per_packet", format!("{:.3}", r.bytes_cloned_per_packet))
+        })
+        .collect();
+    let entry = Entry::new(quick, rows);
+    let prior = DATAPLANE.append(&entry);
 
     // Gate 1: the contract the zero-copy refactor guarantees — once a
     // packet is emitted, the wired forwarding path never copies its
@@ -295,13 +160,6 @@ fn main() {
     // Gate 2: throughput must not regress more than 10% against the last
     // same-mode trajectory entry.
     if gate {
-        let failures = regression_check(&prior, quick, &reports);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("FAIL: throughput regression — {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("throughput gate holds: within 10% of the previous same-mode entry");
+        DATAPLANE.gate(&prior, &entry);
     }
 }

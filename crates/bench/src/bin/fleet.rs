@@ -12,11 +12,11 @@
 //!   results, only wall time).
 //!
 //! Results are a **trajectory**: each run appends an entry (git
-//! revision, mode, per-shard-count figures) to the `history` array of
-//! `BENCH_fleet.json`, so the committed file records how sharded
-//! throughput evolved across the PR sequence. Per shard count, pkts/s
-//! must stay within 10% of the previous same-mode entry (skip with
-//! `--no-gate` on machines unrelated to the recorded history).
+//! revision, mode, one row per shard count) to the `history` array of
+//! `BENCH_fleet.json` in the shared [`umtslab_bench`] schema, so the
+//! committed file records how sharded throughput evolved. Per shard
+//! count, pkts/s must stay within 10% of the previous same-mode entry
+//! (skip with `--no-gate` on machines unrelated to the recorded history).
 //!
 //! ```sh
 //! cargo run --release -p umtslab-bench --bin fleet [-- --quick] [--no-gate]
@@ -26,20 +26,11 @@
 //! smoke use; quick entries are only compared against other quick
 //! entries.
 
-use std::fmt::Write as _;
-
 use umtslab::fleet::FleetConfig;
+use umtslab_bench::{median_run, Entry, Row, FLEET};
 use umtslab_runner::{default_workers, run_fleet_parallel};
 
-const SEED: u64 = 2008;
-const BENCH_PATH: &str = "BENCH_fleet.json";
-/// The regression gate: pkts/s below this fraction of the previous
-/// same-mode entry fails the run.
-const GATE_FRACTION: f64 = 0.9;
-
-/// Repetitions per shard count; the median wall time wins. The simulated
-/// work is identical each repetition (same seed), so they differ only in
-/// host noise.
+/// Repetitions per shard count; the median wall time wins.
 const REPS: usize = 3;
 
 struct ShardReport {
@@ -55,7 +46,7 @@ struct ShardReport {
 /// meaningful partition.
 fn bench_config(quick: bool) -> FleetConfig {
     let mut cfg = FleetConfig::demo();
-    cfg.seed = SEED;
+    cfg.seed = FLEET.seed;
     if quick {
         cfg.nodes = 48;
         cfg.flows_per_node = 4;
@@ -85,130 +76,6 @@ fn run_once(cfg: &FleetConfig) -> ShardReport {
     }
 }
 
-/// Runs one shard count `REPS` times and returns the median-wall rep.
-fn run_shard_count(cfg: &FleetConfig) -> ShardReport {
-    let mut runs: Vec<ShardReport> = (0..REPS).map(|_| run_once(cfg)).collect();
-    runs.sort_by(|a, b| a.wall_seconds.total_cmp(&b.wall_seconds));
-    runs.swap_remove(REPS / 2)
-}
-
-/// The current git revision (short), or `unknown` outside a checkout.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Renders one history entry (one run) at the array's indent level.
-fn render_entry(git_rev: &str, quick: bool, reports: &[ShardReport]) -> String {
-    let mut out = String::new();
-    out.push_str("    {\n");
-    let _ = writeln!(out, "      \"git_rev\": \"{git_rev}\",");
-    let _ = writeln!(out, "      \"quick\": {quick},");
-    out.push_str("      \"shard_counts\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str("        {\n");
-        let _ = writeln!(out, "          \"shards\": {},", r.shards);
-        let _ = writeln!(out, "          \"packets\": {},", r.packets);
-        let _ = writeln!(out, "          \"wall_seconds\": {:.6},", r.wall_seconds);
-        let _ = writeln!(out, "          \"packets_per_sec\": {:.1},", r.packets_per_sec);
-        let _ = writeln!(out, "          \"trace_hash\": \"0x{:016x}\"", r.trace_hash);
-        out.push_str(if i + 1 < reports.len() { "        },\n" } else { "        }\n" });
-    }
-    out.push_str("      ]\n    }");
-    out
-}
-
-/// Renders the whole trajectory document from raw entry strings.
-fn render_json(entries: &[String]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"fleet\",");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    out.push_str("  \"history\": [\n");
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Extracts the raw history entries from a previously written trajectory
-/// document. Returns an empty list for a missing file or a foreign shape.
-fn load_history(text: &str) -> Vec<String> {
-    let Some(start) = text.find("\"history\": [") else {
-        return Vec::new();
-    };
-    let body = &text[start + "\"history\": [".len()..];
-    let mut entries = Vec::new();
-    let mut depth = 0usize;
-    let mut entry_start = None;
-    for (i, c) in body.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    entry_start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    if let Some(s) = entry_start.take() {
-                        entries.push(format!("    {}", body[s..=i].trim()));
-                    }
-                }
-            }
-            ']' if depth == 0 => break,
-            _ => {}
-        }
-    }
-    entries
-}
-
-/// Pulls `(shards, pkts/s)` pairs out of one raw history entry.
-fn entry_shard_counts(entry: &str) -> Vec<(usize, f64)> {
-    let mut out = Vec::new();
-    let mut shards = None;
-    for line in entry.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("\"shards\": ") {
-            shards = rest.trim_end_matches(',').parse::<usize>().ok();
-        } else if let Some(rest) = line.strip_prefix("\"packets_per_sec\": ") {
-            if let (Some(s), Ok(v)) = (shards.take(), rest.trim_end_matches(',').parse::<f64>()) {
-                out.push((s, v));
-            }
-        }
-    }
-    out
-}
-
-/// Checks the new reports against the last same-mode history entry.
-/// Returns the regression messages (empty = gate passes).
-fn regression_check(prior: &[String], quick: bool, reports: &[ShardReport]) -> Vec<String> {
-    let mode = format!("\"quick\": {quick},");
-    let Some(prev) = prior.iter().rev().find(|e| e.contains(&mode)) else {
-        return Vec::new();
-    };
-    let mut failures = Vec::new();
-    for (shards, prev_pps) in entry_shard_counts(prev) {
-        let Some(now) = reports.iter().find(|r| r.shards == shards) else {
-            continue;
-        };
-        if now.packets_per_sec < prev_pps * GATE_FRACTION {
-            failures.push(format!(
-                "{shards} shard(s): {:.1} pkts/s is {:.1}% of the previous entry's {prev_pps:.1}",
-                now.packets_per_sec,
-                now.packets_per_sec / prev_pps * 100.0,
-            ));
-        }
-    }
-    failures
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -217,10 +84,11 @@ fn main() {
     let base = bench_config(quick);
     let shard_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
     println!(
-        "fleet bench: {} nodes x {} sessions, {} s window, seed {SEED}, {} mode",
+        "fleet bench: {} nodes x {} sessions, {} s window, seed {}, {} mode",
         base.nodes,
         base.flows_per_node,
         base.seconds,
+        base.seed,
         if quick { "quick" } else { "full" }
     );
     println!(
@@ -232,7 +100,7 @@ fn main() {
     for &shards in shard_counts {
         let mut cfg = base.clone();
         cfg.shards = shards;
-        let r = run_shard_count(&cfg);
+        let r = median_run(REPS, || run_once(&cfg), |r| r.wall_seconds);
         println!(
             "{:<8} {:>12} {:>10.3} {:>14.1}   0x{:016x}",
             r.shards, r.packets, r.wall_seconds, r.packets_per_sec, r.trace_hash
@@ -240,11 +108,17 @@ fn main() {
         reports.push(r);
     }
 
-    let prior = std::fs::read_to_string(BENCH_PATH).map(|t| load_history(&t)).unwrap_or_default();
-    let mut entries = prior.clone();
-    entries.push(render_entry(&git_rev(), quick, &reports));
-    std::fs::write(BENCH_PATH, render_json(&entries)).expect("write BENCH_fleet.json");
-    println!("appended history entry {} to {BENCH_PATH}", entries.len());
+    let rows = reports
+        .iter()
+        .map(|r| {
+            Row::new(format!("{}-shard", r.shards), r.packets_per_sec)
+                .with("packets", r.packets)
+                .with("wall_seconds", format!("{:.6}", r.wall_seconds))
+                .with("trace_hash", format!("\"0x{:016x}\"", r.trace_hash))
+        })
+        .collect();
+    let entry = Entry::new(quick, rows);
+    let prior = FLEET.append(&entry);
 
     // Gate 1: shard-count invariance — the whole point of the sharded
     // core. Any hash mismatch means partitioning leaked into results.
@@ -264,13 +138,6 @@ fn main() {
     // Gate 2: throughput must not regress more than 10% against the last
     // same-mode trajectory entry, per shard count.
     if gate {
-        let failures = regression_check(&prior, quick, &reports);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("FAIL: throughput regression — {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("throughput gate holds: within 10% of the previous same-mode entry");
+        FLEET.gate(&prior, &entry);
     }
 }

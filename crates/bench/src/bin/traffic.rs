@@ -12,12 +12,12 @@
 //!   determinism gate for the flow library.
 //!
 //! Results are a **trajectory**: each run appends an entry (git
-//! revision, mode, sweep figures, per-policy rows) to the `history`
-//! array of `BENCH_traffic.json`, so the committed file records how the
-//! traffic stack's throughput evolved across the PR sequence. Segments
-//! per second must stay within 10% of the previous same-mode entry
-//! (skip with `--no-gate` on machines unrelated to the recorded
-//! history).
+//! revision, mode, one `sweep` row carrying the per-policy results) to
+//! the `history` array of `BENCH_traffic.json` in the shared
+//! [`umtslab_bench`] schema, so the committed file records how the
+//! traffic stack's throughput evolved. Segments per second must stay
+//! within 10% of the previous same-mode entry (skip with `--no-gate` on
+//! machines unrelated to the recorded history).
 //!
 //! ```sh
 //! cargo run --release -p umtslab-bench --bin traffic [-- --quick] [--no-gate]
@@ -26,21 +26,11 @@
 //! `--quick` shortens the per-cell horizon for CI smoke use; quick
 //! entries are only compared against other quick entries.
 
-use std::fmt::Write as _;
+use umtslab::umtslab_traffic::{report_hash, PolicyReport, SwitchingPolicy};
+use umtslab_bench::{median_run, Entry, Row, TRAFFIC};
+use umtslab_runner::run_traffic_grid;
 
-use umtslab::umtslab_sim::time::Duration;
-use umtslab::umtslab_traffic::{PolicyReport, SwitchingPolicy};
-use umtslab::CrosslayerConfig;
-
-const SEED: u64 = 2008;
-const BENCH_PATH: &str = "BENCH_traffic.json";
-/// The regression gate: segments/s below this fraction of the previous
-/// same-mode entry fails the run.
-const GATE_FRACTION: f64 = 0.9;
-
-/// Repetitions of the sweep; the median wall time wins. The simulated
-/// work is identical each repetition (same seed), so they differ only in
-/// host noise.
+/// Repetitions of the sweep; the median wall time wins.
 const REPS: usize = 3;
 
 struct SweepReport {
@@ -51,68 +41,12 @@ struct SweepReport {
     rows: Vec<PolicyReport>,
 }
 
-/// The experiment cell the bench drives per policy: the paper's 30 s
-/// bulk upload, shortened in quick mode.
-fn bench_config(policy: SwitchingPolicy, quick: bool) -> CrosslayerConfig {
-    let mut cfg = CrosslayerConfig::new(policy, SEED);
-    cfg.tcp.duration = Duration::from_secs(if quick { 10 } else { 30 });
-    cfg
-}
-
-/// Seconds with six fractional digits, matching the runner's canonical
-/// row formatting so both hash the same dwell values.
-fn fmt_dur_s(d: Duration) -> String {
-    format!("{}.{:06}", d.total_secs(), d.total_micros() % 1_000_000)
-}
-
-/// The canonical hashable row for one policy cell (same layout as
-/// `runner traffic`).
-fn policy_row(r: &PolicyReport) -> String {
-    let d = &r.dwell;
-    format!(
-        "{} seed={} goodput_bps={} segments={} retx={} timeouts={} max_cwnd={} \
-         rrc_transitions={} dwell_idle={} dwell_fach={} dwell_dch={} dwell_dch_up={} \
-         idle_promotions={} promotion_latency={}",
-        r.policy.name(),
-        r.seed,
-        r.goodput_bps,
-        r.delivered_segments,
-        r.retransmits,
-        r.timeouts,
-        r.max_cwnd_bytes,
-        r.rrc_transitions,
-        fmt_dur_s(d.idle),
-        fmt_dur_s(d.fach),
-        fmt_dur_s(d.dch),
-        fmt_dur_s(d.dch_upgraded),
-        d.idle_promotions,
-        fmt_dur_s(d.idle_promotion_latency),
-    )
-}
-
-/// FNV-1a over the canonical rows, one `\n` after each.
-fn report_hash(rows: &[PolicyReport]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for row in rows {
-        for byte in policy_row(row).bytes().chain(std::iter::once(b'\n')) {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
-
+/// One serial sweep: the paper's 30 s bulk upload per policy at the
+/// bench seed, shortened to 10 s in quick mode.
 fn run_once(quick: bool) -> SweepReport {
     let wall0 = std::time::Instant::now();
-    let rows: Vec<PolicyReport> = SwitchingPolicy::ALL
-        .iter()
-        .map(|&policy| {
-            let cfg = bench_config(policy, quick);
-            let (report, _) = umtslab::run_switching_policy(&cfg)
-                .unwrap_or_else(|e| panic!("{} cell failed: {e:?}", policy.name()));
-            report
-        })
-        .collect();
+    let rows = run_traffic_grid(TRAFFIC.seed, 1, if quick { 10 } else { 30 }, None, 1)
+        .unwrap_or_else(|e| panic!("traffic cell failed: {e}"));
     let wall = wall0.elapsed().as_secs_f64();
     let segments: u64 = rows.iter().map(|r| r.delivered_segments).sum();
     SweepReport {
@@ -124,136 +58,6 @@ fn run_once(quick: bool) -> SweepReport {
     }
 }
 
-/// Runs the sweep `REPS` times, checks the determinism gate across all
-/// repetitions, and returns the median-wall rep.
-fn run_sweep(quick: bool) -> SweepReport {
-    let mut runs: Vec<SweepReport> = (0..REPS).map(|_| run_once(quick)).collect();
-    let first_hash = runs[0].report_hash;
-    for (i, r) in runs.iter().enumerate() {
-        if r.report_hash != first_hash {
-            eprintln!(
-                "FAIL: report hash diverged — rep {i} 0x{:016x} vs rep 0 0x{first_hash:016x}",
-                r.report_hash
-            );
-            std::process::exit(1);
-        }
-    }
-    runs.sort_by(|a, b| a.wall_seconds.total_cmp(&b.wall_seconds));
-    runs.swap_remove(REPS / 2)
-}
-
-/// The current git revision (short), or `unknown` outside a checkout.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Renders one history entry (one run) at the array's indent level.
-fn render_entry(git_rev: &str, quick: bool, sweep: &SweepReport) -> String {
-    let mut out = String::new();
-    out.push_str("    {\n");
-    let _ = writeln!(out, "      \"git_rev\": \"{git_rev}\",");
-    let _ = writeln!(out, "      \"quick\": {quick},");
-    let _ = writeln!(out, "      \"segments\": {},", sweep.segments);
-    let _ = writeln!(out, "      \"wall_seconds\": {:.6},", sweep.wall_seconds);
-    let _ = writeln!(out, "      \"segments_per_sec\": {:.1},", sweep.segments_per_sec);
-    let _ = writeln!(out, "      \"report_hash\": \"0x{:016x}\",", sweep.report_hash);
-    out.push_str("      \"policies\": [\n");
-    for (i, r) in sweep.rows.iter().enumerate() {
-        out.push_str("        {\n");
-        let _ = writeln!(out, "          \"policy\": \"{}\",", r.policy.name());
-        let _ = writeln!(out, "          \"goodput_bps\": {},", r.goodput_bps);
-        let _ = writeln!(out, "          \"delivered_segments\": {},", r.delivered_segments);
-        let _ = writeln!(out, "          \"retransmits\": {},", r.retransmits);
-        let _ = writeln!(out, "          \"timeouts\": {},", r.timeouts);
-        let _ = writeln!(out, "          \"rrc_transitions\": {}", r.rrc_transitions);
-        out.push_str(if i + 1 < sweep.rows.len() { "        },\n" } else { "        }\n" });
-    }
-    out.push_str("      ]\n    }");
-    out
-}
-
-/// Renders the whole trajectory document from raw entry strings.
-fn render_json(entries: &[String]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"traffic\",");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    out.push_str("  \"history\": [\n");
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Extracts the raw history entries from a previously written trajectory
-/// document. Returns an empty list for a missing file or a foreign shape.
-fn load_history(text: &str) -> Vec<String> {
-    let Some(start) = text.find("\"history\": [") else {
-        return Vec::new();
-    };
-    let body = &text[start + "\"history\": [".len()..];
-    let mut entries = Vec::new();
-    let mut depth = 0usize;
-    let mut entry_start = None;
-    for (i, c) in body.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    entry_start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    if let Some(s) = entry_start.take() {
-                        entries.push(format!("    {}", body[s..=i].trim()));
-                    }
-                }
-            }
-            ']' if depth == 0 => break,
-            _ => {}
-        }
-    }
-    entries
-}
-
-/// Pulls the sweep-level segments/s figure out of one raw history entry.
-fn entry_segments_per_sec(entry: &str) -> Option<f64> {
-    entry.lines().find_map(|line| {
-        line.trim()
-            .strip_prefix("\"segments_per_sec\": ")
-            .and_then(|rest| rest.trim_end_matches(',').parse::<f64>().ok())
-    })
-}
-
-/// Checks the new sweep against the last same-mode history entry.
-/// Returns the regression messages (empty = gate passes).
-fn regression_check(prior: &[String], quick: bool, sweep: &SweepReport) -> Vec<String> {
-    let mode = format!("\"quick\": {quick},");
-    let Some(prev) = prior.iter().rev().find(|e| e.contains(&mode)) else {
-        return Vec::new();
-    };
-    let Some(prev_sps) = entry_segments_per_sec(prev) else {
-        return Vec::new();
-    };
-    if sweep.segments_per_sec < prev_sps * GATE_FRACTION {
-        vec![format!(
-            "{:.1} segments/s is {:.1}% of the previous entry's {prev_sps:.1}",
-            sweep.segments_per_sec,
-            sweep.segments_per_sec / prev_sps * 100.0,
-        )]
-    } else {
-        Vec::new()
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -261,26 +65,32 @@ fn main() {
 
     let horizon = if quick { 10 } else { 30 };
     println!(
-        "traffic bench: {} policy cells x {horizon} s TCP horizon, seed {SEED}, {} mode",
+        "traffic bench: {} policy cells x {horizon} s TCP horizon, seed {}, {} mode",
         SwitchingPolicy::ALL.len(),
+        TRAFFIC.seed,
         if quick { "quick" } else { "full" }
     );
 
-    let sweep = run_sweep(quick);
-    println!(
-        "{:<14} {:>12} {:>12} {:>8} {:>9} {:>16}",
-        "policy", "goodput_bps", "segments", "retx", "timeouts", "rrc_transitions"
+    // The determinism gate: every repetition must hash identically.
+    let mut first_hash = None;
+    let sweep = median_run(
+        REPS,
+        || {
+            let s = run_once(quick);
+            let first = *first_hash.get_or_insert(s.report_hash);
+            if s.report_hash != first {
+                eprintln!(
+                    "FAIL: report hash diverged — 0x{:016x} vs rep 0 0x{first:016x}",
+                    s.report_hash
+                );
+                std::process::exit(1);
+            }
+            s
+        },
+        |s| s.wall_seconds,
     );
     for r in &sweep.rows {
-        println!(
-            "{:<14} {:>12} {:>12} {:>8} {:>9} {:>16}",
-            r.policy.name(),
-            r.goodput_bps,
-            r.delivered_segments,
-            r.retransmits,
-            r.timeouts,
-            r.rrc_transitions
-        );
+        println!("{}", r.row());
     }
     println!(
         "sweep: {} segments in {:.3} s = {:.1} segments/s, report_hash 0x{:016x}",
@@ -290,22 +100,33 @@ fn main() {
 
     assert!(sweep.segments > 0, "traffic sweep delivered no segments");
 
-    let prior = std::fs::read_to_string(BENCH_PATH).map(|t| load_history(&t)).unwrap_or_default();
-    let mut entries = prior.clone();
-    entries.push(render_entry(&git_rev(), quick, &sweep));
-    std::fs::write(BENCH_PATH, render_json(&entries)).expect("write BENCH_traffic.json");
-    println!("appended history entry {} to {BENCH_PATH}", entries.len());
+    let policies: Vec<String> = sweep
+        .rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"policy\": \"{}\", \"goodput_bps\": {}, \"delivered_segments\": {}, \
+                 \"retransmits\": {}, \"timeouts\": {}, \"rrc_transitions\": {}}}",
+                r.policy.name(),
+                r.goodput_bps,
+                r.delivered_segments,
+                r.retransmits,
+                r.timeouts,
+                r.rrc_transitions
+            )
+        })
+        .collect();
+    let row = Row::new("sweep", sweep.segments_per_sec)
+        .with("segments", sweep.segments)
+        .with("wall_seconds", format!("{:.6}", sweep.wall_seconds))
+        .with("report_hash", format!("\"0x{:016x}\"", sweep.report_hash))
+        .with("policies", format!("[{}]", policies.join(", ")));
+    let entry = Entry::new(quick, vec![row]);
+    let prior = TRAFFIC.append(&entry);
 
     // Gate: segments/s must not regress more than 10% against the last
     // same-mode trajectory entry.
     if gate {
-        let failures = regression_check(&prior, quick, &sweep);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("FAIL: throughput regression — {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("throughput gate holds: within 10% of the previous same-mode entry");
+        TRAFFIC.gate(&prior, &entry);
     }
 }

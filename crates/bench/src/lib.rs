@@ -1,131 +1,334 @@
-//! A small self-contained timing harness for the workspace's benches.
+//! The shared bench history: one append-only trajectory schema and one
+//! same-mode regression gate for the `dataplane`, `fleet` and `traffic`
+//! bins.
 //!
-//! The build environment is offline, so instead of an external bench
-//! framework the two bench targets (`benches/figures.rs`,
-//! `benches/sim_core.rs`, both `harness = false`) are plain binaries
-//! built on [`bench_named`]: warm up once, time `iters` runs of the
-//! closure on the host clock, and report mean/min/max. That is enough
-//! for the regression signal the benches exist to give; absolute
-//! rigor (outlier rejection, statistical tests) is out of scope.
+//! Each run appends one [`Entry`] to its bench's `BENCH_<name>.json`:
+//! the git revision, the mode (`--quick` or full), and one [`Row`] per
+//! measured configuration — a key, the throughput the gate watches, and
+//! the extra fields the bin records beside it as raw JSON values. The
+//! gate fails a run whose throughput for any key falls below
+//! [`GATE_FRACTION`] of the last entry of the same mode; quick and full
+//! entries are never compared with each other.
 //!
 //! ```
-//! use umtslab_bench::bench_named;
+//! use umtslab_bench::{load, Entry, Row, DATAPLANE};
 //!
-//! let t = bench_named("square", 8, || std::hint::black_box(21u64 * 21));
-//! assert_eq!(t.iters, 8);
-//! assert!(t.min_ns <= t.mean_ns() && t.mean_ns() <= t.max_ns);
+//! let entry = Entry {
+//!     git_rev: "abc1234".to_string(),
+//!     quick: true,
+//!     rows: vec![Row::new("cbr-1mbps", 500_000.0).with("deep_copies", 0)],
+//! };
+//! let text = DATAPLANE.render(std::slice::from_ref(&entry));
+//! assert_eq!(load(&text), vec![entry.clone()]);
+//!
+//! let slower = Entry { rows: vec![Row::new("cbr-1mbps", 400_000.0)], ..entry.clone() };
+//! assert_eq!(DATAPLANE.regressions(&[entry], &slower).len(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::time::Instant;
+use std::fmt::{Display, Write as _};
 
-/// The timing result of one benchmark.
-#[derive(Debug, Clone)]
-pub struct Timing {
-    /// Benchmark name.
-    pub name: String,
-    /// Measured iterations (excluding the warm-up run).
-    pub iters: u32,
-    /// Total measured time, nanoseconds.
-    pub total_ns: u128,
-    /// Fastest iteration, nanoseconds.
-    pub min_ns: u128,
-    /// Slowest iteration, nanoseconds.
-    pub max_ns: u128,
+/// A run whose throughput for some key falls below this fraction of the
+/// last same-mode entry fails the gate.
+pub const GATE_FRACTION: f64 = 0.9;
+
+/// The wired two-node data-plane bench (`bin/dataplane.rs`).
+pub const DATAPLANE: Bench = Bench { name: "dataplane", seed: 42, unit: "packets_per_sec" };
+/// The sharded-fleet scaling bench (`bin/fleet.rs`).
+pub const FLEET: Bench = Bench { name: "fleet", seed: 2008, unit: "packets_per_sec" };
+/// The switching-policy TCP sweep bench (`bin/traffic.rs`).
+pub const TRAFFIC: Bench = Bench { name: "traffic", seed: 2008, unit: "segments_per_sec" };
+
+/// One bench's trajectory file: its name, master seed and throughput unit.
+#[derive(Debug, Clone, Copy)]
+pub struct Bench {
+    /// Bench name; the history lives in `BENCH_<name>.json`.
+    pub name: &'static str,
+    /// Master seed of every run.
+    pub seed: u64,
+    /// What each row's `throughput` counts.
+    pub unit: &'static str,
 }
 
-impl Timing {
-    /// Mean time per iteration, nanoseconds.
-    pub fn mean_ns(&self) -> u128 {
-        self.total_ns / u128::from(self.iters.max(1))
+/// One measured configuration of a run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// What was measured (a flow, a shard count, a sweep).
+    pub key: String,
+    /// The gated figure, in the bench's [`Bench::unit`].
+    pub throughput: f64,
+    /// Further fields, as the raw JSON object members rendered after
+    /// `throughput` (`"name": value, ...`).
+    pub extra: String,
+}
+
+impl Row {
+    /// A row without extra fields.
+    pub fn new(key: impl Into<String>, throughput: f64) -> Row {
+        Row { key: key.into(), throughput, extra: String::new() }
+    }
+
+    /// Adds an extra field; `value` must render as a JSON value (quote
+    /// strings yourself).
+    #[must_use]
+    pub fn with(mut self, name: &str, value: impl Display) -> Row {
+        self.push_member(&format!("\"{name}\": {value}"));
+        self
+    }
+
+    fn push_member(&mut self, member: &str) {
+        if !self.extra.is_empty() {
+            self.extra.push_str(", ");
+        }
+        self.extra.push_str(member);
     }
 }
 
-impl core::fmt::Display for Timing {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "{:<36} mean {:>12} min {:>12} max {:>12} ({} iters)",
-            self.name,
-            human_ns(self.mean_ns()),
-            human_ns(self.min_ns),
-            human_ns(self.max_ns),
-            self.iters
-        )
+/// One run of a bench: one element of the `history` array.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Entry {
+    /// Short git revision the run was built from.
+    pub git_rev: String,
+    /// Whether the run used `--quick` sizes.
+    pub quick: bool,
+    /// One row per measured configuration.
+    pub rows: Vec<Row>,
+}
+
+impl Entry {
+    /// An entry stamped with the current git revision.
+    pub fn new(quick: bool, rows: Vec<Row>) -> Entry {
+        Entry { git_rev: git_rev(), quick, rows }
     }
 }
 
-/// Formats a nanosecond count with an adaptive unit.
-pub fn human_ns(ns: u128) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.3} s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.3} ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.3} us", ns as f64 / 1e3)
-    } else {
-        format!("{ns} ns")
+impl Bench {
+    /// The trajectory file, relative to the workspace root.
+    pub fn path(&self) -> String {
+        format!("BENCH_{}.json", self.name)
+    }
+
+    /// Renders the whole trajectory document.
+    pub fn render(&self, entries: &[Entry]) -> String {
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{{\n  \"bench\": \"{}\",\n  \"seed\": {},\n  \"unit\": \"{}\",\n  \"history\": [",
+            self.name, self.seed, self.unit
+        );
+        for (i, e) in entries.iter().enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            let _ = write!(
+                out,
+                "    {{\n      \"git_rev\": \"{}\",\n      \"quick\": {},\n      \"rows\": [",
+                e.git_rev, e.quick
+            );
+            for (j, r) in e.rows.iter().enumerate() {
+                out.push_str(if j == 0 { "\n" } else { ",\n" });
+                let sep = if r.extra.is_empty() { "" } else { ", " };
+                let _ = write!(
+                    out,
+                    "        {{\"key\": \"{}\", \"throughput\": {:.1}{sep}{}}}",
+                    r.key, r.throughput, r.extra
+                );
+            }
+            out.push_str("\n      ]\n    }");
+        }
+        out.push_str("\n  ]\n}\n");
+        out
+    }
+
+    /// Appends `entry` to the trajectory file and returns the entries
+    /// that were there before it.
+    pub fn append(&self, entry: &Entry) -> Vec<Entry> {
+        let path = self.path();
+        let prior = std::fs::read_to_string(&path).map(|t| load(&t)).unwrap_or_default();
+        let mut entries = prior.clone();
+        entries.push(entry.clone());
+        std::fs::write(&path, self.render(&entries))
+            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        println!("appended history entry {} to {path}", entries.len());
+        prior
+    }
+
+    /// Compares `now` with the last `prior` entry of the same mode and
+    /// returns one message per key whose throughput fell below
+    /// [`GATE_FRACTION`] of it (empty: the gate holds).
+    pub fn regressions(&self, prior: &[Entry], now: &Entry) -> Vec<String> {
+        let Some(prev) = prior.iter().rev().find(|e| e.quick == now.quick) else {
+            return Vec::new();
+        };
+        let mut failures = Vec::new();
+        for p in &prev.rows {
+            let Some(n) = now.rows.iter().find(|r| r.key == p.key) else { continue };
+            if n.throughput < p.throughput * GATE_FRACTION {
+                failures.push(format!(
+                    "{}: {:.1} {} is {:.1}% of the previous entry's {:.1}",
+                    p.key,
+                    n.throughput,
+                    self.unit,
+                    n.throughput / p.throughput * 100.0,
+                    p.throughput
+                ));
+            }
+        }
+        failures
+    }
+
+    /// Runs the gate, printing its verdict; exits 1 on a regression.
+    pub fn gate(&self, prior: &[Entry], now: &Entry) {
+        let failures = self.regressions(prior, now);
+        if !failures.is_empty() {
+            for f in &failures {
+                eprintln!("FAIL: throughput regression — {f}");
+            }
+            std::process::exit(1);
+        }
+        println!("throughput gate holds: within 10% of the previous same-mode entry");
     }
 }
 
-/// Runs `f` once to warm up, then `iters` timed times, and returns the
-/// aggregate [`Timing`]. The closure's result is passed through
-/// [`std::hint::black_box`] so the optimizer cannot elide the work.
-pub fn bench_named<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) -> Timing {
-    std::hint::black_box(f()); // warm-up, untimed
-    let mut total = 0u128;
-    let mut min = u128::MAX;
-    let mut max = 0u128;
-    for _ in 0..iters.max(1) {
-        let started = Instant::now();
-        std::hint::black_box(f());
-        let ns = started.elapsed().as_nanos();
-        total += ns;
-        min = min.min(ns);
-        max = max.max(ns);
+/// Parses a trajectory document written by [`Bench::render`] back into
+/// its entries.
+///
+/// A document from before the shared schema — one run's `quick` flag
+/// and pretty-printed `flows` array at the top level, no `history` —
+/// converts to a single entry: each flow becomes a row keyed by its
+/// `flow` label with its `packets_per_sec` as throughput and every other
+/// field kept as an extra. A missing or foreign document yields no
+/// entries.
+pub fn load(text: &str) -> Vec<Entry> {
+    let blank =
+        |git_rev: &str| Entry { git_rev: git_rev.to_string(), quick: false, rows: Vec::new() };
+    let legacy_doc = !text.contains("\"history\"") && text.contains("\"flows\"");
+    let mut entries = if legacy_doc { vec![blank("unknown")] } else { Vec::new() };
+    let mut legacy: Option<Row> = None;
+    for line in text.lines().map(|l| l.trim().trim_end_matches(',')) {
+        let field = |name: &str| line.strip_prefix(&format!("\"{name}\": "));
+        if let Some(rev) = field("git_rev") {
+            entries.push(blank(rev.trim_matches('"')));
+        }
+        let Some(entry) = entries.last_mut() else { continue };
+        if let Some(quick) = field("quick") {
+            entry.quick = quick == "true";
+        } else if let Some(row) = parse_row(line) {
+            entry.rows.push(row);
+        } else if let Some(label) = field("flow") {
+            legacy = Some(Row::new(label.trim_matches('"'), 0.0));
+        } else if legacy.is_some() && line == "}" {
+            entry.rows.extend(legacy.take());
+        } else if let Some(row) = legacy.as_mut() {
+            match field("packets_per_sec") {
+                Some(t) => row.throughput = t.parse().unwrap_or(0.0),
+                None => row.push_member(line),
+            }
+        }
     }
-    Timing {
-        name: name.to_string(),
-        iters: iters.max(1),
-        total_ns: total,
-        min_ns: min,
-        max_ns: max,
-    }
+    entries
 }
 
-/// Runs and immediately prints a benchmark (the usual pattern in the
-/// bench mains).
-pub fn run_bench<R>(name: &str, iters: u32, f: impl FnMut() -> R) -> Timing {
-    let t = bench_named(name, iters, f);
-    println!("{t}");
-    t
+/// Parses one rendered row line (trailing comma already stripped).
+fn parse_row(line: &str) -> Option<Row> {
+    let body = line.strip_prefix("{\"key\": \"")?.strip_suffix('}')?;
+    let (key, rest) = body.split_once("\", \"throughput\": ")?;
+    let (throughput, extra) = rest.split_once(", ").unwrap_or((rest, ""));
+    Some(Row {
+        key: key.to_string(),
+        throughput: throughput.parse().ok()?,
+        extra: extra.to_string(),
+    })
+}
+
+/// Runs `run` `reps` times and returns the repetition with the median
+/// `wall` time. The simulated work is identical each time (same seed), so
+/// the repetitions differ only in host noise; the median strips both slow
+/// outliers (preemption) and fast ones (turbo bursts).
+pub fn median_run<T>(reps: usize, mut run: impl FnMut() -> T, wall: impl Fn(&T) -> f64) -> T {
+    let mut runs: Vec<T> = (0..reps).map(|_| run()).collect();
+    runs.sort_by(|a, b| wall(a).total_cmp(&wall(b)));
+    runs.swap_remove(reps / 2)
+}
+
+/// The current git revision (short), or `unknown` outside a checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn timing_invariants() {
-        let t = bench_named("noop", 16, || 0u8);
-        assert_eq!(t.iters, 16);
-        assert!(t.min_ns <= t.max_ns);
-        assert!(t.min_ns <= t.mean_ns() && t.mean_ns() <= t.max_ns);
+    fn run(quick: bool, rows: &[(&str, f64)]) -> Entry {
+        let rows = rows.iter().map(|&(k, t)| Row::new(k, t)).collect();
+        Entry { git_rev: "abc1234".to_string(), quick, rows }
     }
 
     #[test]
-    fn zero_iters_clamps_to_one() {
-        let t = bench_named("noop", 0, || ());
-        assert_eq!(t.iters, 1);
+    fn load_inverts_render() {
+        let sweep = Row::new("sweep", 10_282.3)
+            .with("segments", 2028)
+            .with("report_hash", "\"0x7abbd41b51059133\"")
+            .with("policies", "[{\"policy\": \"a, b\", \"n\": [1, 2]}, {\"policy\": \"}\"}]");
+        let entries = vec![
+            Entry { git_rev: "7f3c2ac".to_string(), quick: false, rows: vec![sweep] },
+            run(true, &[("1-shard", 10_748.3), ("2-shard", 12_688.5)]),
+            run(true, &[]),
+        ];
+        let text = TRAFFIC.render(&entries);
+        assert_eq!(load(&text), entries);
     }
 
     #[test]
-    fn human_ns_units() {
-        assert_eq!(human_ns(12), "12 ns");
-        assert_eq!(human_ns(1_500), "1.500 us");
-        assert_eq!(human_ns(2_500_000), "2.500 ms");
-        assert_eq!(human_ns(3_200_000_000), "3.200 s");
+    fn legacy_single_entry_file_converts_and_keeps_its_numbers() {
+        let legacy = "{\n  \"bench\": \"dataplane\",\n  \"seed\": 42,\n  \"quick\": false,\n  \
+                      \"flows\": [\n    {\n      \"flow\": \"voip-g711-72kbps\",\n      \
+                      \"sim_seconds\": 30.000,\n      \"packets_per_sec\": 574103.1,\n      \
+                      \"deep_copies\": 0\n    },\n    {\n      \"flow\": \"cbr-1mbps\",\n      \
+                      \"packets_per_sec\": 584006.9\n    }\n  ]\n}\n";
+        let converted = load(legacy);
+        let voip = Row::new("voip-g711-72kbps", 574_103.1)
+            .with("sim_seconds", "30.000")
+            .with("deep_copies", 0);
+        let cbr = Row::new("cbr-1mbps", 584_006.9);
+        let expected =
+            Entry { git_rev: "unknown".to_string(), quick: false, rows: vec![voip, cbr] };
+        assert_eq!(converted, [expected]);
+        assert_eq!(load(&DATAPLANE.render(&converted)), converted);
+    }
+
+    #[test]
+    fn gate_fails_below_ninety_percent_of_the_last_same_mode_entry() {
+        let prior = [run(true, &[("a", 100.0), ("b", 100.0)]), run(true, &[("a", 200.0)])];
+        assert!(FLEET.regressions(&prior, &run(true, &[("a", 181.0), ("b", 1.0)])).is_empty());
+        let failures = FLEET.regressions(&prior, &run(true, &[("a", 179.0)]));
+        assert_eq!(failures, ["a: 179.0 packets_per_sec is 89.5% of the previous entry's 200.0"]);
+    }
+
+    #[test]
+    fn gate_ignores_entries_of_the_other_mode() {
+        let prior = [run(true, &[("a", 100.0)]), run(false, &[("a", 1_000.0)])];
+        assert!(FLEET.regressions(&prior, &run(true, &[("a", 95.0)])).is_empty());
+        assert!(FLEET.regressions(&prior[1..], &run(true, &[("a", 1.0)])).is_empty());
+        assert_eq!(FLEET.regressions(&prior, &run(false, &[("a", 95.0)])).len(), 1);
+    }
+
+    #[test]
+    fn committed_trajectories_use_the_shared_schema() {
+        for bench in [DATAPLANE, FLEET, TRAFFIC] {
+            let path = format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), bench.path());
+            let text = std::fs::read_to_string(&path).expect("committed trajectory");
+            let entries = load(&text);
+            assert!(entries.iter().any(|e| !e.quick), "{path} keeps a full-mode baseline");
+            assert_eq!(bench.render(&entries), text, "{path} is in canonical form");
+        }
     }
 }

@@ -30,6 +30,7 @@ use umtslab_net::link::LinkConfig;
 use umtslab_net::wire::{Ipv4Address, Ipv4Cidr};
 use umtslab_planetlab::umtscmd::UmtsRequest;
 use umtslab_sim::time::{Duration, Instant};
+use umtslab_sim::{run_serial, Fnv1a};
 use umtslab_umts::at::DeviceProfile;
 use umtslab_umts::operator::OperatorProfile;
 use umtslab_umts::ppp::Credentials;
@@ -52,9 +53,6 @@ pub struct FleetConfig {
     pub seconds: u64,
     /// Master seed; every entity stream derives from it by global index.
     pub seed: u64,
-    /// How many member nodes record full packet traces (hashed into the
-    /// report; keep small — traces grow with traffic).
-    pub trace_nodes: usize,
 }
 
 impl FleetConfig {
@@ -68,22 +66,13 @@ impl FleetConfig {
             shards: 1,
             seconds: 10,
             seed: 2_008,
-            trace_nodes: 2,
         }
     }
 
     /// A small instance for tests and CI gates: quick, but still crossing
     /// every path (three operators, echoes, cross-shard handoffs).
     pub fn small() -> FleetConfig {
-        FleetConfig {
-            nodes: 12,
-            flows_per_node: 2,
-            sinks: 3,
-            shards: 1,
-            seconds: 2,
-            seed: 7,
-            trace_nodes: 2,
-        }
+        FleetConfig { nodes: 12, flows_per_node: 2, sinks: 3, shards: 1, seconds: 2, seed: 7 }
     }
 
     /// Total probe flows (`nodes * flows_per_node`).
@@ -131,6 +120,9 @@ fn fleet_operator(k: usize) -> OperatorProfile {
     op
 }
 
+/// How many member nodes record full packet traces (hashed into the
+/// report; kept small because traces grow with traffic).
+const TRACE_NODES: usize = 2;
 const SETTLE: Instant = Instant::from_secs(25);
 const MEASURE_START: Instant = Instant::from_secs(27);
 const DRAIN: Duration = Duration::from_secs(3);
@@ -172,7 +164,7 @@ fn build(cfg: &FleetConfig) -> Fleet {
             access.clone(),
         );
         tb.attach_umts(id, fleet_operator(m), DeviceProfile::huawei_e620(), fleet_credentials(m));
-        if m < cfg.trace_nodes {
+        if m < TRACE_NODES {
             tb.node_mut(id).trace.set_enabled(true);
         }
         members.push(id);
@@ -253,12 +245,7 @@ fn fleet_credentials(m: usize) -> Option<Credentials> {
 
 /// Runs the fleet scenario serially (shards advance one after another).
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
-    run_fleet_with(cfg, |shards, end| {
-        for s in shards.iter_mut() {
-            use umtslab_sim::shard::ShardScheduler;
-            s.run_window(end);
-        }
-    })
+    run_fleet_with(cfg, run_serial)
 }
 
 /// Runs the fleet scenario with a caller-supplied window runner (e.g. a
@@ -277,7 +264,7 @@ pub fn run_fleet_with(
 fn report(cfg: &FleetConfig, fleet: &mut Fleet) -> FleetReport {
     let tb = &fleet.tb;
     let ppp_up = fleet.members.iter().filter(|&&id| tb.node(id).ppp_addr().is_some()).count();
-    let mut hash = Fnv::new();
+    let mut hash = Fnv1a::new();
     let mut sent = 0u64;
     let mut rtt_count = 0u64;
     for &tx in &fleet.senders {
@@ -285,13 +272,13 @@ fn report(cfg: &FleetConfig, fleet: &mut Fleet) -> FleetReport {
         sent += s.len() as u64;
         rtt_count += rtts.len() as u64;
         for r in s {
-            hash.u64(u64::from(r.seq));
-            hash.u64(r.tx.total_micros());
-            hash.u64(r.payload as u64);
+            hash.update_u64(u64::from(r.seq));
+            hash.update_u64(r.tx.total_micros());
+            hash.update_u64(r.payload as u64);
         }
         for r in rtts {
-            hash.u64(u64::from(r.seq));
-            hash.u64(r.rtt.total_micros());
+            hash.update_u64(u64::from(r.seq));
+            hash.update_u64(r.rtt.total_micros());
         }
     }
     let mut received = 0u64;
@@ -299,16 +286,16 @@ fn report(cfg: &FleetConfig, fleet: &mut Fleet) -> FleetReport {
         let records = tb.receiver_records(rx);
         received += records.len() as u64;
         for r in records {
-            hash.u64(u64::from(r.seq));
-            hash.u64(r.tx.total_micros());
-            hash.u64(r.rx.total_micros());
+            hash.update_u64(u64::from(r.seq));
+            hash.update_u64(r.tx.total_micros());
+            hash.update_u64(r.rx.total_micros());
         }
     }
     let metrics = tb.metrics();
     let metrics_json = render_metrics_json(&metrics);
-    hash.bytes(metrics_json.as_bytes());
-    for &id in fleet.members.iter().take(cfg.trace_nodes) {
-        hash.bytes(tb.node(id).trace.dump().as_bytes());
+    hash.update(metrics_json.as_bytes());
+    for &id in fleet.members.iter().take(TRACE_NODES) {
+        hash.update(tb.node(id).trace.dump().as_bytes());
     }
     FleetReport {
         nodes: cfg.nodes,
@@ -320,7 +307,7 @@ fn report(cfg: &FleetConfig, fleet: &mut Fleet) -> FleetReport {
         rtt_count,
         metrics,
         metrics_json,
-        trace_hash: hash.finish(),
+        trace_hash: hash.digest(),
     }
 }
 
@@ -365,30 +352,6 @@ pub fn render_metrics_json(m: &TestbedMetrics) -> String {
     )
 }
 
-/// FNV-1a, the workspace's standing determinism-hash idiom.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,6 +377,10 @@ mod tests {
         let b = run_fleet(&cfg);
         assert_eq!(a.trace_hash, b.trace_hash);
         assert_eq!(a.metrics_json, b.metrics_json);
+        // Pinned absolute digest: a change in which bytes reach the
+        // hasher (or in how it folds them) fails here even when every
+        // run-twice and shard-count comparison still agrees.
+        assert_eq!(a.trace_hash, 0x21a0_41d3_818d_366d);
     }
 
     #[test]

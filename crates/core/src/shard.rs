@@ -54,7 +54,7 @@ use umtslab_planetlab::slice::SliceId;
 use umtslab_sim::event::EventHandle;
 use umtslab_sim::rng::{job_seed, SimRng};
 use umtslab_sim::sched::Scheduler;
-use umtslab_sim::shard::{drive, ShardScheduler};
+use umtslab_sim::shard::{drive, run_serial, ShardScheduler};
 use umtslab_sim::time::{Duration, Instant};
 use umtslab_umts::at::DeviceProfile;
 use umtslab_umts::attachment::{DownlinkOutcome, UmtsAttachment};
@@ -636,11 +636,7 @@ impl ShardedTestbed {
 
     /// Runs until `horizon`, advancing the shards serially.
     pub fn run_until(&mut self, horizon: Instant) {
-        self.run_until_with(horizon, |shards, end| {
-            for s in shards.iter_mut() {
-                s.run_window(end);
-            }
-        });
+        self.run_until_with(horizon, run_serial);
     }
 
     /// Runs for a relative span (serially).

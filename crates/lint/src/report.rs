@@ -1,11 +1,13 @@
 //! Rendering a lint [`Report`] as a human table or deterministic JSON.
 //!
-//! JSON is hand-rolled like `umtslab-verify`'s and the runner's (the
-//! workspace deliberately carries no serialization dependency), with all
-//! arrays pre-sorted, so two scans of the same tree render byte-identical
-//! documents — a property the fixture suite asserts.
+//! JSON is hand-rolled around the workspace's shared [`escape_json`]
+//! (there is no serialization dependency), with all arrays pre-sorted,
+//! so two scans of the same tree render byte-identical documents — a
+//! property the fixture suite asserts.
 
 use std::fmt::Write;
+
+use umtslab_sim::escape_json;
 
 use crate::{Report, Rule};
 
@@ -73,25 +75,6 @@ pub fn render_json(report: &Report) -> String {
         );
     }
     out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Escapes the handful of characters JSON strings cannot carry verbatim.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

@@ -40,25 +40,11 @@ pub fn fmt_secs(d: Duration) -> String {
     fmt_float(d.as_secs_f64())
 }
 
-/// Escapes a string for a basic `"..."` literal.
+/// Escapes a string for a basic `"..."` literal. TOML basic strings
+/// take exactly JSON's escapes, so this is the shared
+/// [`escape_json`](umtslab_sim::escape_json) in quotes.
 pub fn escape_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04X}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", umtslab_sim::escape_json(s))
 }
 
 /// Serializes a pack into its canonical byte-deterministic form.

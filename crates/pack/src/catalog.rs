@@ -8,6 +8,8 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use umtslab_sim::escape_json;
+
 use crate::schema::Pack;
 
 /// One catalog row: a pack file plus its decoded headline facts.
@@ -73,25 +75,6 @@ pub fn render_table(entries: &[CatalogEntry]) -> String {
     out
 }
 
-/// Escapes the handful of characters JSON strings cannot carry verbatim.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the catalog as a deterministic JSON document (hand-rolled,
 /// like the runner's metrics export — same catalog, same bytes).
 pub fn render_json(entries: &[CatalogEntry]) -> String {
@@ -146,6 +129,7 @@ mod tests {
 
     #[test]
     fn json_escapes_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let json = render_json(&[entry("a\\\"b")]);
+        assert!(json.contains("\"name\": \"a\\\"b\""), "{json}");
     }
 }

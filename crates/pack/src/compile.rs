@@ -121,24 +121,18 @@ fn slice_plan(pack: &Pack) -> SlicePlan {
 }
 
 /// Compiles the full run matrix: flows × seeds, in declaration order
-/// (flow-major, seed-minor).
+/// (flow-major, seed-minor), with the pack's `[trace]` resolved to a
+/// loaded [`Trace`] replayed on both access links of every run.
 ///
-/// Packs that declare a `[trace]` section must be compiled through
-/// [`compile_with_trace`] with the loaded trace — this entry point is
-/// for trace-less packs and panics otherwise, because silently dropping
-/// the schedule would change every golden.
-pub fn compile(pack: &Pack) -> Vec<CompiledRun> {
+/// A pack that declares a `[trace]` section panics without its trace
+/// (from [`crate::load_trace`]), because silently dropping the schedule
+/// would change every golden.
+pub fn compile(pack: &Pack, trace: Option<&Trace>) -> Vec<CompiledRun> {
     assert!(
-        pack.trace.is_none(),
-        "pack `{}` declares [trace]; load it and use compile_with_trace",
+        pack.trace.is_none() || trace.is_some(),
+        "pack `{}` declares [trace]; pass the schedule from load_trace",
         pack.meta.name
     );
-    compile_with_trace(pack, None)
-}
-
-/// [`compile`] with the pack's `[trace]` resolved to a loaded
-/// [`Trace`], replayed on both access links of every run.
-pub fn compile_with_trace(pack: &Pack, trace: Option<&Trace>) -> Vec<CompiledRun> {
     let seeds = pack.seeds.expand();
     let slices = slice_plan(pack);
     let access_fault = fault_config(&pack.topology.fault);
@@ -186,7 +180,7 @@ mod tests {
     #[test]
     fn minimal_pack_compiles_to_one_run() {
         let pack = Pack::parse(&crate::schema::tests::minimal()).unwrap();
-        let runs = compile(&pack);
+        let runs = compile(&pack, None);
         assert_eq!(runs.len(), 1);
         let run = &runs[0];
         assert_eq!(run.flow, "voip");
@@ -207,7 +201,7 @@ mod tests {
                [fault_plan]\nstart_s = 5.0\nhorizon_s = 60.0\nmean_gap_s = 10.0\n\
                mix = [\"ppp_terminate\", \"modem_hang\"]\n";
         let pack = Pack::parse(&text).unwrap();
-        let runs = compile(&pack);
+        let runs = compile(&pack, None);
         assert_eq!(runs.len(), 2);
         assert!(runs[0].campaign.is_none(), "ethernet flow is unsupervised");
         let campaign = runs[1].campaign.as_ref().expect("umts flow is supervised");
@@ -230,7 +224,7 @@ mod tests {
             "# umtslab-trace v1 name=drive\n0.0,1000000,0\n2.0,250000,10000\n",
         )
         .unwrap();
-        let runs = compile_with_trace(&pack, Some(&trace));
+        let runs = compile(&pack, Some(&trace));
         assert_eq!(runs.len(), 4);
         match &runs[1].cfg.flow_model {
             FlowModel::Tcp(tcp) => {
@@ -250,11 +244,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "compile_with_trace")]
+    #[should_panic(expected = "load_trace")]
     fn compile_refuses_a_traced_pack_without_the_trace() {
         let text = crate::schema::tests::minimal() + "[trace]\nfile = \"traces/drive.csv\"\n";
         let pack = Pack::parse(&text).unwrap();
-        let _ = compile(&pack);
+        let _ = compile(&pack, None);
     }
 
     #[test]
@@ -262,7 +256,7 @@ mod tests {
         let text = crate::schema::tests::minimal()
             + "[[slice]]\nname = \"rival\"\nnode = \"napoli\"\numts_access = false\n";
         let pack = Pack::parse(&text).unwrap();
-        let runs = compile(&pack);
+        let runs = compile(&pack, None);
         let slices = &runs[0].cfg.slices;
         assert_eq!(slices.extra.len(), 1);
         assert_eq!(slices.extra[0].name, "rival");

@@ -11,7 +11,7 @@ use umtslab::umtslab_traffic::Trace;
 use umtslab::{run_experiment, run_supervised_experiment, ExperimentResult};
 use umtslab_supervisor::metrics::AvailabilityMetrics;
 
-use crate::compile::{compile, compile_with_trace, CompiledRun};
+use crate::compile::{compile, CompiledRun};
 use crate::golden::{diff_goldens, Golden, GoldenDiff, Metric};
 use crate::schema::Pack;
 
@@ -111,69 +111,32 @@ pub fn run_one(run: &CompiledRun) -> Result<Measured, String> {
 
 /// Plans a pack execution: the compiled runs in canonical (flow-major,
 /// then seed) order plus the seeds that will run (all of them, or only
-/// the first in `quick` mode).
+/// the first in `quick` mode). A pack that declares a `[trace]` needs
+/// the trace obtained from [`load_trace`].
 ///
 /// Every planned run is independent — it builds its own testbed from its
 /// own seed — so a caller may execute them in any order (e.g. across a
-/// worker pool) and [`assemble`] the outcomes back in plan order for a
-/// result byte-identical to [`execute`].
-pub fn plan(pack: &Pack, quick: bool) -> (Vec<CompiledRun>, Vec<u64>) {
+/// worker pool) and collect the outcomes back in plan order into an
+/// [`ExecutedPack`] byte-identical to what [`execute`] produces.
+pub fn plan(pack: &Pack, quick: bool, trace: Option<&Trace>) -> (Vec<CompiledRun>, Vec<u64>) {
     let mut seeds_run = pack.seeds.expand();
     if quick {
         seeds_run.truncate(1);
     }
-    let runs = compile(pack).into_iter().filter(|r| seeds_run.contains(&r.seed)).collect();
+    let runs = compile(pack, trace).into_iter().filter(|r| seeds_run.contains(&r.seed)).collect();
     (runs, seeds_run)
-}
-
-/// [`plan`] for packs that may declare a `[trace]`: pass the trace
-/// obtained from [`load_trace`].
-pub fn plan_with_trace(
-    pack: &Pack,
-    quick: bool,
-    trace: Option<&Trace>,
-) -> (Vec<CompiledRun>, Vec<u64>) {
-    let mut seeds_run = pack.seeds.expand();
-    if quick {
-        seeds_run.truncate(1);
-    }
-    let runs = compile_with_trace(pack, trace)
-        .into_iter()
-        .filter(|r| seeds_run.contains(&r.seed))
-        .collect();
-    (runs, seeds_run)
-}
-
-/// Assembles per-run outcomes — which must be in [`plan`] order — into an
-/// [`ExecutedPack`] equivalent to what [`execute`] would have produced.
-pub fn assemble(runs: Vec<RunOutcome>, seeds_run: Vec<u64>) -> ExecutedPack {
-    ExecutedPack { runs, seeds_run }
 }
 
 /// Executes a pack: every flow, every seed (or only the first seed in
-/// `quick` mode), strictly sequentially. `progress` is called after each
-/// run completes.
-pub fn execute(pack: &Pack, quick: bool, progress: impl FnMut(&RunOutcome)) -> ExecutedPack {
-    let (planned, seeds_run) = plan(pack, quick);
-    run_planned(planned, seeds_run, progress)
-}
-
-/// [`execute`] for packs that may declare a `[trace]`.
-pub fn execute_with_trace(
+/// `quick` mode), strictly sequentially, over the `trace` a `[trace]`
+/// pack needs. `progress` is called after each run completes.
+pub fn execute(
     pack: &Pack,
     quick: bool,
     trace: Option<&Trace>,
-    progress: impl FnMut(&RunOutcome),
-) -> ExecutedPack {
-    let (planned, seeds_run) = plan_with_trace(pack, quick, trace);
-    run_planned(planned, seeds_run, progress)
-}
-
-fn run_planned(
-    planned: Vec<CompiledRun>,
-    seeds_run: Vec<u64>,
     mut progress: impl FnMut(&RunOutcome),
 ) -> ExecutedPack {
+    let (planned, seeds_run) = plan(pack, quick, trace);
     let runs = planned
         .into_iter()
         .map(|r| {
@@ -182,7 +145,7 @@ fn run_planned(
             outcome
         })
         .collect();
-    assemble(runs, seeds_run)
+    ExecutedPack { runs, seeds_run }
 }
 
 /// Extracts one golden metric from a measurement. `None` means the run
@@ -272,7 +235,7 @@ mod tests {
     #[test]
     fn minimal_pack_executes_and_records_goldens() {
         let pack = Pack::parse(&crate::schema::tests::minimal()).unwrap();
-        let executed = execute(&pack, false, |_| {});
+        let executed = execute(&pack, false, None, |_| {});
         assert_eq!(executed.runs.len(), 1);
         assert_eq!(executed.failures().count(), 0);
         let m = executed.measured("voip", 1).expect("run succeeded");
@@ -296,7 +259,7 @@ mod tests {
     #[test]
     fn perturbed_golden_fails_the_diff() {
         let pack = Pack::parse(&crate::schema::tests::minimal()).unwrap();
-        let executed = execute(&pack, false, |_| {});
+        let executed = execute(&pack, false, None, |_| {});
         let mut recorded = record(&pack, &executed);
         // Push one golden far outside its tolerance.
         let g = &mut recorded.goldens[0];
@@ -310,8 +273,8 @@ mod tests {
     fn plan_and_assemble_match_execute_even_out_of_order() {
         let text = crate::schema::tests::minimal().replace("reps = 1", "reps = 2");
         let pack = Pack::parse(&text).unwrap();
-        let serial = execute(&pack, false, |_| {});
-        let (planned, seeds_run) = plan(&pack, false);
+        let serial = execute(&pack, false, None, |_| {});
+        let (planned, seeds_run) = plan(&pack, false, None);
         assert_eq!(planned.len(), serial.runs.len());
         assert_eq!(seeds_run, serial.seeds_run);
         // Run the planned runs in reverse order, then put the outcomes
@@ -325,7 +288,8 @@ mod tests {
             })
             .collect();
         outcomes.sort_by_key(|&(i, _)| i);
-        let assembled = assemble(outcomes.into_iter().map(|(_, o)| o).collect(), seeds_run);
+        let assembled =
+            ExecutedPack { runs: outcomes.into_iter().map(|(_, o)| o).collect(), seeds_run };
         // Byte-identical goldens prove the executions are equivalent.
         assert_eq!(
             serialize(&record(&pack, &assembled)),
@@ -346,7 +310,7 @@ mod tests {
         )
         .unwrap();
         let run = || {
-            let executed = execute_with_trace(&pack, false, Some(&trace), |_| {});
+            let executed = execute(&pack, false, Some(&trace), |_| {});
             assert_eq!(executed.failures().count(), 0, "{:?}", executed.failures().next());
             serialize(&record(&pack, &executed))
         };
@@ -376,10 +340,10 @@ mod tests {
     fn quick_mode_skips_other_seeds() {
         let text = crate::schema::tests::minimal().replace("reps = 1", "reps = 3");
         let pack = Pack::parse(&text).unwrap();
-        let executed = execute(&pack, true, |_| {});
+        let executed = execute(&pack, true, None, |_| {});
         assert_eq!(executed.runs.len(), 1, "quick mode runs the first seed only");
         let recorded = {
-            let full = execute(&pack, false, |_| {});
+            let full = execute(&pack, false, None, |_| {});
             record(&pack, &full)
         };
         let d = diff(&recorded, &executed);

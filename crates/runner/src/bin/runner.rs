@@ -4,10 +4,10 @@
 //! ```text
 //! runner run [--nodes N] [--flows-per-node N] [--sinks N] [--shards N]
 //!            [--seconds N] [--seed N] [--workers N] [--json]
-//! runner pack <file> [--quick] [--json] [--record] [--check] [--shards N]
-//! runner packs --list [--dir DIR] [--json] [--shards N]
-//! runner traffic [--scenario rrc-tcp] [--seed N] [--reps N] [--seconds N]
-//!                [--trace FILE] [--shards N] [--workers N] [--json]
+//! runner pack <file> [--quick] [--json] [--record] [--check] [--workers N]
+//! runner packs --list [--dir DIR] [--json]
+//! runner traffic [--seed N] [--reps N] [--seconds N] [--trace FILE]
+//!                [--workers N] [--json]
 //! ```
 //!
 //! `run` builds one coupled fleet topology partitioned across `--shards`
@@ -16,7 +16,7 @@
 //! is a field of the JSON object instead); the hash is invariant under
 //! the shard and worker counts, which CI gates on. `pack` parses a pack
 //! document, runs every flow at every campaign seed (`--quick`: first
-//! seed only; `--shards N`: N runs in flight at once), diffs the
+//! seed only; `--workers N`: N runs in flight at once), diffs the
 //! measured metrics against the pack's stored goldens and exits nonzero
 //! on drift. `--record` re-runs everything and rewrites the file
 //! canonically with freshly measured goldens; `--check` only verifies
@@ -25,32 +25,30 @@
 //! TCP flow on the UMTS uplink under every FACH/DCH switching policy,
 //! each policy × seed cell an independent seeded experiment fanned
 //! across the worker pool and reassembled in plan order — the output is
-//! byte-identical for any `--shards`/`--workers` combination. All
-//! simulation output is deterministic: no wall clock, no host entropy.
+//! byte-identical for any `--workers` count. All simulation output is
+//! deterministic: no wall clock, no host entropy.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use umtslab::fleet::FleetConfig;
-use umtslab::paper::campaign_seeds;
-use umtslab::umtslab_traffic::{SwitchingPolicy, Trace};
-use umtslab::{run_switching_policy, CrosslayerConfig};
+use umtslab::umtslab_traffic::{fmt_secs, report_hash, Trace};
 use umtslab_pack::canon::fmt_float;
 use umtslab_pack::{
-    assemble, diff, load_catalog, load_trace, plan_with_trace, record, render_diff_table,
-    render_json, render_table, run_one, serialize, Pack, RunOutcome,
+    diff, load_catalog, load_trace, plan, record, render_diff_table, render_json, render_table,
+    run_one, serialize, ExecutedPack, Pack, RunOutcome,
 };
-use umtslab_runner::{run_fleet_parallel, run_jobs, MetricsRegistry};
-use umtslab_sim::time::Duration;
+use umtslab_runner::{run_fleet_parallel, run_jobs, run_traffic_grid, MetricsRegistry};
+use umtslab_sim::escape_json;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  runner run [--nodes N] [--flows-per-node N] [--sinks N] [--shards N]\n    \
          [--seconds N] [--seed N] [--workers N] [--json]\n  \
-         runner pack <file> [--quick] [--json] [--record] [--check] [--shards N]\n  \
-         runner packs --list [--dir DIR] [--json] [--shards N]\n  \
-         runner traffic [--scenario rrc-tcp] [--seed N] [--reps N] [--seconds N]\n    \
-         [--trace FILE] [--shards N] [--workers N] [--json]"
+         runner pack <file> [--quick] [--json] [--record] [--check] [--workers N]\n  \
+         runner packs --list [--dir DIR] [--json]\n  \
+         runner traffic [--seed N] [--reps N] [--seconds N] [--trace FILE]\n    \
+         [--workers N] [--json]"
     );
     ExitCode::from(2)
 }
@@ -66,49 +64,53 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses the value of a `--flag N` pair.
-fn parse_num(it: &mut std::slice::Iter<'_, String>) -> Option<u64> {
-    it.next().and_then(|v| v.parse().ok())
+type Args<'a> = std::slice::Iter<'a, String>;
+
+/// Feeds each argument (with the iterator, for flag values) to `apply`;
+/// false as soon as `apply` rejects one.
+fn parse_args<'a>(
+    args: &'a [String],
+    mut apply: impl FnMut(&'a str, &mut Args<'a>) -> Option<()>,
+) -> bool {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if apply(a, &mut it).is_none() {
+            return false;
+        }
+    }
+    true
+}
+
+/// The value of a `--flag N` pair.
+fn number<T: std::str::FromStr>(it: &mut Args<'_>) -> Option<T> {
+    it.next()?.parse().ok()
+}
+
+/// The value of a `--flag N` pair that must be at least 1.
+fn positive(it: &mut Args<'_>) -> Option<usize> {
+    number(it).filter(|&n| n >= 1)
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
     let mut cfg = FleetConfig::demo();
     let mut json = false;
     let mut workers: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let parsed = parse_args(args, |a, it| {
+        match a {
             "--json" => json = true,
-            "--nodes" => match parse_num(&mut it) {
-                Some(n) if n >= 1 => cfg.nodes = n as usize,
-                _ => return usage(),
-            },
-            "--flows-per-node" => match parse_num(&mut it) {
-                Some(n) if n >= 1 => cfg.flows_per_node = n as usize,
-                _ => return usage(),
-            },
-            "--sinks" => match parse_num(&mut it) {
-                Some(n) if n >= 1 => cfg.sinks = n as usize,
-                _ => return usage(),
-            },
-            "--shards" => match parse_num(&mut it) {
-                Some(n) if n >= 1 => cfg.shards = n as usize,
-                _ => return usage(),
-            },
-            "--seconds" => match parse_num(&mut it) {
-                Some(n) if n >= 1 => cfg.seconds = n,
-                _ => return usage(),
-            },
-            "--seed" => match parse_num(&mut it) {
-                Some(n) => cfg.seed = n,
-                _ => return usage(),
-            },
-            "--workers" => match parse_num(&mut it) {
-                Some(n) if n >= 1 => workers = Some(n as usize),
-                _ => return usage(),
-            },
-            _ => return usage(),
+            "--nodes" => cfg.nodes = positive(it)?,
+            "--flows-per-node" => cfg.flows_per_node = positive(it)?,
+            "--sinks" => cfg.sinks = positive(it)?,
+            "--shards" => cfg.shards = positive(it)?,
+            "--seconds" => cfg.seconds = positive(it)? as u64,
+            "--seed" => cfg.seed = number(it)?,
+            "--workers" => workers = Some(positive(it)?),
+            _ => return None,
         }
+        Some(())
+    });
+    if !parsed {
+        return usage();
     }
     if cfg.shards > cfg.nodes + cfg.sinks {
         eprintln!("error: --shards must not exceed the node count");
@@ -147,46 +149,26 @@ fn cmd_run(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Escapes a string for the hand-rolled JSON output.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn cmd_pack(args: &[String]) -> ExitCode {
     let mut file: Option<PathBuf> = None;
     let mut quick = false;
     let mut json = false;
     let mut do_record = false;
     let mut check_only = false;
-    let mut shards = 1usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let mut workers = 1usize;
+    let parsed = parse_args(args, |a, it| {
+        match a {
             "--quick" => quick = true,
             "--json" => json = true,
             "--record" => do_record = true,
             "--check" => check_only = true,
-            "--shards" => match parse_num(&mut it) {
-                Some(n) if n >= 1 => shards = n as usize,
-                _ => return usage(),
-            },
+            "--workers" => workers = positive(it)?,
             _ if !a.starts_with('-') && file.is_none() => file = Some(PathBuf::from(a)),
-            _ => return usage(),
+            _ => return None,
         }
-    }
-    let Some(file) = file else { return usage() };
+        Some(())
+    });
+    let (true, Some(file)) = (parsed, file) else { return usage() };
 
     let text = match std::fs::read_to_string(&file) {
         Ok(t) => t,
@@ -242,12 +224,12 @@ fn cmd_pack(args: &[String]) -> ExitCode {
 
     // Execute. `--record` always runs the full seed matrix: goldens
     // recorded from a partial run would silently drop coverage. Every
-    // (flow, seed) run is independent, so `--shards N` fans them across
+    // (flow, seed) run is independent, so `--workers N` fans them across
     // the worker pool; outcomes reassemble in plan order, which keeps
     // the output byte-identical to the serial path.
     let run_quick = quick && !do_record;
-    let (planned, seeds_run) = plan_with_trace(&pack, run_quick, trace.as_ref());
-    let outcomes = run_jobs(planned, shards, |_, r| RunOutcome {
+    let (planned, seeds_run) = plan(&pack, run_quick, trace.as_ref());
+    let outcomes = run_jobs(planned, workers, |_, r| RunOutcome {
         flow: r.flow.clone(),
         seed: r.seed,
         outcome: run_one(r),
@@ -267,7 +249,7 @@ fn cmd_pack(args: &[String]) -> ExitCode {
             }
         }
     }
-    let executed = assemble(outcomes, seeds_run);
+    let executed = ExecutedPack { runs: outcomes, seeds_run };
 
     if do_record {
         let failed = executed.failures().count();
@@ -296,7 +278,7 @@ fn cmd_pack(args: &[String]) -> ExitCode {
     let run_failures = executed.failures().count();
     let pass = d.pass() && run_failures == 0;
     if json {
-        print!("{}", diff_json(&pack, &file, run_quick, shards, &executed, &d, pass));
+        print!("{}", diff_json(&pack, &file, run_quick, &executed, &d, pass));
     } else {
         print!("{}", render_diff_table(&d));
         for (flow, seed, err) in executed.failures() {
@@ -315,8 +297,7 @@ fn diff_json(
     pack: &Pack,
     file: &Path,
     quick: bool,
-    shards: usize,
-    executed: &umtslab_pack::ExecutedPack,
+    executed: &ExecutedPack,
     d: &umtslab_pack::GoldenDiff,
     pass: bool,
 ) -> String {
@@ -325,7 +306,6 @@ fn diff_json(
     out.push_str(&format!("  \"pack\": \"{}\",\n", escape_json(&pack.meta.name)));
     out.push_str(&format!("  \"file\": \"{}\",\n", escape_json(&file.display().to_string())));
     out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!("  \"shards\": {shards},\n"));
     out.push_str("  \"runs\": [");
     for (i, r) in executed.runs.iter().enumerate() {
         if i > 0 {
@@ -366,97 +346,27 @@ fn diff_json(
     out
 }
 
-/// Formats a duration as exact decimal seconds (microsecond fraction) —
-/// a pure function of the integer tick count, so rendered reports are
-/// byte-deterministic.
-fn fmt_dur_s(d: Duration) -> String {
-    format!("{}.{:06}", d.total_secs(), d.total_micros() % 1_000_000)
-}
-
-/// One line of the traffic report in its canonical hashable spelling.
-fn traffic_row(r: &umtslab::umtslab_traffic::PolicyReport) -> String {
-    let d = &r.dwell;
-    format!(
-        "{} seed={} goodput_bps={} segments={} retx={} timeouts={} max_cwnd={} \
-         rrc_transitions={} dwell_idle={} dwell_fach={} dwell_dch={} dwell_dch_up={} \
-         idle_promotions={} promotion_latency={}",
-        r.policy.name(),
-        r.seed,
-        r.goodput_bps,
-        r.delivered_segments,
-        r.retransmits,
-        r.timeouts,
-        r.max_cwnd_bytes,
-        r.rrc_transitions,
-        fmt_dur_s(d.idle),
-        fmt_dur_s(d.fach),
-        fmt_dur_s(d.dch),
-        fmt_dur_s(d.dch_upgraded),
-        d.idle_promotions,
-        fmt_dur_s(d.idle_promotion_latency),
-    )
-}
-
-/// FNV-1a over the canonical report rows: invariant under
-/// `--shards`/`--workers` because rows are assembled in plan order.
-fn traffic_hash(rows: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for row in rows {
-        for b in row.bytes().chain([b'\n']) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 fn cmd_traffic(args: &[String]) -> ExitCode {
-    let mut scenario = "rrc-tcp".to_string();
     let mut seed = 2008u64;
     let mut reps = 3usize;
     let mut seconds = 30u64;
     let mut trace_file: Option<PathBuf> = None;
-    let mut shards = 1usize;
-    let mut workers: Option<usize> = None;
+    let mut workers = 1usize;
     let mut json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let parsed = parse_args(args, |a, it| {
+        match a {
             "--json" => json = true,
-            "--scenario" => match it.next() {
-                Some(s) => scenario = s.clone(),
-                None => return usage(),
-            },
-            "--seed" => match parse_num(&mut it) {
-                Some(n) => seed = n,
-                _ => return usage(),
-            },
-            "--reps" => match parse_num(&mut it) {
-                Some(n) if n >= 1 => reps = n as usize,
-                _ => return usage(),
-            },
-            "--seconds" => match parse_num(&mut it) {
-                Some(n) if n >= 1 => seconds = n,
-                _ => return usage(),
-            },
-            "--trace" => match it.next() {
-                Some(f) => trace_file = Some(PathBuf::from(f)),
-                None => return usage(),
-            },
-            "--shards" => match parse_num(&mut it) {
-                Some(n) if n >= 1 => shards = n as usize,
-                _ => return usage(),
-            },
-            "--workers" => match parse_num(&mut it) {
-                Some(n) if n >= 1 => workers = Some(n as usize),
-                _ => return usage(),
-            },
-            _ => return usage(),
+            "--seed" => seed = number(it)?,
+            "--reps" => reps = positive(it)?,
+            "--seconds" => seconds = positive(it)? as u64,
+            "--trace" => trace_file = Some(PathBuf::from(it.next()?)),
+            "--workers" => workers = positive(it)?,
+            _ => return None,
         }
-    }
-    if scenario != "rrc-tcp" {
-        eprintln!("error: unknown traffic scenario `{scenario}` (rrc-tcp)");
-        return ExitCode::from(2);
+        Some(())
+    });
+    if !parsed {
+        return usage();
     }
     let trace = match &trace_file {
         None => None,
@@ -472,41 +382,18 @@ fn cmd_traffic(args: &[String]) -> ExitCode {
         },
     };
 
-    // The plan: every switching policy × every campaign seed, in fixed
-    // (policy-major, seed-minor) order. Each cell is an independent
-    // seeded experiment, so fanning the plan across the pool and
-    // collecting by job index reproduces the serial bytes exactly;
-    // `--shards` and `--workers` both just size the pool (kept separate
-    // for symmetry with `run`, where they mean different things).
-    let seeds = campaign_seeds(seed, reps);
-    let mut jobs: Vec<CrosslayerConfig> = Vec::new();
-    for policy in SwitchingPolicy::ALL {
-        for &s in &seeds {
-            let mut cfg = CrosslayerConfig::new(policy, s);
-            cfg.tcp.duration = Duration::from_secs(seconds);
-            cfg.access_trace = trace.clone();
-            jobs.push(cfg);
+    let reports = match run_traffic_grid(seed, reps, seconds, trace.as_ref(), workers) {
+        Ok(reports) => reports,
+        Err(e) => {
+            eprintln!("error: traffic cell failed: {e}");
+            return ExitCode::FAILURE;
         }
-    }
-    let pool = shards.max(workers.unwrap_or(1));
-    let outcomes = run_jobs(jobs, pool, |_, cfg| run_switching_policy(cfg));
-
-    let mut reports = Vec::new();
-    for outcome in outcomes {
-        match outcome {
-            Ok((report, _)) => reports.push(report),
-            Err(e) => {
-                eprintln!("error: traffic cell failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let rows: Vec<String> = reports.iter().map(traffic_row).collect();
-    let hash = traffic_hash(&rows);
+    };
+    let hash = report_hash(&reports);
 
     if json {
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scenario\": \"{}\",\n", escape_json(&scenario)));
+        out.push_str("  \"scenario\": \"rrc-tcp\",\n");
         out.push_str(&format!("  \"seed\": {seed},\n  \"reps\": {reps},\n"));
         out.push_str(&format!("  \"seconds\": {seconds},\n"));
         match &trace {
@@ -534,12 +421,12 @@ fn cmd_traffic(args: &[String]) -> ExitCode {
                 r.timeouts,
                 r.max_cwnd_bytes,
                 r.rrc_transitions,
-                fmt_dur_s(d.idle),
-                fmt_dur_s(d.fach),
-                fmt_dur_s(d.dch),
-                fmt_dur_s(d.dch_upgraded),
+                fmt_secs(d.idle),
+                fmt_secs(d.fach),
+                fmt_secs(d.dch),
+                fmt_secs(d.dch_upgraded),
                 d.idle_promotions,
-                fmt_dur_s(d.idle_promotion_latency),
+                fmt_secs(d.idle_promotion_latency),
             ));
         }
         out.push_str("\n  ],\n");
@@ -572,9 +459,9 @@ fn cmd_traffic(args: &[String]) -> ExitCode {
                 r.timeouts,
                 r.max_cwnd_bytes,
                 r.rrc_transitions,
-                fmt_dur_s(d.idle),
-                fmt_dur_s(d.fach),
-                fmt_dur_s(d.dch + d.dch_upgraded),
+                fmt_secs(d.idle),
+                fmt_secs(d.fach),
+                fmt_secs(d.dch + d.dch_upgraded),
             );
         }
         println!("trace_hash=0x{hash:016x}");
@@ -586,43 +473,23 @@ fn cmd_packs(args: &[String]) -> ExitCode {
     let mut list = false;
     let mut json = false;
     let mut dir = PathBuf::from("packs");
-    let mut shards: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let parsed = parse_args(args, |a, it| {
+        match a {
             "--list" => list = true,
             "--json" => json = true,
-            "--dir" => match it.next() {
-                Some(d) => dir = PathBuf::from(d),
-                None => return usage(),
-            },
-            "--shards" => match parse_num(&mut it) {
-                Some(n) if n >= 1 => shards = Some(n as usize),
-                _ => return usage(),
-            },
-            _ => return usage(),
+            "--dir" => dir = PathBuf::from(it.next()?),
+            _ => return None,
         }
-    }
-    if !list {
+        Some(())
+    });
+    if !parsed || !list {
         return usage();
     }
     match load_catalog(&dir) {
         Ok(entries) => {
-            // `--shards` is recorded in the listing so a catalog snapshot
-            // carries the parallelism its packs are meant to run at; the
-            // plain output stays byte-identical when the flag is absent.
             if json {
-                match shards {
-                    Some(n) => println!(
-                        "{{\"shards\": {n}, \"catalog\": {}}}",
-                        render_json(&entries).trim_end()
-                    ),
-                    None => print!("{}", render_json(&entries)),
-                }
+                print!("{}", render_json(&entries));
             } else {
-                if let Some(n) = shards {
-                    println!("shards: {n}");
-                }
                 print!("{}", render_table(&entries));
             }
             ExitCode::SUCCESS

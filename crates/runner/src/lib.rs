@@ -17,6 +17,8 @@
 //! * [`paper`] — the paper campaign expressed as shardable jobs
 //!   ([`run_paper_parallel`], [`run_campaign_parallel`]) reassembled in
 //!   the exact order of [`umtslab::paper::paper_jobs`];
+//! * [`traffic`] — the INRIA switching-policy grid as shardable jobs
+//!   ([`run_traffic_grid`]);
 //! * [`fleet`] — the other axis of parallelism: one *coupled* topology
 //!   partitioned across shards ([`umtslab::ShardedTestbed`]), each
 //!   window fanned across the pool via [`run_jobs_mut`].
@@ -49,8 +51,10 @@ pub mod fleet;
 pub mod metrics;
 pub mod paper;
 pub mod pool;
+pub mod traffic;
 
 pub use fleet::run_fleet_parallel;
 pub use metrics::{Availability, JobRow, MetricsRegistry, MetricsTotals};
 pub use paper::{run_campaign_parallel, run_paper_parallel, run_reps_parallel};
 pub use pool::{default_workers, run_jobs, run_jobs_mut};
+pub use traffic::run_traffic_grid;

@@ -16,6 +16,7 @@ use std::sync::Mutex;
 
 use umtslab::umtslab_supervisor::metrics::AvailabilityMetrics;
 use umtslab::TestbedMetrics;
+use umtslab_sim::escape_json;
 
 /// Per-job session-availability gauges, as published by a supervised
 /// (chaos) job. Plain numbers so the registry renders without reaching
@@ -184,10 +185,7 @@ impl MetricsRegistry {
     /// Jobs default to `1` (unsharded). No-op if the job index was never
     /// recorded.
     pub fn set_shards(&self, index: usize, shards: u32) {
-        let mut rows = self.rows.lock().expect("rows poisoned");
-        if let Some(row) = rows.iter_mut().find(|r| r.index == index) {
-            row.shards = shards;
-        }
+        self.update_row(index, |row| row.shards = shards);
     }
 
     /// Attaches a static isolation-verification verdict to a recorded job.
@@ -197,18 +195,19 @@ impl MetricsRegistry {
     /// recorded.
     pub fn set_verified(&self, index: usize, ok: bool, violations: usize) {
         let label = if ok { "yes".to_string() } else { format!("no ({violations} violations)") };
-        let mut rows = self.rows.lock().expect("rows poisoned");
-        if let Some(row) = rows.iter_mut().find(|r| r.index == index) {
-            row.verified = Some(label);
-        }
+        self.update_row(index, |row| row.verified = Some(label));
     }
 
     /// Attaches session-availability gauges to a recorded job. No-op if
     /// the job index was never recorded.
     pub fn set_availability(&self, index: usize, availability: Availability) {
+        self.update_row(index, |row| row.availability = Some(availability));
+    }
+
+    fn update_row(&self, index: usize, update: impl FnOnce(&mut JobRow)) {
         let mut rows = self.rows.lock().expect("rows poisoned");
         if let Some(row) = rows.iter_mut().find(|r| r.index == index) {
-            row.availability = Some(availability);
+            update(row);
         }
     }
 
@@ -421,25 +420,6 @@ impl MetricsRegistry {
     }
 }
 
-/// Escapes the handful of characters JSON strings cannot carry verbatim.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,7 +582,8 @@ mod tests {
 
     #[test]
     fn escape_json_handles_specials() {
-        assert_eq!(escape_json("plain"), "plain");
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let reg = MetricsRegistry::new();
+        reg.record(0, "a\"b\\c\nd", 1, sample_metrics(1), std::time::Duration::ZERO);
+        assert!(reg.to_json().contains("\"label\": \"a\\\"b\\\\c\\nd\""));
     }
 }

@@ -47,14 +47,8 @@ pub fn run_paper_parallel(
     workers: usize,
     registry: &MetricsRegistry,
 ) -> Result<PaperRun, ExperimentError> {
-    let jobs = paper_jobs(seed, duration).to_vec();
-    let mut results = Vec::with_capacity(4);
-    for outcome in run_campaign_parallel(jobs, workers, registry) {
-        results.push(outcome?);
-    }
-    let results: [ExperimentResult; 4] =
-        results.try_into().unwrap_or_else(|_| unreachable!("exactly four paper jobs"));
-    Ok(assemble_paper_run(results))
+    let mut runs = run_reps_parallel(seed, 1, duration, workers, registry)?;
+    Ok(runs.remove(0))
 }
 
 /// Runs `reps` full paper campaigns (the figures binary's seed scheme:
@@ -72,22 +66,11 @@ pub fn run_reps_parallel(
     for seed in campaign_seeds(base_seed, reps) {
         jobs.extend(paper_jobs(seed, duration));
     }
-    let mut results = Vec::with_capacity(jobs.len());
-    for outcome in run_campaign_parallel(jobs, workers, registry) {
-        results.push(outcome?);
-    }
-    let mut runs = Vec::with_capacity(reps);
-    let mut iter = results.into_iter();
-    for _ in 0..reps {
-        let chunk: [ExperimentResult; 4] = [
-            iter.next().expect("4 results per rep"),
-            iter.next().expect("4 results per rep"),
-            iter.next().expect("4 results per rep"),
-            iter.next().expect("4 results per rep"),
-        ];
-        runs.push(assemble_paper_run(chunk));
-    }
-    Ok(runs)
+    let results: Vec<ExperimentResult> =
+        run_campaign_parallel(jobs, workers, registry).into_iter().collect::<Result<_, _>>()?;
+    let mut results = results.into_iter();
+    let mut next = || results.next().expect("4 results per rep");
+    Ok((0..reps).map(|_| assemble_paper_run(std::array::from_fn(|_| next()))).collect())
 }
 
 #[cfg(test)]

@@ -20,53 +20,30 @@ pub fn default_workers(jobs: usize) -> usize {
 /// Runs `f` over every job on a pool of `workers` threads and returns the
 /// results in input order.
 ///
-/// `f` is called as `f(index, &job)`. Worker threads pull jobs from a
-/// shared FIFO queue, so long jobs don't serialize behind short ones; a
-/// panic in any job propagates to the caller once the scope joins.
-///
-/// With `workers == 1` the pool degenerates to an in-order serial loop on
-/// one spawned thread — handy for A/B-ing parallel against serial runs.
+/// `f` is called as `f(index, &job)`. This is [`run_jobs_mut`] over
+/// (job, result slot) pairs, so it shares that pool's scheduling: a
+/// shared FIFO queue (long jobs don't serialize behind short ones), a
+/// panic in any job propagating to the caller, and a plain in-order loop
+/// on the caller's thread when `workers == 1`.
 pub fn run_jobs<J, R, F>(jobs: Vec<J>, workers: usize, f: F) -> Vec<R>
 where
     J: Send,
     R: Send,
     F: Fn(usize, &J) -> R + Sync,
 {
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    let queue: Mutex<VecDeque<(usize, J)>> = Mutex::new(jobs.into_iter().enumerate().collect());
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let Some((idx, job)) = queue.lock().expect("queue poisoned").pop_front() else {
-                    return;
-                };
-                let out = f(idx, &job);
-                results.lock().expect("results poisoned")[idx] = Some(out);
-            });
-        }
-    });
-
-    results
-        .into_inner()
-        .expect("results poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("every job ran"))
-        .collect()
+    let mut slots: Vec<(J, Option<R>)> = jobs.into_iter().map(|job| (job, None)).collect();
+    run_jobs_mut(&mut slots, workers, |idx, (job, out)| *out = Some(f(idx, job)));
+    slots.into_iter().map(|(_, out)| out.expect("every job ran")).collect()
 }
 
 /// Runs `f` over every job **in place** on a pool of `workers` threads.
 ///
-/// Like [`run_jobs`] but borrows the jobs mutably instead of consuming
-/// them — the shape the sharded testbed needs, where the same shards are
-/// driven window after window and must survive between calls. `f` is
-/// called as `f(index, &mut job)`; each job is visited exactly once per
-/// call, by exactly one thread.
+/// Worker threads pull jobs from a shared FIFO queue. The jobs are
+/// borrowed mutably, not consumed — the shape the sharded testbed needs,
+/// where the same shards are driven window after window and must survive
+/// between calls. `f` is called as `f(index, &mut job)`; each job is
+/// visited exactly once per call, by exactly one thread, and a panic in
+/// any job propagates to the caller once the scope joins.
 ///
 /// With `workers == 1` no thread is spawned at all: the jobs run as a
 /// plain in-order loop on the caller's thread, so the serial path has

@@ -97,28 +97,13 @@ pub fn drive<S: ShardScheduler>(
     }
 }
 
-/// [`drive`] with the serial window runner: shards advance one after the
+/// The serial window runner for [`drive`]: shards advance one after the
 /// other. The parallel path (a worker pool fanning `run_window` out per
 /// window) must produce byte-identical results to this.
-pub fn drive_serial<S: ShardScheduler>(
-    shards: &mut [S],
-    from: Instant,
-    horizon: Instant,
-    lookahead: Duration,
-    sync: impl FnMut(&mut [S], Instant),
-) {
-    drive(
-        shards,
-        from,
-        horizon,
-        lookahead,
-        |shards, end| {
-            for s in shards.iter_mut() {
-                s.run_window(end);
-            }
-        },
-        sync,
-    );
+pub fn run_serial<S: ShardScheduler>(shards: &mut [S], end: Instant) {
+    for s in shards {
+        s.run_window(end);
+    }
 }
 
 #[cfg(test)]
@@ -204,8 +189,8 @@ mod tests {
         let mut shards = vec![Toy::new(), Toy::new()];
         shards[0].sched.at(Instant::from_millis(3), 1);
         shards[1].sched.at(Instant::from_millis(23), 2);
-        let horizon = Instant::from_millis(50);
-        drive_serial(&mut shards, Instant::ZERO, horizon, Duration::from_millis(10), |_, _| {});
+        let (horizon, lookahead) = (Instant::from_millis(50), Duration::from_millis(10));
+        drive(&mut shards, Instant::ZERO, horizon, lookahead, run_serial, |_, _| {});
         assert!(shards.iter().all(|s| s.now() == horizon));
         assert_eq!(shards[0].log, vec![(Instant::from_millis(3), 1)]);
         assert_eq!(shards[1].log, vec![(Instant::from_millis(23), 2)]);
@@ -219,7 +204,8 @@ mod tests {
         let la = Duration::from_millis(10);
         let mut shards = vec![Toy::new(), Toy::new()];
         shards[0].sched.at(Instant::from_millis(4), 100);
-        drive_serial(&mut shards, Instant::ZERO, Instant::from_millis(40), la, |shards, end| {
+        let horizon = Instant::from_millis(40);
+        drive(&mut shards, Instant::ZERO, horizon, la, run_serial, |shards, end| {
             let sent: Vec<(Instant, u32)> = shards[0]
                 .log
                 .iter()

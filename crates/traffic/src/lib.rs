@@ -30,6 +30,6 @@ pub mod tcp;
 pub mod trace;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveSender, LevelChange};
-pub use scenario::{PolicyReport, SwitchingPolicy};
+pub use scenario::{report_hash, PolicyReport, SwitchingPolicy};
 pub use tcp::{TcpConfig, TcpFlow, TcpStats};
-pub use trace::{Trace, TraceError, TraceSegment, MAX_LOSS_PPM};
+pub use trace::{fmt_secs, Trace, TraceError, TraceSegment, MAX_LOSS_PPM};

@@ -12,7 +12,10 @@
 //! feeds the RRC controller.
 
 use umtslab_sim::time::Duration;
+use umtslab_sim::Fnv1a;
 use umtslab_umts::rrc::{RrcConfig, RrcDwell};
+
+use crate::trace::fmt_secs;
 
 /// A named FACH/DCH switching policy: an [`RrcConfig`] preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +102,44 @@ pub struct PolicyReport {
     pub rrc_transitions: u64,
     /// Per-state dwell times and promotion latency totals.
     pub dwell: RrcDwell,
+}
+
+impl PolicyReport {
+    /// The row in its canonical hashable spelling (see [`report_hash`]).
+    pub fn row(&self) -> String {
+        let d = &self.dwell;
+        format!(
+            "{} seed={} goodput_bps={} segments={} retx={} timeouts={} max_cwnd={} \
+             rrc_transitions={} dwell_idle={} dwell_fach={} dwell_dch={} dwell_dch_up={} \
+             idle_promotions={} promotion_latency={}",
+            self.policy.name(),
+            self.seed,
+            self.goodput_bps,
+            self.delivered_segments,
+            self.retransmits,
+            self.timeouts,
+            self.max_cwnd_bytes,
+            self.rrc_transitions,
+            fmt_secs(d.idle),
+            fmt_secs(d.fach),
+            fmt_secs(d.dch),
+            fmt_secs(d.dch_upgraded),
+            d.idle_promotions,
+            fmt_secs(d.idle_promotion_latency),
+        )
+    }
+}
+
+/// FNV-1a over the canonical [`PolicyReport::row`]s, one `\n` after
+/// each: the report hash `runner traffic` prints and the traffic bench
+/// gates on.
+pub fn report_hash(reports: &[PolicyReport]) -> u64 {
+    let mut hash = Fnv1a::new();
+    for r in reports {
+        hash.update(r.row().as_bytes());
+        hash.update(b"\n");
+    }
+    hash.digest()
 }
 
 #[cfg(test)]

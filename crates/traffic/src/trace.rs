@@ -137,8 +137,9 @@ impl Trace {
 /// Formats a duration as exact decimal seconds with a 6-digit fraction.
 ///
 /// Microseconds always have an exact 6-digit decimal representation, so
-/// this is a bijection — the root of the serializer's fixed point.
-fn fmt_at(d: Duration) -> String {
+/// this is a bijection — the root of the serializer's fixed point, and a
+/// pure function of the tick count for every byte-deterministic report.
+pub fn fmt_secs(d: Duration) -> String {
     format!("{}.{:06}", d.total_secs(), d.total_micros() % 1_000_000)
 }
 
@@ -152,7 +153,7 @@ pub fn serialize(trace: &Trace) -> String {
     out.push_str(&format!("# umtslab-trace v1 name={}\n", trace.name));
     out.push_str("# at_s,rate_bps,loss_ppm\n");
     for seg in &trace.segments {
-        out.push_str(&format!("{},{},{}\n", fmt_at(seg.at), seg.rate_bps, seg.loss_ppm));
+        out.push_str(&format!("{},{},{}\n", fmt_secs(seg.at), seg.rate_bps, seg.loss_ppm));
     }
     out
 }

@@ -12,8 +12,9 @@
 
 use umtslab::chaos::{run_chaos_campaign, ChaosConfig, ChaosReport};
 use umtslab::umtslab_umts::attachment::SessionFault;
+use umtslab_sim::Fnv1a;
 
-use crate::determinism::{DeterminismCheck, Fnv1a};
+use crate::determinism::DeterminismCheck;
 use crate::invariants::analyze;
 
 /// The seed the CI gate runs with. Chosen so the drawn schedule covers

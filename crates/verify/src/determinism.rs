@@ -10,41 +10,12 @@
 //! unordered map, hidden wall-clock dependence, leftover global state)
 //! flips bits somewhere in the stream and fails the gate.
 
+use umtslab_sim::Fnv1a;
+
 use crate::differential::replay_witnesses;
 use crate::invariants::analyze;
 use crate::report::render_json;
 use crate::scenarios::all;
-
-/// 64-bit FNV-1a over a byte stream: tiny, dependency-free and stable
-/// across platforms.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv1a {
-    /// Creates the hasher with the FNV offset basis.
-    pub fn new() -> Fnv1a {
-        Fnv1a::default()
-    }
-
-    /// Folds bytes into the state.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// The current digest.
-    pub fn digest(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Runs the whole scenario campaign once and hashes its event stream:
 /// the analyzer reports, every differential replay outcome, and every

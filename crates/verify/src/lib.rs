@@ -36,7 +36,6 @@ pub use invariants::{analyze as verify_node, Analysis, InvariantKind, Violation,
 
 #[cfg(test)]
 mod tests {
-    use crate::determinism::Fnv1a;
     use crate::eval::{evaluate, SweepCounters};
     use crate::invariants::{analyze, InvariantKind};
     use crate::model::NodeModel;
@@ -119,16 +118,5 @@ mod tests {
         assert!(json.contains("\"clean\": false"));
         assert!(json.contains("shadowed-rule"));
         assert!(json.contains("\"witness\""));
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        let mut h = Fnv1a::new();
-        assert_eq!(h.digest(), 0xcbf2_9ce4_8422_2325);
-        h.update(b"a");
-        assert_eq!(h.digest(), 0xaf63_dc4c_8601_ec8c);
-        let mut h2 = Fnv1a::new();
-        h2.update(b"foobar");
-        assert_eq!(h2.digest(), 0x85944171f73967e8);
     }
 }

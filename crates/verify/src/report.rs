@@ -1,10 +1,11 @@
 //! Rendering analyses as a human table or machine-readable JSON.
 //!
 //! JSON is hand-rolled (the workspace deliberately carries no
-//! serialization dependency); the escape routine matches the one the
-//! runner's metrics registry uses.
+//! serialization dependency) around the shared [`escape_json`].
 
 use std::fmt::Write;
+
+use umtslab_sim::escape_json;
 
 use crate::classes::Sender;
 use crate::invariants::{Analysis, Violation};
@@ -107,23 +108,4 @@ fn sender_label(sender: &Sender) -> String {
         Sender::Slice(id) => id.to_string(),
         Sender::Kernel => "kernel".to_string(),
     }
-}
-
-/// Escapes the handful of characters JSON strings cannot carry verbatim.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }

@@ -1,6 +1,6 @@
 //! A seed sweep over the fleet scenario, sharded by `umtslab-runner`.
 //!
-//! The `fleet` example shows one run of a multi-operator fleet; this one
+//! `runner run` drives one large multi-operator fleet; this example
 //! repeats a compact two-node fleet (one commercial-UMTS node, one GPRS
 //! node, one wired sink) across many seeds in parallel, then aggregates
 //! every run's testbed metrics in a [`umtslab_runner::MetricsRegistry`].
@@ -124,7 +124,7 @@ fn main() {
 
     println!("fleet seed sweep — {reps} run(s) of {secs} s, {workers} worker(s)\n");
 
-    let seeds: Vec<u64> = (0..reps as u64).map(|r| 2008 + r * 7919).collect();
+    let seeds = umtslab::campaign_seeds(2008, reps);
     let registry = MetricsRegistry::new();
     let started = std::time::Instant::now();
     let outcomes = run_jobs(seeds.clone(), workers, |idx, seed| {

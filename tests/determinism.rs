@@ -82,6 +82,7 @@ fn supervised_chaos_lifecycle_is_deterministic() {
 #[test]
 fn trace_dumps_are_byte_identical_across_same_seed_runs() {
     use umtslab::experiment::TwoNodeTestbed;
+    use umtslab::umtslab_sim::Fnv1a;
     use umtslab::INRIA_ADDR;
 
     // Stronger than fingerprint equality: the rendered packet traces of
@@ -107,13 +108,9 @@ fn trace_dumps_are_byte_identical_across_same_seed_runs() {
         dump.push_str(&env.tb.node(env.inria).trace.dump());
         assert!(!dump.is_empty(), "trace must record events");
 
-        // FNV-1a over the raw dump bytes.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in dump.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        let mut h = Fnv1a::new();
+        h.update(dump.as_bytes());
+        h.digest()
     }
 
     let a = traced_run(7);
