@@ -59,7 +59,7 @@ pub use fnv::Fnv1a;
 pub use json::escape_json;
 pub use rng::SimRng;
 pub use sched::Scheduler;
-pub use shard::{drive, run_serial, window_ends, ShardId, ShardScheduler};
+pub use shard::{drive, run_serial, window_ends, ShardScheduler};
 pub use time::{serialization_time, Duration, Instant};
 
 #[cfg(test)]

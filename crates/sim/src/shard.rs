@@ -13,8 +13,7 @@
 //! The driving logic is deliberately split from the shard state:
 //!
 //! * [`ShardScheduler`] is what a shard must expose — a clock and a
-//!   "run until" primitive. A plain single-scheduler simulation is the
-//!   degenerate case (one shard, nothing to exchange).
+//!   "run until" primitive.
 //! * [`drive`] owns the window loop. The caller supplies *how* to run the
 //!   shards over one window (serially, or fanned out over a worker pool)
 //!   and *how* to exchange messages at each boundary; the loop itself is
@@ -25,10 +24,6 @@
 //!   run split into phases crosses the same boundaries as an unsplit one.
 
 use crate::time::{Duration, Instant};
-
-/// Identifies one shard within a sharded run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ShardId(pub usize);
 
 /// The event-loop surface a shard exposes to the window driver.
 ///
