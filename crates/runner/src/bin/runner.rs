@@ -25,7 +25,9 @@
 //! TCP flow on the UMTS uplink under every FACH/DCH switching policy,
 //! each policy × seed cell an independent seeded experiment fanned
 //! across the worker pool and reassembled in plan order — the output is
-//! byte-identical for any `--workers` count. All simulation output is
+//! byte-identical for any `--workers` count, and ends with a
+//! `report_hash=` line (a `"report_hash"` field with `--json`): the
+//! FNV-1a over the canonical report rows. All simulation output is
 //! deterministic: no wall clock, no host entropy.
 
 use std::path::{Path, PathBuf};
@@ -430,7 +432,7 @@ fn cmd_traffic(args: &[String]) -> ExitCode {
             ));
         }
         out.push_str("\n  ],\n");
-        out.push_str(&format!("  \"trace_hash\": \"0x{hash:016x}\"\n}}\n"));
+        out.push_str(&format!("  \"report_hash\": \"0x{hash:016x}\"\n}}\n"));
         print!("{out}");
     } else {
         println!(
@@ -464,7 +466,7 @@ fn cmd_traffic(args: &[String]) -> ExitCode {
                 fmt_secs(d.dch + d.dch_upgraded),
             );
         }
-        println!("trace_hash=0x{hash:016x}");
+        println!("report_hash=0x{hash:016x}");
     }
     ExitCode::SUCCESS
 }

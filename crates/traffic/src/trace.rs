@@ -6,27 +6,21 @@
 //! link's capacity (bits per second) and loss rate (parts per million)
 //! until the next segment begins. The last segment holds forever.
 //!
-//! Two zero-dependency input syntaxes are accepted, dispatched on the
-//! first non-whitespace byte:
+//! The syntax is a zero-dependency CSV:
 //!
-//! * **CSV** (the canonical form):
+//! ```text
+//! # umtslab-trace v1 name=umts_drive
+//! # at_s,rate_bps,loss_ppm
+//! 0.000000,384000,0
+//! 2.500000,128000,12000
+//! ```
 //!
-//!   ```text
-//!   # umtslab-trace v1 name=umts_drive
-//!   # at_s,rate_bps,loss_ppm
-//!   0.000000,384000,0
-//!   2.500000,128000,12000
-//!   ```
-//!
-//! * a **JSON subset** (`{"name": …, "segments": [{"at_s": …,
-//!   "rate_bps": …, "loss_ppm": …}, …]}`) for interop with recorded
-//!   traces from other tools.
-//!
-//! Both parsers report spanned errors (`line:col`). Floating-point
-//! values exist **only at this parse boundary**: offsets become integer
-//! microseconds and rates integer bits per second the moment they are
-//! read, exactly like `umtslab-pack`'s schema decode, so no float ever
-//! reaches simulator state (the D4 discipline; see docs/TRAFFIC.md).
+//! The parser reports spanned errors (`line:col`) and never panics.
+//! Floating-point values exist **only at this parse boundary**: offsets
+//! become integer microseconds and rates integer bits per second the
+//! moment they are read, exactly like `umtslab-pack`'s schema decode, so
+//! no float ever reaches simulator state (the D4 discipline; see
+//! docs/TRAFFIC.md).
 //!
 //! [`serialize`] emits the canonical CSV form and satisfies the same
 //! fixed-point guarantee as the pack serializer:
@@ -52,7 +46,7 @@ pub struct TraceSegment {
 /// A parsed link trace: a name and its ordered segments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
-    /// Trace name (from the header line / `"name"` key).
+    /// Trace name (from the header line).
     pub name: String,
     /// Segments in strictly increasing `at` order; never empty.
     pub segments: Vec<TraceSegment>,
@@ -85,13 +79,54 @@ fn err<T>(line: usize, col: usize, message: impl Into<String>) -> Result<T, Trac
 pub const MAX_LOSS_PPM: u32 = 1_000_000;
 
 impl Trace {
-    /// Parses a trace from either accepted syntax, dispatching on the
-    /// first non-whitespace byte (`{` → JSON subset, otherwise CSV).
+    /// Parses a trace from its CSV form.
     pub fn parse(text: &str) -> Result<Trace, TraceError> {
-        match text.trim_start().bytes().next() {
-            Some(b'{') => parse_json(text),
-            _ => parse_csv(text),
+        let mut name = String::new();
+        let mut segments = Vec::new();
+        let mut seg_lines = Vec::new();
+        for (idx, raw) in text.lines().enumerate() {
+            let lineno = idx + 1;
+            let line = raw.trim();
+            if line.is_empty() {
+                continue;
+            }
+            if let Some(comment) = line.strip_prefix('#') {
+                let comment = comment.trim();
+                if let Some(rest) = comment.strip_prefix("umtslab-trace") {
+                    let rest = rest.trim();
+                    let Some(version_tok) = rest.split_whitespace().next() else {
+                        return err(lineno, 1, "header missing version");
+                    };
+                    if version_tok != "v1" {
+                        return err(
+                            lineno,
+                            1,
+                            format!("unsupported trace version `{version_tok}`"),
+                        );
+                    }
+                    for kv in rest.split_whitespace().skip(1) {
+                        if let Some(n) = kv.strip_prefix("name=") {
+                            name = n.to_string();
+                        }
+                    }
+                }
+                continue;
+            }
+            let fields: Vec<&str> = line.split(',').map(str::trim).collect();
+            if fields.len() != 3 {
+                return err(lineno, 1, format!("expected 3 fields, got {}", fields.len()));
+            }
+            let col_of = |i: usize| raw.find(fields[i]).map_or(1, |p| p + 1);
+            let at = parse_secs(fields[0], lineno, col_of(0))?;
+            let rate_bps = parse_uint(fields[1], lineno, col_of(1), "rate_bps")?;
+            let loss_ppm = parse_uint(fields[2], lineno, col_of(2), "loss_ppm")?;
+            if loss_ppm > u64::from(MAX_LOSS_PPM) {
+                return err(lineno, col_of(2), format!("loss_ppm exceeds {MAX_LOSS_PPM}"));
+            }
+            segments.push(TraceSegment { at, rate_bps, loss_ppm: loss_ppm as u32 });
+            seg_lines.push(lineno);
         }
+        Trace { name, segments }.validate(&seg_lines)
     }
 
     /// The total span covered before the final (infinite) segment.
@@ -110,8 +145,9 @@ impl Trace {
         )
     }
 
-    /// Validates ordering and bounds; used by both parsers.
-    fn validate(self, line_of: impl Fn(usize) -> (usize, usize)) -> Result<Trace, TraceError> {
+    /// Validates ordering and bounds; `seg_lines[i]` is the input line
+    /// of segment `i`.
+    fn validate(self, seg_lines: &[usize]) -> Result<Trace, TraceError> {
         if self.name.is_empty() {
             return err(1, 1, "trace has no name");
         }
@@ -119,7 +155,7 @@ impl Trace {
             return err(1, 1, "trace has no segments");
         }
         for (i, seg) in self.segments.iter().enumerate() {
-            let (line, col) = line_of(i);
+            let (line, col) = (seg_lines[i], 1);
             if i == 0 && !seg.at.is_zero() {
                 return err(line, col, "first segment must start at 0");
             }
@@ -208,224 +244,6 @@ fn parse_uint(tok: &str, line: usize, col: usize, what: &str) -> Result<u64, Tra
     })
 }
 
-fn parse_csv(text: &str) -> Result<Trace, TraceError> {
-    let mut name = String::new();
-    let mut segments = Vec::new();
-    let mut seg_lines = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(comment) = line.strip_prefix('#') {
-            let comment = comment.trim();
-            if let Some(rest) = comment.strip_prefix("umtslab-trace") {
-                let rest = rest.trim();
-                let Some(version_tok) = rest.split_whitespace().next() else {
-                    return err(lineno, 1, "header missing version");
-                };
-                if version_tok != "v1" {
-                    return err(lineno, 1, format!("unsupported trace version `{version_tok}`"));
-                }
-                for kv in rest.split_whitespace().skip(1) {
-                    if let Some(n) = kv.strip_prefix("name=") {
-                        name = n.to_string();
-                    }
-                }
-            }
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        if fields.len() != 3 {
-            return err(lineno, 1, format!("expected 3 fields, got {}", fields.len()));
-        }
-        let col_of = |i: usize| raw.find(fields[i]).map_or(1, |p| p + 1);
-        let at = parse_secs(fields[0], lineno, col_of(0))?;
-        let rate_bps = parse_uint(fields[1], lineno, col_of(1), "rate_bps")?;
-        let loss_ppm = parse_uint(fields[2], lineno, col_of(2), "loss_ppm")?;
-        if loss_ppm > u64::from(MAX_LOSS_PPM) {
-            return err(lineno, col_of(2), format!("loss_ppm exceeds {MAX_LOSS_PPM}"));
-        }
-        segments.push(TraceSegment { at, rate_bps, loss_ppm: loss_ppm as u32 });
-        seg_lines.push(lineno);
-    }
-    Trace { name, segments }.validate(|i| (seg_lines.get(i).copied().unwrap_or(1), 1))
-}
-
-// --- JSON subset ---------------------------------------------------------
-
-/// A minimal character cursor with line:col tracking for the JSON parser.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
-    col: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Cursor<'a> {
-        Cursor { bytes: text.as_bytes(), pos: 0, line: 1, col: 1 }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump();
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), TraceError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b) if b == want => {
-                self.bump();
-                Ok(())
-            }
-            got => err(
-                self.line,
-                self.col,
-                format!(
-                    "expected `{}`, found {}",
-                    want as char,
-                    got.map_or("end of input".to_string(), |b| format!("`{}`", b as char))
-                ),
-            ),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, TraceError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    _ => return err(self.line, self.col, "unsupported escape in string"),
-                },
-                Some(b) => out.push(b as char),
-                None => return err(self.line, self.col, "unterminated string"),
-            }
-        }
-    }
-
-    /// Reads a bare numeric token (digits and at most one dot).
-    fn number(&mut self) -> Result<(String, usize, usize), TraceError> {
-        self.skip_ws();
-        let (line, col) = (self.line, self.col);
-        let mut tok = String::new();
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.')) {
-            tok.push(self.bump().expect("peeked") as char);
-        }
-        if tok.is_empty() {
-            return err(line, col, "expected a number");
-        }
-        Ok((tok, line, col))
-    }
-}
-
-fn parse_json(text: &str) -> Result<Trace, TraceError> {
-    let mut c = Cursor::new(text);
-    c.expect(b'{')?;
-    let mut name = String::new();
-    let mut segments = Vec::new();
-    let mut seg_spans: Vec<(usize, usize)> = Vec::new();
-    loop {
-        c.skip_ws();
-        let key = c.string()?;
-        c.expect(b':')?;
-        match key.as_str() {
-            "name" => name = c.string()?,
-            "segments" => {
-                c.expect(b'[')?;
-                loop {
-                    c.skip_ws();
-                    if c.peek() == Some(b']') {
-                        c.bump();
-                        break;
-                    }
-                    let (seg, span) = parse_json_segment(&mut c)?;
-                    segments.push(seg);
-                    seg_spans.push(span);
-                    c.skip_ws();
-                    if c.peek() == Some(b',') {
-                        c.bump();
-                    } else {
-                        c.expect(b']')?;
-                        break;
-                    }
-                }
-            }
-            other => return err(c.line, c.col, format!("unknown key `{other}`")),
-        }
-        c.skip_ws();
-        if c.peek() == Some(b',') {
-            c.bump();
-        } else {
-            c.expect(b'}')?;
-            break;
-        }
-    }
-    Trace { name, segments }.validate(|i| seg_spans.get(i).copied().unwrap_or((1, 1)))
-}
-
-fn parse_json_segment(c: &mut Cursor<'_>) -> Result<(TraceSegment, (usize, usize)), TraceError> {
-    c.expect(b'{')?;
-    let span = (c.line, c.col);
-    let mut at = None;
-    let mut rate_bps = None;
-    let mut loss_ppm = None;
-    loop {
-        c.skip_ws();
-        let key = c.string()?;
-        c.expect(b':')?;
-        let (tok, line, col) = c.number()?;
-        match key.as_str() {
-            "at_s" => at = Some(parse_secs(&tok, line, col)?),
-            "rate_bps" => rate_bps = Some(parse_uint(&tok, line, col, "rate_bps")?),
-            "loss_ppm" => {
-                let v = parse_uint(&tok, line, col, "loss_ppm")?;
-                if v > u64::from(MAX_LOSS_PPM) {
-                    return err(line, col, format!("loss_ppm exceeds {MAX_LOSS_PPM}"));
-                }
-                loss_ppm = Some(v as u32);
-            }
-            other => return err(line, col, format!("unknown segment key `{other}`")),
-        }
-        c.skip_ws();
-        if c.peek() == Some(b',') {
-            c.bump();
-        } else {
-            c.expect(b'}')?;
-            break;
-        }
-    }
-    let Some(at) = at else {
-        return err(span.0, span.1, "segment missing `at_s`");
-    };
-    let Some(rate_bps) = rate_bps else {
-        return err(span.0, span.1, "segment missing `rate_bps`");
-    };
-    Ok((TraceSegment { at, rate_bps, loss_ppm: loss_ppm.unwrap_or(0) }, span))
-}
-
 /// Generates a structurally valid random trace for property tests:
 /// 1–40 segments with microsecond-granular offsets, rates across six
 /// orders of magnitude and occasional loss.
@@ -478,23 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn json_subset_parses_equivalently() {
-        let json = r#"{
-            "name": "drive",
-            "segments": [
-                {"at_s": 0, "rate_bps": 384000, "loss_ppm": 0},
-                {"at_s": 2.5, "rate_bps": 128000.0, "loss_ppm": 12000},
-                {"at_s": 7.25, "rate_bps": 384000}
-            ]
-        }"#;
-        let from_json = Trace::parse(json).unwrap();
-        let from_csv = Trace::parse(CSV).unwrap();
-        assert_eq!(from_json, from_csv);
-        // And both serialize to the same canonical CSV.
-        assert_eq!(serialize(&from_json), serialize(&from_csv));
-    }
-
-    #[test]
     fn serializer_is_a_fixed_point() {
         let once = serialize(&Trace::parse(CSV).unwrap());
         let twice = serialize(&Trace::parse(&once).unwrap());
@@ -524,8 +325,10 @@ mod tests {
         assert_eq!(e.line, 3);
         assert!(e.message.contains("strictly increase"));
 
-        let e = Trace::parse("{\"name\": \"x\", \"segments\": [{\"rate_bps\": 5}]}").unwrap_err();
-        assert!(e.message.contains("at_s"), "{e}");
+        // JSON-like input is not a trace syntax: it fails on its first
+        // line with a spanned error instead of panicking.
+        let e = Trace::parse("{\"name\": \"x\", \"segments\": [{\"at_s\": 0}]}").unwrap_err();
+        assert_eq!(e.line, 1, "{e}");
     }
 
     #[test]
