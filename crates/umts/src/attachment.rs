@@ -28,7 +28,7 @@ use umtslab_sim::time::{Duration, Instant};
 use crate::at::{DeviceProfile, Modem, ModemMode, ModemOutput};
 use crate::bearer::{BearerStats, UmtsBearer};
 use crate::operator::{AddressPool, Conntrack, OperatorProfile};
-use crate::ppp::{Credentials, PppEndpoint, PppEvent, PppServerConfig};
+use crate::ppp::{Credentials, Deframer, PppEndpoint, PppEvent, PppServerConfig};
 use crate::rrc::{RrcController, RrcEvent, RrcState};
 use crate::serial::{LineAssembler, SerialLine};
 
@@ -274,6 +274,8 @@ pub struct UmtsAttachment {
     reg_polls: u32,
     ppp_client: Option<PppEndpoint>,
     ppp_server: Option<PppEndpoint>,
+    /// The GGSN's deframer for uplink data frames, reused across packets.
+    ggsn_deframer: Deframer,
     signaling: SignalingChannel,
     rrc: RrcController,
     uplink: UmtsBearer,
@@ -332,6 +334,7 @@ impl UmtsAttachment {
             reg_polls: 0,
             ppp_client: None,
             ppp_server: None,
+            ggsn_deframer: Deframer::new(),
             signaling,
             rrc,
             uplink,
@@ -586,8 +589,7 @@ impl UmtsAttachment {
         let wire = packet.to_wire().ok()?;
         let framed = ppp.send_ipv4(&wire)?;
         // Deframe on the far side (shared codec; the GGSN would do this).
-        let mut deframer = crate::ppp::Deframer::new();
-        let frames = deframer.feed(&framed);
+        let frames = self.ggsn_deframer.feed(&framed);
         let frame = frames.into_iter().next()?;
         let mut parsed = Packet::from_wire(&frame.payload, packet.id, packet.created).ok()?;
         parsed.mark = packet.mark;

@@ -1,7 +1,8 @@
 //! Property-style tests for the UMTS stack: framing robustness, FCS error
-//! detection, negotiation convergence and bearer conservation. Inputs are
-//! generated with the workspace's deterministic [`SimRng`] (the build
-//! environment is offline, so no external property-testing crate is used).
+//! detection, the table-driven codec against bitwise oracles, negotiation
+//! convergence and bearer conservation. Inputs are generated with the
+//! workspace's deterministic [`SimRng`] (the build environment is
+//! offline, so no external property-testing crate is used).
 
 use umtslab_net::link::JitterModel;
 use umtslab_net::packet::{Packet, PacketId};
@@ -9,7 +10,9 @@ use umtslab_net::wire::{Endpoint, Ipv4Address};
 use umtslab_sim::rng::SimRng;
 use umtslab_sim::time::{Duration, Instant};
 use umtslab_umts::bearer::{BearerConfig, BearerStats, UmtsBearer};
-use umtslab_umts::ppp::frame::{encode_frame, protocol, Deframer};
+use umtslab_umts::ppp::frame::{
+    encode_frame, fcs16, protocol, Deframer, FrameError, PppFrame, MAX_FRAME_LEN,
+};
 use umtslab_umts::ppp::{Credentials, PppEndpoint, PppServerConfig};
 
 /// Randomized cases per property.
@@ -108,6 +111,228 @@ fn fcs_catches_single_bit_errors() {
             assert_eq!(f.payload, payload);
         }
     }
+}
+
+/// Bitwise FCS-16 oracle: eight conditional shifts per octet, the
+/// textbook form of CRC-16/X.25.
+fn oracle_fcs16(data: &[u8]) -> u16 {
+    let mut fcs: u16 = 0xFFFF;
+    for &b in data {
+        fcs ^= u16::from(b);
+        for _ in 0..8 {
+            if fcs & 1 != 0 {
+                fcs = (fcs >> 1) ^ 0x8408;
+            } else {
+                fcs >>= 1;
+            }
+        }
+    }
+    !fcs
+}
+
+/// Encoder oracle: build the raw frame, append the FCS, then escape one
+/// octet at a time under the default ACCM.
+fn oracle_encode(proto: u16, payload: &[u8]) -> Vec<u8> {
+    let mut raw = vec![0xFF, 0x03];
+    raw.extend_from_slice(&proto.to_be_bytes());
+    raw.extend_from_slice(payload);
+    let fcs = oracle_fcs16(&raw);
+    raw.extend_from_slice(&fcs.to_le_bytes());
+    let mut out = vec![0x7E];
+    for b in raw {
+        if b == 0x7E || b == 0x7D || b < 0x20 {
+            out.extend_from_slice(&[0x7D, b ^ 0x20]);
+        } else {
+            out.push(b);
+        }
+    }
+    out.push(0x7E);
+    out
+}
+
+/// Deframer oracle: one octet at a time into a growing buffer, each
+/// frame checked with [`oracle_fcs16`]. Returns the frames and the error
+/// count.
+fn oracle_deframe(stream: &[u8]) -> (Vec<PppFrame>, u64) {
+    let (mut frames, mut errors) = (Vec::new(), 0);
+    let (mut buf, mut escaped) = (Vec::new(), false);
+    for &b in stream {
+        match b {
+            0x7E => {
+                if !buf.is_empty() {
+                    let n = buf.len();
+                    let good = n >= 6
+                        && oracle_fcs16(&buf[..n - 2])
+                            == u16::from_le_bytes([buf[n - 2], buf[n - 1]])
+                        && buf[..2] == [0xFF, 0x03];
+                    if good {
+                        let protocol = u16::from_be_bytes([buf[2], buf[3]]);
+                        frames.push(PppFrame { protocol, payload: buf[4..n - 2].to_vec() });
+                    } else {
+                        errors += 1;
+                    }
+                    buf.clear();
+                }
+                escaped = false;
+            }
+            0x7D => escaped = true,
+            _ => {
+                buf.push(if escaped { b ^ 0x20 } else { b });
+                escaped = false;
+            }
+        }
+    }
+    (frames, errors)
+}
+
+/// Octets that the codec treats specially: flag, escape and controls.
+fn rand_escape_heavy(rng: &mut SimRng, len: usize) -> Vec<u8> {
+    const SPECIAL: [u8; 5] = [0x7E, 0x7D, 0x00, 0x11, 0x1F];
+    (0..len)
+        .map(|_| {
+            if rng.chance(0.5) {
+                SPECIAL[rng.uniform_u64(0, SPECIAL.len() as u64 - 1) as usize]
+            } else {
+                rng.next_u64() as u8
+            }
+        })
+        .collect()
+}
+
+/// The slicing-by-8 FCS equals the bitwise oracle at every length from 0
+/// to 4096, so every remainder after the eight-octet steps is covered.
+#[test]
+fn fcs16_matches_bitwise_oracle_at_every_length() {
+    let mut rng = SimRng::seed_from_u64(0x0206);
+    let data: Vec<u8> = (0..4096).map(|_| rng.next_u64() as u8).collect();
+    for len in 0..=data.len() {
+        assert_eq!(fcs16(&data[..len]), oracle_fcs16(&data[..len]), "length {len}");
+    }
+    // The standard CRC-16/X.25 check value.
+    assert_eq!(fcs16(b"123456789"), 0x906E);
+}
+
+/// `encode_frame` is byte-identical to the oracle encoder on random,
+/// all-zero, all-escape and escape-heavy payloads of every alignment.
+#[test]
+fn encode_frame_matches_oracle_encoder() {
+    let mut rng = SimRng::seed_from_u64(0x0207);
+    for len in 0..=64 {
+        for payload in [vec![0u8; len], vec![0x7D; len], vec![0x7E; len], vec![0x1F; len]] {
+            assert_eq!(
+                encode_frame(protocol::IPV4, &payload),
+                oracle_encode(protocol::IPV4, &payload)
+            );
+        }
+    }
+    for _ in 0..CASES {
+        let proto = rng.next_u64() as u16;
+        let len = rng.uniform_u64(0, 1999) as usize;
+        let random = rand_bytes(&mut rng, len, len);
+        let heavy = rand_escape_heavy(&mut rng, len);
+        for payload in [random, heavy, vec![0; len]] {
+            assert_eq!(encode_frame(proto, &payload), oracle_encode(proto, &payload));
+        }
+    }
+}
+
+/// A two-frame stream split at every offset, including between an escape
+/// and its data octet, deframes to the same two frames.
+#[test]
+fn two_frame_stream_splits_at_every_offset() {
+    let mut rng = SimRng::seed_from_u64(0x0208);
+    let first = rand_escape_heavy(&mut rng, 40);
+    let second: Vec<u8> = (0..48u8).collect();
+    let mut stream = encode_frame(protocol::IPV4, &first);
+    stream.extend(encode_frame(protocol::LCP, &second));
+    assert!(stream.windows(2).any(|w| w[0] == 0x7D && w[1] != 0x7E), "needs a split escape");
+    for cut in 0..=stream.len() {
+        let mut d = Deframer::new();
+        let mut frames = d.feed(&stream[..cut]);
+        frames.extend(d.feed(&stream[cut..]));
+        assert_eq!(frames.len(), 2, "cut at {cut}");
+        assert_eq!((frames[0].protocol, &frames[0].payload), (protocol::IPV4, &first));
+        assert_eq!((frames[1].protocol, &frames[1].payload), (protocol::LCP, &second));
+        assert_eq!(d.errors, 0);
+    }
+}
+
+/// Arbitrary input biased towards flags, escapes, valid frames and
+/// damaged frames never panics the deframer, whatever the chunking. It
+/// emits exactly the oracle's frames, so each one verifies under the
+/// bitwise FCS, and every other candidate frame is counted in `errors`.
+#[test]
+fn deframer_agrees_with_oracle_on_hostile_input() {
+    let mut rng = SimRng::seed_from_u64(0x0209);
+    let (mut delivered, mut rejected) = (0, 0);
+    for _ in 0..CASES {
+        let mut stream = Vec::new();
+        for _ in 0..rng.uniform_u64(1, 12) {
+            match rng.uniform_u64(0, 3) {
+                0 => {
+                    let len = rng.uniform_u64(0, 300) as usize;
+                    stream.extend(encode_frame(protocol::IPV4, &rand_escape_heavy(&mut rng, len)));
+                }
+                1 => {
+                    let len = rng.uniform_u64(0, 300) as usize;
+                    let mut f = encode_frame(protocol::LCP, &rand_bytes(&mut rng, len, len));
+                    let pos = rng.uniform_u64(0, f.len() as u64 - 1) as usize;
+                    f[pos] ^= 1 << rng.uniform_u64(0, 7);
+                    stream.extend(f);
+                }
+                2 => {
+                    let len = rng.uniform_u64(0, 64) as usize;
+                    stream.extend(rand_escape_heavy(&mut rng, len));
+                }
+                _ => {
+                    let len = rng.uniform_u64(0, 64) as usize;
+                    stream.extend(rand_bytes(&mut rng, len, len));
+                }
+            }
+        }
+        let (expected, expected_errors) = oracle_deframe(&stream);
+        let mut d = Deframer::new();
+        let mut frames = Vec::new();
+        let mut rest = &stream[..];
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(rest.len().min(rng.uniform_u64(1, 96) as usize));
+            frames.extend(d.feed(chunk));
+            rest = tail;
+        }
+        assert_eq!(frames, expected);
+        assert_eq!(d.errors, expected_errors);
+        delivered += frames.len();
+        rejected += d.errors;
+    }
+    assert!(delivered > 0 && rejected > 0, "{delivered} delivered, {rejected} rejected");
+}
+
+/// A stream with no flag cannot grow the deframer without bound: the
+/// partial frame is dropped as one `TooLong` error once it passes the
+/// largest IPv4 datagram plus header and FCS, and the deframer recovers
+/// at the next flag. A frame of exactly that size still gets through.
+#[test]
+fn flagless_stream_is_bounded_and_recovers() {
+    let mut d = Deframer::new();
+    let junk = vec![0x41u8; 4096];
+    for _ in 0..64 {
+        assert!(d.feed(&junk).is_empty());
+    }
+    assert_eq!(d.errors, 1);
+    assert_eq!(d.last_error(), Some(FrameError::TooLong));
+    let frames = d.feed(&encode_frame(protocol::IPV4, b"after"));
+    assert_eq!(frames.len(), 1);
+    assert_eq!(frames[0].payload, b"after");
+    assert_eq!(d.errors, 1);
+
+    let largest = vec![0u8; MAX_FRAME_LEN - 6];
+    let frames = d.feed(&encode_frame(protocol::IPV4, &largest));
+    assert_eq!(frames.len(), 1);
+    assert_eq!(frames[0].payload, largest);
+    let too_long = vec![0u8; MAX_FRAME_LEN - 5];
+    assert!(d.feed(&encode_frame(protocol::IPV4, &too_long)).is_empty());
+    assert_eq!(d.errors, 2);
+    assert_eq!(d.last_error(), Some(FrameError::TooLong));
 }
 
 /// PPP sessions converge for any credentials accepted by the server and
