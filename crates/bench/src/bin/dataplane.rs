@@ -131,13 +131,17 @@ fn main() {
     let rows = reports
         .iter()
         .map(|r| {
-            Row::new(r.label.as_str(), r.packets_per_sec)
-                .with("sim_seconds", format!("{:.3}", r.sim_seconds))
-                .with("packets_forwarded", r.packets_forwarded)
-                .with("wall_seconds", format!("{:.6}", r.wall_seconds))
-                .with("deep_copies", r.deep_copies)
-                .with("deep_copy_bytes", r.deep_copy_bytes)
-                .with("bytes_cloned_per_packet", format!("{:.3}", r.bytes_cloned_per_packet))
+            Row::new(r.label.as_str(), r.packets_per_sec).with(|o| {
+                o.value("sim_seconds", format_args!("{:.3}", r.sim_seconds))
+                    .value("packets_forwarded", r.packets_forwarded)
+                    .value("wall_seconds", format_args!("{:.6}", r.wall_seconds))
+                    .value("deep_copies", r.deep_copies)
+                    .value("deep_copy_bytes", r.deep_copy_bytes)
+                    .value(
+                        "bytes_cloned_per_packet",
+                        format_args!("{:.3}", r.bytes_cloned_per_packet),
+                    );
+            })
         })
         .collect();
     let entry = Entry::new(quick, rows);

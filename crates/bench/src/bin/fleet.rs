@@ -111,10 +111,11 @@ fn main() {
     let rows = reports
         .iter()
         .map(|r| {
-            Row::new(format!("{}-shard", r.shards), r.packets_per_sec)
-                .with("packets", r.packets)
-                .with("wall_seconds", format!("{:.6}", r.wall_seconds))
-                .with("trace_hash", format!("\"0x{:016x}\"", r.trace_hash))
+            Row::new(format!("{}-shard", r.shards), r.packets_per_sec).with(|o| {
+                o.value("packets", r.packets)
+                    .value("wall_seconds", format_args!("{:.6}", r.wall_seconds))
+                    .str("trace_hash", &format!("0x{:016x}", r.trace_hash));
+            })
         })
         .collect();
     let entry = Entry::new(quick, rows);

@@ -64,7 +64,7 @@ pub use experiment::{
     TwoNodeTestbed, INRIA_ADDR, NAPOLI_ADDR,
 };
 pub use fleet::{
-    render_metrics_fields, render_metrics_json, run_fleet, run_fleet_with, FleetConfig, FleetReport,
+    metrics_members, render_metrics_json, run_fleet, run_fleet_with, FleetConfig, FleetReport,
 };
 pub use paper::{
     assemble_paper_run, campaign_seeds, metric_points, paper_jobs, render_series, run_paper,
