@@ -42,9 +42,9 @@ pub fn fmt_secs(d: Duration) -> String {
 
 /// Escapes a string for a basic `"..."` literal. TOML basic strings
 /// take exactly JSON's escapes, so this is the shared
-/// [`escape_json`](umtslab_sim::escape_json) in quotes.
+/// [`escape_json`](umtslab_sim::json::escape_json) in quotes.
 pub fn escape_str(s: &str) -> String {
-    format!("\"{}\"", umtslab_sim::escape_json(s))
+    format!("\"{}\"", umtslab_sim::json::escape_json(s))
 }
 
 /// Serializes a pack into its canonical byte-deterministic form.
