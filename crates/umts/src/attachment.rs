@@ -29,7 +29,7 @@ use crate::at::{DeviceProfile, Modem, ModemMode, ModemOutput};
 use crate::bearer::{BearerStats, UmtsBearer};
 use crate::operator::{AddressPool, Conntrack, OperatorProfile};
 use crate::ppp::{Credentials, Deframer, PppEndpoint, PppEvent, PppServerConfig};
-use crate::rrc::{RrcController, RrcEvent, RrcState};
+use crate::rrc::{RrcController, RrcState};
 use crate::serial::{LineAssembler, SerialLine};
 
 /// Why a connection attempt failed.
@@ -251,13 +251,6 @@ fn min_opt(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
     }
 }
 
-/// Pending data-plane delivery.
-#[derive(Debug)]
-enum PendingData {
-    ToInternet(Packet),
-    ToHost(Packet),
-}
-
 /// The full UMTS attachment of one node to one operator.
 pub struct UmtsAttachment {
     profile: OperatorProfile,
@@ -284,7 +277,7 @@ pub struct UmtsAttachment {
     pool: AddressPool,
     local_addr: Option<Ipv4Address>,
     peer_addr: Option<Ipv4Address>,
-    pending: VecDeque<(Instant, PendingData)>,
+    pending: VecDeque<(Instant, UmtsData)>,
     rng: SimRng,
     /// One-shot: the next dial's PAP exchange is forced to fail.
     force_auth_reject: bool,
@@ -569,13 +562,13 @@ impl UmtsAttachment {
             let mut progressed = false;
             progressed |= self.pump_modem(now);
             progressed |= self.pump_host(now, &mut out);
-            progressed |= self.pump_signaling(now, &mut out);
+            progressed |= self.pump_signaling(now);
             if !progressed {
                 break;
             }
         }
         self.pump_timers(now, &mut out);
-        self.pump_radio(now, &mut out);
+        self.pump_radio(now);
         self.drain_pending(now, &mut out);
         out
     }
@@ -654,7 +647,7 @@ impl UmtsAttachment {
         true
     }
 
-    fn pump_signaling(&mut self, now: Instant, out: &mut UmtsPollOutput) -> bool {
+    fn pump_signaling(&mut self, now: Instant) -> bool {
         let mut progressed = false;
         let ggsn_bytes = self.signaling.pop_due_ggsn(now);
         if !ggsn_bytes.is_empty() {
@@ -674,7 +667,6 @@ impl UmtsAttachment {
                 self.serial.modem_write(now, &host_bytes);
             }
         }
-        let _ = out;
         progressed
     }
 
@@ -729,31 +721,27 @@ impl UmtsAttachment {
         }
     }
 
-    fn pump_radio(&mut self, now: Instant, _out: &mut UmtsPollOutput) {
+    fn pump_radio(&mut self, now: Instant) {
         self.apply_rrc(now);
         if self.uplink.next_service().is_some_and(|t| t <= now) {
             let served = self.uplink.service(now, &mut self.rng);
             for (at, pkt) in served {
                 self.conntrack.note_outbound(&pkt, at);
                 let exit = at + self.profile.core_delay;
-                self.push_pending(exit, PendingData::ToInternet(pkt));
+                self.push_pending(exit, UmtsData::ToInternet(pkt));
             }
         }
         if self.downlink.next_service().is_some_and(|t| t <= now) {
             let served = self.downlink.service(now, &mut self.rng);
             for (at, pkt) in served {
-                self.push_pending(at, PendingData::ToHost(pkt));
+                self.push_pending(at, UmtsData::ToHost(pkt));
             }
         }
     }
 
     fn apply_rrc(&mut self, now: Instant) {
-        for ev in self.rrc.poll(now) {
-            match ev {
-                RrcEvent::PromotedToDch | RrcEvent::GrantUpgraded | RrcEvent::DemotedToFach => {}
-                RrcEvent::DemotedToIdle => {}
-            }
-        }
+        // Fire due RRC timers; the new grant below is all that matters here.
+        let _ = self.rrc.poll(now);
         let (up, down) = match self.rrc.grant() {
             Some(g) => (g.uplink_bps, g.downlink_bps),
             None => (0, 0),
@@ -766,7 +754,7 @@ impl UmtsAttachment {
         }
     }
 
-    fn push_pending(&mut self, at: Instant, data: PendingData) {
+    fn push_pending(&mut self, at: Instant, data: UmtsData) {
         // Deliveries from one bearer are generated in order; merge the two
         // streams by insertion.
         let pos = self.pending.iter().position(|&(t, _)| t > at).unwrap_or(self.pending.len());
@@ -779,10 +767,7 @@ impl UmtsAttachment {
                 break;
             }
             let (_, data) = self.pending.pop_front().expect("front exists");
-            out.data.push(match data {
-                PendingData::ToInternet(p) => UmtsData::ToInternet(p),
-                PendingData::ToHost(p) => UmtsData::ToHost(p),
-            });
+            out.data.push(data);
         }
     }
 
