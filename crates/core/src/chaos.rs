@@ -152,7 +152,7 @@ pub fn run_chaos_campaign(
 
     let (sent, rtts) = env.tb.sender_logs(tx);
     let recv = env.tb.receiver_records(rx);
-    let summary = Decoder::with_window(experiment.window).summary(sent, recv, rtts);
+    let summary = Decoder::paper().summary(sent, recv, rtts);
 
     ChaosReport { availability, faults, lifecycle, ended_up, summary }
 }

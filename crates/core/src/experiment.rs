@@ -156,8 +156,6 @@ pub struct ExperimentConfig {
     pub device: DeviceProfile,
     /// Subscriber credentials.
     pub credentials: Option<Credentials>,
-    /// Decoding window (the paper uses 200 ms).
-    pub window: Duration,
     /// Pause between connection establishment and the first packet.
     pub settle: Duration,
     /// Extra time after the flow ends to let stragglers drain.
@@ -185,7 +183,6 @@ impl ExperimentConfig {
             operator: OperatorProfile::commercial_italy(),
             device: DeviceProfile::option_globetrotter(),
             credentials: Some(Credentials::new("web", "web")),
-            window: Duration::from_millis(200),
             settle: Duration::from_secs(1),
             drain: Duration::from_secs(20),
             access_fault: FaultConfig::none(),
@@ -497,7 +494,7 @@ pub fn collect_result(
 ) -> ExperimentResult {
     let (sent, rtts) = tb.sender_logs(tx);
     let recv = tb.receiver_records(rx);
-    let decoder = Decoder::with_window(cfg.window);
+    let decoder = Decoder::paper();
     let series = decoder.series(flow_start, duration, sent, recv, rtts);
     let summary = decoder.summary(sent, recv, rtts);
     ExperimentResult {

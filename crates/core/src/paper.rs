@@ -20,7 +20,7 @@
 //! on the authors' operator.
 
 use umtslab_ditg::FlowSpec;
-use umtslab_sim::time::{Duration, Instant};
+use umtslab_sim::time::Duration;
 
 use crate::experiment::{
     run_experiment, ExperimentConfig, ExperimentError, ExperimentResult, PathKind,
@@ -57,27 +57,15 @@ pub enum Workload {
     VoipG711,
     /// 1 Mbps saturating CBR.
     Cbr1Mbps,
-    /// Closed-loop TCP-ish bulk upload (congestion-controlled).
-    TcpBulk,
-    /// Deterministic rate-adaptive video-like stream.
-    AdaptiveVideo,
 }
 
 impl Workload {
     /// The flow spec, optionally shortened (tests use short runs; the
-    /// figures use the paper's 120 s). For the closed-loop workloads the
-    /// spec only contributes the label and duration — the flow model of
-    /// [`Workload::flow_model`] does the sending.
+    /// figures use the paper's 120 s).
     pub fn spec(self, duration: Option<Duration>) -> FlowSpec {
         let mut spec = match self {
             Workload::VoipG711 => FlowSpec::voip_g711(),
             Workload::Cbr1Mbps => FlowSpec::cbr_1mbps(),
-            Workload::TcpBulk => {
-                FlowSpec { label: "tcp-bulk".to_string(), ..FlowSpec::cbr_1mbps() }
-            }
-            Workload::AdaptiveVideo => {
-                FlowSpec { label: "adaptive-video".to_string(), ..FlowSpec::cbr_1mbps() }
-            }
         };
         if let Some(d) = duration {
             spec.duration = d;
@@ -85,21 +73,11 @@ impl Workload {
         spec
     }
 
-    /// The flow model animating this workload, with the same duration
-    /// resolution as [`Workload::spec`].
-    pub fn flow_model(self, duration: Option<Duration>) -> crate::experiment::FlowModel {
-        use umtslab_traffic::{AdaptiveConfig, TcpConfig};
-        let d = duration.unwrap_or(Duration::from_secs(120));
-        match self {
-            Workload::VoipG711 | Workload::Cbr1Mbps => crate::experiment::FlowModel::OpenLoop,
-            Workload::TcpBulk => {
-                crate::experiment::FlowModel::Tcp(TcpConfig { duration: d, ..TcpConfig::default() })
-            }
-            Workload::AdaptiveVideo => crate::experiment::FlowModel::Adaptive(AdaptiveConfig {
-                duration: d,
-                ..AdaptiveConfig::default()
-            }),
-        }
+    /// The flow model animating this workload: both paper workloads are
+    /// open-loop D-ITG probes. Closed-loop flows come from packs
+    /// (`FlowKind`) instead.
+    pub fn flow_model(self, _duration: Option<Duration>) -> crate::experiment::FlowModel {
+        crate::experiment::FlowModel::OpenLoop
     }
 }
 
@@ -223,8 +201,6 @@ impl PaperJob {
         let workload = match self.workload {
             Workload::VoipG711 => "voip",
             Workload::Cbr1Mbps => "cbr-1mbps",
-            Workload::TcpBulk => "tcp-bulk",
-            Workload::AdaptiveVideo => "adaptive-video",
         };
         format!("{workload}/{}", self.path)
     }
@@ -543,11 +519,6 @@ pub fn summary_row(result: &ExperimentResult) -> String {
         s.mean_rtt.map_or_else(|| "-".into(), |d| d.to_string()),
         s.max_rtt.map_or_else(|| "-".into(), |d| d.to_string()),
     )
-}
-
-/// Convenience: the flow-relative instant `secs` after the start.
-pub fn at_seconds(result: &ExperimentResult, secs: u64) -> Instant {
-    result.flow_start + Duration::from_secs(secs)
 }
 
 #[cfg(test)]

@@ -325,11 +325,6 @@ impl Pipe {
         self.schedule = Some((schedule, start));
     }
 
-    /// Removes the replay schedule; the static `rate_bps` governs again.
-    pub fn clear_schedule(&mut self) {
-        self.schedule = None;
-    }
-
     /// The replay schedule, if one is installed.
     pub fn schedule(&self) -> Option<&LinkSchedule> {
         self.schedule.as_ref().map(|(s, _)| s.as_ref())
@@ -366,12 +361,6 @@ impl Pipe {
     pub fn backlog_packets(&mut self, now: Instant) -> usize {
         self.purge(now);
         self.backlog.len()
-    }
-
-    /// The queueing delay a packet offered right now would experience
-    /// before starting serialization.
-    pub fn queueing_delay(&self, now: Instant) -> Duration {
-        self.next_free.saturating_duration_since(now)
     }
 
     /// Offers a packet to the link at `now`.
@@ -591,15 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn queueing_delay_reflects_busy_horizon() {
-        let mut pipe = Pipe::new(LinkConfig::wired(8_000, Duration::ZERO));
-        let mut r = rng();
-        pipe.push(Instant::ZERO, pkt(0, 100), &mut r); // busy until 128 ms
-        assert_eq!(pipe.queueing_delay(Instant::ZERO), Duration::from_millis(128));
-        assert_eq!(pipe.queueing_delay(Instant::from_millis(130)), Duration::ZERO);
-    }
-
-    #[test]
     fn jitter_never_reorders() {
         let mut cfg = LinkConfig::ideal(Duration::from_millis(10));
         cfg.jitter = JitterModel::Uniform { max: Duration::from_millis(50) };
@@ -741,12 +721,6 @@ mod tests {
             PushOutcome::Dropped { reason: DropReason::Loss, .. }
         ));
         assert_eq!(pipe.stats().dropped_loss, 1);
-        pipe.clear_schedule();
-        assert!(pipe.schedule().is_none());
-        assert!(matches!(
-            pipe.push(Instant::from_millis(30), pkt(2, 10), &mut r),
-            PushOutcome::Scheduled(_)
-        ));
     }
 
     #[test]
