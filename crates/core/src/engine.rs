@@ -1,28 +1,30 @@
-//! The forwarding engine: the one per-node event loop behind both cores.
+//! The forwarding engine: the per-node event loop behind every testbed.
 //!
-//! [`crate::testbed::Testbed`] (the serial core) and
-//! [`crate::shard::Shard`] (one partition of the sharded core) are thin
-//! front ends over an [`Engine`]. The engine holds the nodes it owns with
+//! A [`crate::Testbed`] is a front end over one or more `Engine`s, each
+//! wrapped in a [`crate::Shard`]. An engine holds the nodes it owns with
 //! their access links, wake handles, supervisors and fault plans, the
 //! traffic agents and their port maps, the payload pool and the drop
 //! counters. It also runs the event loop: agent sends, node egress, node
 //! polls (fault injection and supervisor included), delivery flushes
 //! with closed-loop re-arming, wake arming, and delivery into a node
-//! from the core side.
+//! from the core side. Node and agent indices here are local to the
+//! engine; only the testbed knows the global ones.
 //!
-//! The two cores differ in two pieces of data, each consulted with one
-//! `match` where it is used:
+//! The serial and sharded models differ in two pieces of data, each
+//! consulted with one `match` where it is used:
 //!
 //! * `CoreLink`: how a packet crosses the internet core. `Local`
 //!   schedules a core arrival and resolves the route when it fires, and
 //!   the operator-edge→core hop is zero. `Mailbox` resolves the route
 //!   when the packet is staged, hands it to the shard's outbox, and
-//!   charges [`crate::ShardedTestbed::CORE_HOP`] to UMTS egress so the
+//!   charges [`crate::Testbed::CORE_HOP`] to UMTS egress so the
 //!   conservative lookahead stays positive.
-//! * `Streams`: where link randomness and packet ids come from. The
-//!   serial core draws from one master stream and one allocator; a shard
-//!   gives every node its own, seeded from the node's global index, so
-//!   nothing depends on the partition.
+//! * `Streams`: where link randomness, packet ids and entity seeds come
+//!   from. `Master` draws every seed from one stream in creation order
+//!   and shares one stream and one id allocator between all nodes.
+//!   `PerNode` derives every seed from the entity's global index and
+//!   gives each node its own stream and allocator, so nothing depends on
+//!   the partition.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -35,7 +37,7 @@ use umtslab_net::packet::{Packet, PacketIdAllocator};
 use umtslab_planetlab::node::{EgressAction, Node, ETH0};
 use umtslab_planetlab::slice::SliceId;
 use umtslab_sim::event::EventHandle;
-use umtslab_sim::rng::SimRng;
+use umtslab_sim::rng::{job_seed, SimRng};
 use umtslab_sim::sched::Scheduler;
 use umtslab_sim::time::{Duration, Instant};
 use umtslab_supervisor::faults::FaultPlan;
@@ -43,12 +45,9 @@ use umtslab_supervisor::metrics::AvailabilityMetrics;
 use umtslab_supervisor::supervisor::SessionSupervisor;
 use umtslab_traffic::{AdaptiveSender, TcpFlow, TcpStats};
 use umtslab_umts::attachment::DownlinkOutcome;
-use umtslab_umts::RrcDwell;
 
-use crate::shard::{Mailbox, ShardedTestbed};
-#[cfg(doc)]
-use crate::testbed::Testbed;
-use crate::testbed::{AgentId, NodeId, TestbedDrops, TestbedMetrics};
+use crate::shard::Mailbox;
+use crate::testbed::{Testbed, TestbedDrops, TestbedMetrics};
 
 enum Ev {
     /// Re-poll a node's internal machinery.
@@ -74,12 +73,22 @@ pub(crate) enum CoreLink {
     Mailbox(Mailbox),
 }
 
-/// Where link randomness and packet ids come from.
+/// Seed-domain tags separating the per-entity randomness streams of
+/// [`Streams::PerNode`]. Mixed into the master seed before [`job_seed`]
+/// folds in the entity index.
+const DOMAIN_NODE: u64 = 0x6e6f_6465; // "node"
+pub(crate) const DOMAIN_ATTACH: u64 = 0x6174_7463; // "attc"
+pub(crate) const DOMAIN_FLOW: u64 = 0x666c_6f77; // "flow"
+pub(crate) const DOMAIN_SUPERVISOR: u64 = 0x7375_7076; // "supv"
+
+/// Where link randomness, packet ids and entity seeds come from.
 pub(crate) enum Streams {
-    /// One stream and one allocator shared by every node.
+    /// One stream and one allocator shared by every node; entity seeds
+    /// are drawn from the stream in creation order.
     Master { rng: SimRng, ids: PacketIdAllocator },
-    /// One stream and one allocator per node.
-    PerNode { rngs: Vec<SimRng>, ids: Vec<PacketIdAllocator> },
+    /// One stream and one allocator per node; entity seeds are a function
+    /// of `seed`, the entity's domain and its global index.
+    PerNode { seed: u64, rngs: Vec<SimRng>, ids: Vec<PacketIdAllocator> },
 }
 
 impl Streams {
@@ -88,22 +97,25 @@ impl Streams {
         Streams::Master { rng: SimRng::seed_from_u64(seed), ids: PacketIdAllocator::new() }
     }
 
-    /// Draws an entity seed from the master stream.
-    pub(crate) fn draw_seed(&mut self) -> u64 {
+    /// The per-node policy under master seed `seed`.
+    pub(crate) fn per_node(seed: u64) -> Streams {
+        Streams::PerNode { seed, rngs: Vec::new(), ids: Vec::new() }
+    }
+
+    /// The seed of the entity with global index `index` in `domain`.
+    pub(crate) fn entity_seed(&mut self, domain: u64, index: usize) -> u64 {
         match self {
             Streams::Master { rng, .. } => rng.next_u64(),
-            Streams::PerNode { .. } => unreachable!("per-node streams seed entities by index"),
+            Streams::PerNode { seed, .. } => job_seed(*seed ^ domain, index as u64),
         }
     }
 
-    /// Gives the next node its own stream, seeded with `seed`.
-    pub(crate) fn push_node(&mut self, seed: u64) {
-        match self {
-            Streams::Master { .. } => unreachable!("the master stream is shared by every node"),
-            Streams::PerNode { rngs, ids } => {
-                rngs.push(SimRng::seed_from_u64(seed));
-                ids.push(PacketIdAllocator::new());
-            }
+    /// Gives the node with global index `global` its own stream, if
+    /// nodes have their own.
+    fn push_node(&mut self, global: usize) {
+        if let Streams::PerNode { seed, rngs, ids } = self {
+            rngs.push(SimRng::seed_from_u64(job_seed(*seed ^ DOMAIN_NODE, global as u64)));
+            ids.push(PacketIdAllocator::new());
         }
     }
 
@@ -189,12 +201,8 @@ enum AgentSlot {
 }
 
 /// The forwarding engine: the nodes of one core (or of one shard of it)
-/// and their event loop.
-///
-/// This is the per-node API both cores share. A [`Testbed`] dereferences
-/// to its engine; a [`ShardedTestbed`] routes each call to the engine
-/// owning the node, with the node's local [`NodeId`].
-pub struct Engine {
+/// and their event loop. Node and agent indices are local to the engine.
+pub(crate) struct Engine {
     sched: Scheduler<Ev>,
     nodes: Vec<Node>,
     access: Vec<DuplexLink>,
@@ -237,25 +245,17 @@ impl Engine {
     }
 
     /// Current simulated time.
-    pub fn now(&self) -> Instant {
+    pub(crate) fn now(&self) -> Instant {
         self.sched.now()
     }
 
-    /// Drop counters.
-    pub fn drops(&self) -> TestbedDrops {
-        self.drops
-    }
-
     /// Total events processed by the scheduler.
-    pub fn events_processed(&self) -> u64 {
+    pub(crate) fn events_processed(&self) -> u64 {
         self.sched.events_processed()
     }
 
     /// Snapshots every layer's counters into one [`TestbedMetrics`].
-    ///
-    /// Cheap (a walk over nodes and links copying plain counters), so it
-    /// can be taken at any point of a run, not just at the end.
-    pub fn metrics(&self) -> TestbedMetrics {
+    pub(crate) fn metrics(&self) -> TestbedMetrics {
         let mut m = TestbedMetrics::default();
         for link in &self.access {
             m.access.absorb(link.forward.stats());
@@ -274,155 +274,114 @@ impl Engine {
         m
     }
 
-    /// Shared access to a node.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.0]
+    pub(crate) fn node(&self, node: usize) -> &Node {
+        &self.nodes[node]
     }
 
-    /// Mutable access to a node (for slices, vsys, bindings).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.0]
+    pub(crate) fn node_mut(&mut self, node: usize) -> &mut Node {
+        &mut self.nodes[node]
     }
 
-    /// All nodes in id order (read-only; used by analyzers and reports).
-    pub fn nodes(&self) -> impl Iterator<Item = &Node> {
-        self.nodes.iter()
-    }
-
-    /// Adds a node with its access link to the internet core.
-    pub(crate) fn add_node(&mut self, node: Node, access: LinkConfig) -> NodeId {
+    /// Adds the node with global index `global` and its access link to
+    /// the internet core; returns its local index.
+    pub(crate) fn add_node(&mut self, node: Node, access: LinkConfig, global: usize) -> usize {
         self.nodes.push(node);
         self.access.push(DuplexLink::symmetric(access));
         self.wake_armed.push(None);
         self.supervisors.push(None);
         self.fault_plans.push(None);
-        NodeId(self.nodes.len() - 1)
+        self.streams.push_node(global);
+        self.nodes.len() - 1
     }
 
-    pub(crate) fn attach_supervisor(&mut self, node: NodeId, sup: SessionSupervisor) {
-        self.supervisors[node.0] = Some(sup);
+    pub(crate) fn attach_supervisor(&mut self, node: usize, sup: SessionSupervisor) {
+        self.supervisors[node] = Some(sup);
     }
 
-    /// Tells the supervisor on `node` to dial; it redials on its own from
-    /// here on. Panics if no supervisor is attached.
-    pub fn start_supervisor(&mut self, node: NodeId) {
+    pub(crate) fn start_supervisor(&mut self, node: usize) {
         let now = self.now();
-        let sup = self.supervisors[node.0].as_mut().expect("supervisor attached");
-        sup.start(now, &mut self.nodes[node.0]);
-        self.arm_node(node.0);
+        let sup = self.supervisors[node].as_mut().expect("supervisor attached");
+        sup.start(now, &mut self.nodes[node]);
+        self.arm_node(node);
     }
 
-    /// Schedules a fault campaign against `node`'s UMTS stack; due faults
-    /// are injected as the simulation crosses their instants.
-    pub fn schedule_faults(&mut self, node: NodeId, plan: FaultPlan) {
-        self.fault_plans[node.0] = Some(plan);
-        self.arm_node(node.0);
+    pub(crate) fn schedule_faults(&mut self, node: usize, plan: FaultPlan) {
+        self.fault_plans[node] = Some(plan);
+        self.arm_node(node);
     }
 
-    /// The supervisor attached to `node`, if any.
-    pub fn supervisor(&self, node: NodeId) -> Option<&SessionSupervisor> {
-        self.supervisors[node.0].as_ref()
+    pub(crate) fn supervisor(&self, node: usize) -> Option<&SessionSupervisor> {
+        self.supervisors[node].as_ref()
     }
 
-    /// Folds the tail interval into `node`'s supervisor metrics and
-    /// returns the availability snapshot.
-    pub fn availability(&mut self, node: NodeId) -> Option<AvailabilityMetrics> {
+    pub(crate) fn availability(&mut self, node: usize) -> Option<AvailabilityMetrics> {
         let now = self.now();
-        self.supervisors[node.0].as_mut().map(|s| s.finish(now))
+        self.supervisors[node].as_mut().map(|s| s.finish(now))
     }
 
-    /// Installs a trace-replay [`LinkSchedule`] on both directions of
-    /// `node`'s wired access link, anchored at the current sim time.
-    /// Capacity and loss then follow the schedule instead of the static
-    /// [`LinkConfig`].
-    pub fn set_access_schedule(&mut self, node: NodeId, schedule: Arc<LinkSchedule>) {
+    pub(crate) fn set_access_schedule(&mut self, node: usize, schedule: Arc<LinkSchedule>) {
         let start = self.now();
-        let link = &mut self.access[node.0];
+        let link = &mut self.access[node];
         link.forward.set_schedule(schedule.clone(), start);
         link.reverse.set_schedule(schedule, start);
     }
 
-    /// Summed RRC dwell times over every UMTS attachment (the two-node
-    /// experiment has at most one).
-    pub fn rrc_dwell_total(&self) -> Option<RrcDwell> {
-        let now = self.now();
-        let mut total: Option<RrcDwell> = None;
-        for att in self.nodes.iter().filter_map(Node::umts_attachment) {
-            let d = att.rrc_dwell(now);
-            let t = total.get_or_insert_with(Default::default);
-            t.idle += d.idle;
-            t.fach += d.fach;
-            t.dch += d.dch;
-            t.dch_upgraded += d.dch_upgraded;
-            t.idle_promotions += d.idle_promotions;
-            t.idle_promotion_latency += d.idle_promotion_latency;
-        }
-        total
-    }
-
-    /// The flow id the next agent will carry (ids count agents from 1).
-    pub(crate) fn next_flow_id(&self) -> u32 {
-        self.agents.len() as u32 + 1
-    }
-
     /// Installs a sender on `node`/`slice`, binds its source port so echo
-    /// replies reach it, and schedules its first departure at `start`.
+    /// replies reach it, and schedules its first departure at `start`;
+    /// returns its local index.
     pub(crate) fn add_sender(
         &mut self,
-        node: NodeId,
+        node: usize,
         slice: SliceId,
         sport: u16,
         agent: SenderAgent,
         start: Instant,
-    ) -> AgentId {
-        let _ = self.nodes[node.0].bind(slice, sport);
+    ) -> usize {
+        let _ = self.nodes[node].bind(slice, sport);
         let idx = self.agents.len();
-        self.agents.push(AgentSlot::Sender { node: node.0, slice, agent: Box::new(agent) });
-        self.tx_ports.insert((node.0, sport), idx);
+        self.agents.push(AgentSlot::Sender { node, slice, agent: Box::new(agent) });
+        self.tx_ports.insert((node, sport), idx);
         self.sched.at(start.max(self.now()), Ev::AgentSend(idx));
-        AgentId(idx)
+        idx
     }
 
     /// Installs a receiver of flow `flow_id` on `node`/`slice`, listening
-    /// on `port`.
+    /// on `port`; returns its local index.
     pub(crate) fn add_receiver(
         &mut self,
-        node: NodeId,
+        node: usize,
         slice: SliceId,
         port: u16,
         flow_id: u32,
         echo: bool,
-    ) -> AgentId {
+    ) -> usize {
         let agent = TrafficReceiver::new(flow_id, echo);
-        let _ = self.nodes[node.0].bind(slice, port);
+        let _ = self.nodes[node].bind(slice, port);
         self.agents.push(AgentSlot::Receiver { agent });
-        self.rx_ports.insert((node.0, port), self.agents.len() - 1);
-        AgentId(self.agents.len() - 1)
+        self.rx_ports.insert((node, port), self.agents.len() - 1);
+        self.agents.len() - 1
     }
 
-    fn sender(&self, id: AgentId) -> Option<&SenderAgent> {
-        match &self.agents[id.0] {
+    fn sender(&self, agent: usize) -> Option<&SenderAgent> {
+        match &self.agents[agent] {
             AgentSlot::Sender { agent, .. } => Some(&**agent),
             AgentSlot::Receiver { .. } => None,
         }
     }
 
-    /// The sender-side logs of an agent.
-    pub fn sender_logs(&self, id: AgentId) -> (&[SentRecord], &[RttRecord]) {
-        self.sender(id).map_or((&[], &[]), |a| (a.sent(), a.rtts()))
+    pub(crate) fn sender_logs(&self, agent: usize) -> (&[SentRecord], &[RttRecord]) {
+        self.sender(agent).map_or((&[], &[]), |a| (a.sent(), a.rtts()))
     }
 
-    /// The congestion-control counters of a TCP sender, if `id` is one.
-    pub fn tcp_stats(&self, id: AgentId) -> Option<TcpStats> {
-        match self.sender(id)? {
+    pub(crate) fn tcp_stats(&self, agent: usize) -> Option<TcpStats> {
+        match self.sender(agent)? {
             SenderAgent::Tcp(f) => Some(f.stats()),
             _ => None,
         }
     }
 
-    /// The receive log of an agent.
-    pub fn receiver_records(&self, id: AgentId) -> &[RecvRecord] {
-        match &self.agents[id.0] {
+    pub(crate) fn receiver_records(&self, agent: usize) -> &[RecvRecord] {
+        match &self.agents[agent] {
             AgentSlot::Receiver { agent } => agent.records(),
             AgentSlot::Sender { .. } => &[],
         }
@@ -451,15 +410,15 @@ impl Engine {
     }
 
     /// Schedules a routed packet's arrival at the core at `at`, on its
-    /// way into `node` by `kind`.
+    /// way into local node `node` by `kind`.
     pub(crate) fn deliver_from_core(
         &mut self,
         at: Instant,
-        node: NodeId,
+        node: usize,
         kind: HandoffKind,
         packet: Packet,
     ) {
-        self.sched.at(at.max(self.now()), Ev::CoreDeliver { node: node.0, kind, packet });
+        self.sched.at(at.max(self.now()), Ev::CoreDeliver { node, kind, packet });
     }
 
     // --- event loop -----------------------------------------------------
@@ -598,7 +557,7 @@ impl Engine {
         // The packets are at the operator's internet edge now.
         let edge_hop = match self.core {
             CoreLink::Local => Duration::ZERO,
-            CoreLink::Mailbox(_) => ShardedTestbed::CORE_HOP,
+            CoreLink::Mailbox(_) => Testbed::CORE_HOP,
         };
         for p in out.to_internet {
             self.reach_core(now + edge_hop, i, p);

@@ -23,11 +23,10 @@
 //!   back-end installing the paper's exact routing recipe;
 //! * [`umtslab_ditg`] — the D-ITG-style traffic generator and ITGDec-style
 //!   windowed decoder;
-//! * this crate — the testbed assembly, experiment runner and paper
-//!   presets, the forwarding [`engine`] that runs every node's event
-//!   loop, the sharded core ([`shard`]) that partitions one coupled
-//!   topology across N engines, and the [`fleet`] scale demo built on
-//!   it.
+//! * this crate — the testbed assembly ([`testbed`]: one front end over
+//!   a serial engine or over N sharded ones, see [`shard`]), the
+//!   experiment runner and paper presets, and the [`fleet`] scale demo
+//!   built on the sharded model.
 //!
 //! ## Quickstart
 //!
@@ -48,7 +47,7 @@
 
 pub mod chaos;
 pub mod crosslayer;
-pub mod engine;
+mod engine;
 pub mod experiment;
 pub mod fleet;
 pub mod paper;
@@ -57,7 +56,6 @@ pub mod testbed;
 
 pub use chaos::{run_chaos_campaign, ChaosConfig, ChaosReport};
 pub use crosslayer::{run_switching_policy, CrosslayerConfig};
-pub use engine::Engine;
 pub use experiment::{
     run_experiment, run_supervised_experiment, AccessLink, ExperimentConfig, ExperimentError,
     ExperimentResult, ExtraSlice, FlowModel, NodeRole, PathKind, SlicePlan, SupervisedResult,

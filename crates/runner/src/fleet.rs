@@ -1,6 +1,6 @@
 //! Parallel driving of the sharded fleet topology.
 //!
-//! A [`umtslab::ShardedTestbed`] advances in conservative windows: every
+//! A sharded [`umtslab::Testbed`] advances in conservative windows: every
 //! shard runs its own scheduler up to the window boundary, then the
 //! shards exchange cross-shard handoffs. *Within* a window the shards
 //! are fully independent, so this module fans each window out across the

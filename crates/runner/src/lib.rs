@@ -12,15 +12,15 @@
 //!   any order but collects results *by job index*, so the caller sees
 //!   the same ordering regardless of thread scheduling;
 //! * [`metrics`] — a registry ([`MetricsRegistry`]) workers publish into:
-//!   lock-free atomic totals for the cross-job counters plus a per-job
-//!   gauge table, rendered as a summary table or machine-readable JSON;
+//!   one row per job under a mutex, with cross-job totals folded from
+//!   the rows, rendered as a summary table or machine-readable JSON;
 //! * [`paper`] — the paper campaign expressed as shardable jobs
 //!   ([`run_paper_parallel`], [`run_campaign_parallel`]) reassembled in
 //!   the exact order of [`umtslab::paper::paper_jobs`];
 //! * [`traffic`] — the INRIA switching-policy grid as shardable jobs
 //!   ([`run_traffic_grid`]);
 //! * [`fleet`] — the other axis of parallelism: one *coupled* topology
-//!   partitioned across shards ([`umtslab::ShardedTestbed`]), each
+//!   partitioned across shards ([`umtslab::Testbed::sharded`]), each
 //!   window fanned across the pool via [`run_jobs_mut`].
 //!
 //! Determinism is seed-based, not scheduling-based: each job's seed is

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use umtslab::experiment::{run_experiment, ExperimentConfig, PathKind};
 use umtslab::prelude::*;
 use umtslab::umtslab_traffic::{TcpConfig, TcpStats, Trace};
-use umtslab::{render_metrics_json, ShardedTestbed};
+use umtslab::{render_metrics_json, Testbed};
 
 fn fingerprint(cfg: ExperimentConfig) -> Vec<(u64, u64)> {
     let r = run_experiment(cfg).unwrap();
@@ -150,8 +150,6 @@ fn same_operator_subscribers_dial_deterministically() {
     // must get a disjoint pool slice, and the whole double-dial must be
     // bit-reproducible across same-seed builds.
     fn double_dial(seed: u64) -> Vec<Option<Ipv4Address>> {
-        use umtslab::Testbed;
-
         let cfg = short_cfg(PathKind::UmtsToEthernet, seed);
         let mut tb = Testbed::new(seed);
         let access = LinkConfig::wired(100_000_000, Duration::from_millis(6));
@@ -271,7 +269,7 @@ struct Observed {
 /// echoed CBR probes from members 1 and 2, all toward one wired sink
 /// whose access link replays the drive trace.
 fn supervised_tcp_topology(nshards: usize) -> Observed {
-    let mut tb = ShardedTestbed::new(nshards, 41);
+    let mut tb = Testbed::sharded(nshards, 41);
     let access = LinkConfig::wired(100_000_000, Duration::from_millis(6));
     let sink_addr = umtslab::INRIA_ADDR;
     let mut members = Vec::new();
