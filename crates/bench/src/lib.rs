@@ -1,14 +1,15 @@
 //! The shared bench history: one append-only trajectory schema and one
 //! same-mode regression gate for the `dataplane`, `fleet` and `traffic`
-//! bins.
+//! benches of the `bench` binary.
 //!
 //! Each run appends one [`Entry`] to its bench's `BENCH_<name>.json`:
 //! the git revision, the mode (`--quick` or full), and one [`Row`] per
 //! measured configuration — a key, the throughput the gate watches, and
-//! the extra fields the bin records beside it as raw JSON values. The
+//! the extra fields the bench records beside it as raw JSON values. The
 //! gate fails a run whose throughput for any key falls below
-//! [`GATE_FRACTION`] of the last entry of the same mode; quick and full
-//! entries are never compared with each other.
+//! [`GATE_FRACTION`] of the last entry of the same mode, or that lacks a
+//! key that entry had; quick and full entries are never compared with
+//! each other.
 //!
 //! ```
 //! use umtslab_bench::{load, Entry, Row, DATAPLANE};
@@ -30,17 +31,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::path::{Path, PathBuf};
+
 use umtslab::umtslab_sim::json;
 
 /// A run whose throughput for some key falls below this fraction of the
 /// last same-mode entry fails the gate.
 pub const GATE_FRACTION: f64 = 0.9;
 
-/// The wired two-node data-plane bench (`bin/dataplane.rs`).
+/// The wired two-node data-plane bench.
 pub const DATAPLANE: Bench = Bench { name: "dataplane", seed: 42, unit: "packets_per_sec" };
-/// The sharded-fleet scaling bench (`bin/fleet.rs`).
+/// The sharded-fleet scaling bench.
 pub const FLEET: Bench = Bench { name: "fleet", seed: 2008, unit: "packets_per_sec" };
-/// The switching-policy TCP sweep bench (`bin/traffic.rs`).
+/// The switching-policy TCP sweep bench.
 pub const TRAFFIC: Bench = Bench { name: "traffic", seed: 2008, unit: "segments_per_sec" };
 
 /// One bench's trajectory file: its name, master seed and throughput unit.
@@ -99,9 +102,12 @@ impl Entry {
 }
 
 impl Bench {
-    /// The trajectory file, relative to the workspace root.
-    pub fn path(&self) -> String {
-        format!("BENCH_{}.json", self.name)
+    /// The trajectory file at the workspace root, wherever the run
+    /// starts.
+    pub fn path(&self) -> PathBuf {
+        let package = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = package.ancestors().nth(2).expect("the package sits at crates/bench");
+        root.join(format!("BENCH_{}.json", self.name))
     }
 
     /// Renders the whole trajectory document.
@@ -127,21 +133,23 @@ impl Bench {
         let mut entries = prior.clone();
         entries.push(entry.clone());
         std::fs::write(&path, self.render(&entries))
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("appended history entry {} to {path}", entries.len());
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+        println!("appended history entry {} to {}", entries.len(), path.display());
         prior
     }
 
     /// Compares `now` with the last `prior` entry of the same mode and
-    /// returns one message per key whose throughput fell below
-    /// [`GATE_FRACTION`] of it (empty: the gate holds).
+    /// returns one message per key of it that `now` lacks or whose
+    /// throughput fell below [`GATE_FRACTION`] of it (empty: the gate
+    /// holds, or there is no such entry).
     pub fn regressions(&self, prior: &[Entry], now: &Entry) -> Vec<String> {
-        let Some(prev) = prior.iter().rev().find(|e| e.quick == now.quick) else {
-            return Vec::new();
-        };
+        let Some(prev) = baseline(prior, now) else { return Vec::new() };
         let mut failures = Vec::new();
         for p in &prev.rows {
-            let Some(n) = now.rows.iter().find(|r| r.key == p.key) else { continue };
+            let Some(n) = now.rows.iter().find(|r| r.key == p.key) else {
+                failures.push(format!("{}: missing from this run", p.key));
+                continue;
+            };
             if n.throughput < p.throughput * GATE_FRACTION {
                 failures.push(format!(
                     "{}: {:.1} {} is {:.1}% of the previous entry's {:.1}",
@@ -156,17 +164,29 @@ impl Bench {
         failures
     }
 
-    /// Runs the gate, printing its verdict; exits 1 on a regression.
+    /// Runs the gate, printing its verdict: skipped without a same-mode
+    /// entry in `prior`, and exits 1 on a regression.
     pub fn gate(&self, prior: &[Entry], now: &Entry) {
+        if baseline(prior, now).is_none() {
+            println!("no same-mode baseline, gate skipped");
+            return;
+        }
         let failures = self.regressions(prior, now);
         if !failures.is_empty() {
             for f in &failures {
-                eprintln!("FAIL: throughput regression — {f}");
+                eprintln!("FAIL: regression gate — {f}");
             }
             std::process::exit(1);
         }
-        println!("throughput gate holds: within 10% of the previous same-mode entry");
+        let margin = (1.0 - GATE_FRACTION) * 100.0;
+        println!("throughput gate holds: within {margin:.0}% of the previous same-mode entry");
     }
+}
+
+/// The last `prior` entry of the same mode as `now`, which the gate
+/// compares against.
+fn baseline<'a>(prior: &'a [Entry], now: &Entry) -> Option<&'a Entry> {
+    prior.iter().rev().find(|e| e.quick == now.quick)
 }
 
 /// Parses a trajectory document written by [`Bench::render`] back into
@@ -199,16 +219,6 @@ fn parse_row(line: &str) -> Option<Row> {
         throughput: throughput.parse().ok()?,
         extra: extra.to_string(),
     })
-}
-
-/// Runs `run` `reps` times and returns the repetition with the median
-/// `wall` time. The simulated work is identical each time (same seed), so
-/// the repetitions differ only in host noise; the median strips both slow
-/// outliers (preemption) and fast ones (turbo bursts).
-pub fn median_run<T>(reps: usize, mut run: impl FnMut() -> T, wall: impl Fn(&T) -> f64) -> T {
-    let mut runs: Vec<T> = (0..reps).map(|_| run()).collect();
-    runs.sort_by(|a, b| wall(a).total_cmp(&wall(b)));
-    runs.swap_remove(reps / 2)
 }
 
 /// The current git revision (short), or `unknown` outside a checkout.
@@ -258,6 +268,8 @@ mod tests {
         assert!(FLEET.regressions(&prior, &run(true, &[("a", 181.0), ("b", 1.0)])).is_empty());
         let failures = FLEET.regressions(&prior, &run(true, &[("a", 179.0)]));
         assert_eq!(failures, ["a: 179.0 packets_per_sec is 89.5% of the previous entry's 200.0"]);
+        let failures = FLEET.regressions(&prior[..1], &run(true, &[("a", 100.0)]));
+        assert_eq!(failures, ["b: missing from this run"]);
     }
 
     #[test]
@@ -271,11 +283,24 @@ mod tests {
     #[test]
     fn committed_trajectories_use_the_shared_schema() {
         for bench in [DATAPLANE, FLEET, TRAFFIC] {
-            let path = format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), bench.path());
+            let path = bench.path();
             let text = std::fs::read_to_string(&path).expect("committed trajectory");
             let entries = load(&text);
+            let path = path.display();
             assert!(entries.iter().any(|e| !e.quick), "{path} keeps a full-mode baseline");
             assert_eq!(bench.render(&entries), text, "{path} is in canonical form");
+        }
+    }
+
+    #[test]
+    fn trajectory_paths_do_not_depend_on_the_working_directory() {
+        // Tests run in the package directory, not at the workspace root.
+        for bench in [DATAPLANE, FLEET, TRAFFIC] {
+            assert!(
+                bench.path().is_file(),
+                "{} is the committed trajectory",
+                bench.path().display()
+            );
         }
     }
 }
