@@ -456,6 +456,9 @@ impl Modem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hostile::hostile_stream;
+    use crate::serial::{LineAssembler, MAX_LINE_LEN};
+    use umtslab_sim::rng::SimRng;
 
     fn modem() -> Modem {
         Modem::power_on(DeviceProfile::huawei_e620(), NetworkSignal::test_default(), Instant::ZERO)
@@ -687,5 +690,38 @@ mod tests {
         m.input_line(Instant::ZERO, "AT+CREG?");
         let lines = drain_lines(&mut m, Instant::from_secs(1));
         assert_eq!(lines, vec!["OK", "+CREG: 0,2", "OK"]);
+    }
+
+    #[test]
+    fn hostile_input_never_panics_and_leaves_the_modem_answering() {
+        for seed in 0..32 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let device = if seed % 2 == 0 {
+                DeviceProfile::huawei_e620()
+            } else {
+                DeviceProfile::option_globetrotter()
+            };
+            let mut m = Modem::power_on(device, NetworkSignal::test_default(), Instant::ZERO);
+            let mut asm = LineAssembler::new();
+            let stream = hostile_stream(&mut rng, 400);
+            let mut now = Instant::ZERO;
+            for chunk in stream.chunks(rng.uniform_u64(1, 64) as usize) {
+                for line in asm.feed(chunk) {
+                    m.input_line(now, &line);
+                }
+                assert!(asm.pending() <= MAX_LINE_LEN, "seed {seed}");
+                let _ = m.poll(now);
+                now += Duration::from_millis(rng.uniform_u64(0, 50));
+            }
+            assert!(asm.errors > 0, "seed {seed}: the stream reaches the line cap");
+            // Whatever mode the noise left, `+++` returns to command mode
+            // (or is rejected there) and the next command is answered.
+            now += Duration::from_secs(60);
+            let _ = m.poll(now);
+            m.input_line(now, "+++");
+            let _ = m.poll(now + Duration::from_secs(10));
+            m.input_line(now + Duration::from_secs(10), "AT");
+            assert_eq!(drain_lines(&mut m, now + Duration::from_secs(20)), ["OK"], "seed {seed}");
+        }
     }
 }

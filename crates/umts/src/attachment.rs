@@ -947,6 +947,8 @@ impl UmtsAttachment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hostile::hostile_stream;
+    use crate::serial::MAX_LINE_LEN;
     use umtslab_net::packet::{Mark, PacketId};
     use umtslab_net::wire::Endpoint;
 
@@ -1433,5 +1435,51 @@ mod tests {
         att.inject_fault(t0, SessionFault::BearerPreemption);
         assert_eq!(att.uplink_backlog(), 0, "preemption flushes the bearer queue");
         assert!(att.is_connected());
+    }
+
+    #[test]
+    fn hostile_at_lines_in_every_dialer_state_leave_a_resettable_attachment() {
+        use DialerState::*;
+        let states = [
+            Idle,
+            Probe,
+            CheckPin,
+            WaitRegistration,
+            SetApn,
+            Dial,
+            PppNegotiating,
+            Connected,
+            Terminating,
+            Failed,
+        ];
+        for (seed, state) in states.into_iter().enumerate() {
+            let mut att = attachment();
+            let mut rng = SimRng::seed_from_u64(seed as u64);
+            let stream = hostile_stream(&mut rng, 400);
+            let mut now = Instant::ZERO;
+            let mut out = UmtsPollOutput::default();
+            att.dialer = state;
+            for chunk in stream.chunks(rng.uniform_u64(1, 64) as usize) {
+                for line in att.host_lines.feed(chunk) {
+                    att.dialer_response(now, &line, &mut out);
+                }
+                for line in att.modem_lines.feed(chunk) {
+                    att.modem.input_line(now, &line);
+                }
+                assert!(att.host_lines.pending() <= MAX_LINE_LEN, "{state:?}");
+                assert!(att.modem_lines.pending() <= MAX_LINE_LEN, "{state:?}");
+                now += Duration::from_millis(rng.uniform_u64(0, 50));
+            }
+            // Abort whatever the noise left in flight, power-cycle, redial.
+            att.stop(now);
+            let (t, _, _) = run_until(&mut att, now, now + Duration::from_secs(30), |a, _| {
+                matches!(a.dialer, Idle | Failed)
+            });
+            att.reset_modem(t);
+            att.start(t);
+            let (_, events, _) =
+                run_until(&mut att, t, t + Duration::from_secs(60), |a, _| a.is_connected());
+            assert!(att.is_connected(), "{state:?}: events {events:?}");
+        }
     }
 }

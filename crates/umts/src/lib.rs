@@ -39,6 +39,8 @@
 pub mod at;
 pub mod attachment;
 pub mod bearer;
+#[cfg(test)]
+mod hostile;
 pub mod operator;
 pub mod ppp;
 pub mod rrc;
