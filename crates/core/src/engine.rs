@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use umtslab_ditg::{RecvRecord, RttRecord, SentRecord, TrafficReceiver, TrafficSender};
+use umtslab_ditg::{Probe, RecvRecord, TrafficReceiver, TrafficSender};
 use umtslab_net::bytes::BufferPool;
 use umtslab_net::link::{DuplexLink, LinkConfig, LinkSchedule, PushOutcome};
 use umtslab_net::mailbox::HandoffKind;
@@ -179,12 +179,8 @@ impl SenderAgent {
         each_sender!(self, a => a.on_receive(now, packet));
     }
 
-    fn sent(&self) -> &[SentRecord] {
-        each_sender!(self, a => a.sent())
-    }
-
-    fn rtts(&self) -> &[RttRecord] {
-        each_sender!(self, a => a.rtts())
+    fn probe(&self) -> &Probe {
+        each_sender!(self, a => a.probe())
     }
 
     /// Whether acknowledgements can reopen this sender's transmission
@@ -369,8 +365,8 @@ impl Engine {
         }
     }
 
-    pub(crate) fn sender_logs(&self, agent: usize) -> (&[SentRecord], &[RttRecord]) {
-        self.sender(agent).map_or((&[], &[]), |a| (a.sent(), a.rtts()))
+    pub(crate) fn probe(&self, agent: usize) -> Option<&Probe> {
+        self.sender(agent).map(SenderAgent::probe)
     }
 
     pub(crate) fn tcp_stats(&self, agent: usize) -> Option<TcpStats> {

@@ -340,10 +340,6 @@ impl Testbed {
 
     /// Adds a traffic sender on `node`/`slice` toward `dst_addr`. The
     /// first departure is scheduled at `start`.
-    ///
-    /// The sender's source address is left unspecified so the node's
-    /// routing fills it (this is how the UMTS path acquires the `ppp0`
-    /// source address).
     pub fn add_sender(
         &mut self,
         node: NodeId,
@@ -353,8 +349,7 @@ impl Testbed {
         start: Instant,
     ) -> AgentId {
         self.add_agent(node, slice, spec.sport, start, |flow_id, seed| {
-            let src = Ipv4Address::UNSPECIFIED;
-            SenderAgent::OpenLoop(TrafficSender::new(spec, flow_id, src, dst_addr, start, seed))
+            SenderAgent::OpenLoop(TrafficSender::new(spec, flow_id, dst_addr, start, seed))
         })
     }
 
@@ -373,8 +368,7 @@ impl Testbed {
         start: Instant,
     ) -> AgentId {
         self.add_agent(node, slice, config.sport, start, |flow_id, _| {
-            let src = Ipv4Address::UNSPECIFIED;
-            SenderAgent::Tcp(TcpFlow::new(config, flow_id, src, dst_addr, start))
+            SenderAgent::Tcp(TcpFlow::new(config, flow_id, dst_addr, start))
         })
     }
 
@@ -390,8 +384,7 @@ impl Testbed {
         start: Instant,
     ) -> AgentId {
         self.add_agent(node, slice, config.sport, start, |flow_id, _| {
-            let src = Ipv4Address::UNSPECIFIED;
-            SenderAgent::Adaptive(AdaptiveSender::new(config, flow_id, src, dst_addr, start))
+            SenderAgent::Adaptive(AdaptiveSender::new(config, flow_id, dst_addr, start))
         })
     }
 
@@ -413,10 +406,10 @@ impl Testbed {
         id
     }
 
-    /// The sender-side logs of an agent.
+    /// The sender-side logs of an agent (empty for a receiver).
     pub fn sender_logs(&self, id: AgentId) -> (&[SentRecord], &[RttRecord]) {
         let (engine, local) = self.agent(id);
-        engine.sender_logs(local)
+        engine.probe(local).map_or((&[], &[]), |p| (p.sent(), p.rtts()))
     }
 
     /// The congestion-control counters of a TCP sender, if `id` is one.

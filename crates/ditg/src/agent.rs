@@ -1,12 +1,18 @@
-//! The traffic sender and receiver agents.
+//! The probe endpoint and the traffic sender and receiver agents.
 //!
-//! Like D-ITG, the sender stamps a small header — sequence number, flow id
-//! and transmit timestamp — into every UDP payload, and both sides log
+//! Like D-ITG, every sender stamps a small header — sequence number, flow
+//! id and transmit timestamp — into every UDP payload, and both sides log
 //! per-packet records ([`SentRecord`] / [`RecvRecord`]). When RTT
 //! measurement is enabled the receiver answers every probe with a minimal
 //! echo carrying the original header, from which the sender computes
 //! [`RttRecord`]s. The logs are decoded offline by [`crate::decode`],
 //! mirroring the ITGSend / ITGRecv / ITGDec workflow.
+//!
+//! [`Probe`] is the one place that wire format and the sender logs live:
+//! the open-loop [`TrafficSender`] here and the closed-loop senders of
+//! `umtslab-traffic` each embed one and decide only *when* and *what
+//! size* to send, while [`TrafficReceiver`] builds its echoes through
+//! the same stamping code.
 
 use umtslab_net::bytes::BufferPool;
 use umtslab_net::packet::{Packet, PacketIdAllocator};
@@ -79,59 +85,121 @@ pub struct RttRecord {
     pub rtt: Duration,
 }
 
-/// The ITGSend equivalent.
+/// One probe flow's endpoint: its flow id, its two endpoints, and its
+/// send and RTT logs.
+///
+/// It is the only sender code that writes or parses the probe header.
+/// The source address is left unspecified so the node's routing fills
+/// it (this is how the UMTS path acquires the `ppp0` source address).
 #[derive(Debug)]
-pub struct TrafficSender {
-    spec: FlowSpec,
+pub struct Probe {
     flow_id: u32,
     src: Endpoint,
     dst: Endpoint,
-    next_seq: u32,
-    start: Instant,
-    ends: Instant,
-    next_departure: Option<Instant>,
-    rng: SimRng,
     sent: Vec<SentRecord>,
     rtts: Vec<RttRecord>,
 }
 
-impl TrafficSender {
-    /// Creates a sender for `spec` from `src_addr` (may be unspecified —
-    /// the node's routing fills it) to `dst_addr`, starting at `start`.
-    pub fn new(
-        spec: FlowSpec,
-        flow_id: u32,
-        src_addr: Ipv4Address,
-        dst_addr: Ipv4Address,
-        start: Instant,
-        seed: u64,
-    ) -> TrafficSender {
-        let src = Endpoint::new(src_addr, spec.sport);
-        let dst = Endpoint::new(dst_addr, spec.dport);
-        let ends = start + spec.duration;
-        TrafficSender {
-            spec,
+impl Probe {
+    /// A probe of flow `flow_id` from local port `sport` to
+    /// `dst_addr:dport`.
+    pub fn new(flow_id: u32, sport: u16, dst_addr: Ipv4Address, dport: u16) -> Probe {
+        Probe {
             flow_id,
-            src,
-            dst,
-            next_seq: 0,
-            start,
-            ends,
-            next_departure: Some(start),
-            rng: SimRng::seed_from_u64(seed),
+            src: Endpoint::new(Ipv4Address::UNSPECIFIED, sport),
+            dst: Endpoint::new(dst_addr, dport),
             sent: Vec::new(),
             rtts: Vec::new(),
         }
     }
 
-    /// The flow spec.
-    pub fn spec(&self) -> &FlowSpec {
-        &self.spec
+    /// Sends probe `seq` at `at`: a `size`-byte payload from `pool`
+    /// stamped with the header, logged as a [`SentRecord`].
+    pub fn send(
+        &mut self,
+        seq: u32,
+        size: usize,
+        at: Instant,
+        ids: &mut PacketIdAllocator,
+        pool: &mut BufferPool,
+    ) -> Packet {
+        let packet = stamped((seq, self.flow_id, at), size, (self.src, self.dst), at, ids, pool);
+        self.sent.push(SentRecord { seq, tx: at, payload: size });
+        packet
     }
 
-    /// Flow start time.
-    pub fn start_time(&self) -> Instant {
-        self.start
+    /// The `(seq, tx)` of `packet` if it is an echo of this flow.
+    pub fn echo(&self, packet: &Packet) -> Option<(u32, Instant)> {
+        header_of(packet, self.flow_id)
+    }
+
+    /// Logs an RTT sample of `rtt` for probe `seq` sent at `tx`.
+    pub fn record_rtt(&mut self, seq: u32, tx: Instant, rtt: Duration) {
+        self.rtts.push(RttRecord { seq, tx, rtt });
+    }
+
+    /// The send log (one record per transmission).
+    pub fn sent(&self) -> &[SentRecord] {
+        &self.sent
+    }
+
+    /// The RTT log.
+    pub fn rtts(&self) -> &[RttRecord] {
+        &self.rtts
+    }
+}
+
+/// The `(seq, tx)` of `packet` if its header names flow `flow_id`.
+fn header_of(packet: &Packet, flow_id: u32) -> Option<(u32, Instant)> {
+    let (seq, flow, tx) = parse_header(&packet.payload)?;
+    (flow == flow_id).then_some((seq, tx))
+}
+
+/// A UDP packet created at `at` whose `size`-byte payload, taken from
+/// `pool`, carries `header` (`(seq, flow_id, tx)`).
+fn stamped(
+    header: (u32, u32, Instant),
+    size: usize,
+    (src, dst): (Endpoint, Endpoint),
+    at: Instant,
+    ids: &mut PacketIdAllocator,
+    pool: &mut BufferPool,
+) -> Packet {
+    let (seq, flow_id, tx) = header;
+    let mut payload = pool.take(size);
+    encode_header(&mut payload, seq, flow_id, tx);
+    Packet::udp(ids.allocate(), src, dst, payload, at)
+}
+
+/// The ITGSend equivalent.
+#[derive(Debug)]
+pub struct TrafficSender {
+    spec: FlowSpec,
+    probe: Probe,
+    next_seq: u32,
+    ends: Instant,
+    next_departure: Option<Instant>,
+    rng: SimRng,
+}
+
+impl TrafficSender {
+    /// Creates a sender of flow `flow_id` for `spec` toward `dst_addr`,
+    /// starting at `start`.
+    pub fn new(
+        spec: FlowSpec,
+        flow_id: u32,
+        dst_addr: Ipv4Address,
+        start: Instant,
+        seed: u64,
+    ) -> TrafficSender {
+        TrafficSender {
+            probe: Probe::new(flow_id, spec.sport, dst_addr, spec.dport),
+            ends: start + spec.duration,
+            spec,
+            next_seq: 0,
+            next_departure: Some(start),
+            rng: SimRng::seed_from_u64(seed),
+        }
     }
 
     /// When the next packet departs; `None` once the flow has ended.
@@ -160,12 +228,9 @@ impl TrafficSender {
             return None;
         }
         let size = self.spec.ps.sample(&mut self.rng);
-        let mut payload = pool.take(size);
         let seq = self.next_seq;
         self.next_seq += 1;
-        encode_header(&mut payload, seq, self.flow_id, due);
-        let packet = Packet::udp(ids.allocate(), self.src, self.dst, payload, due);
-        self.sent.push(SentRecord { seq, tx: due, payload: size });
+        let packet = self.probe.send(seq, size, due, ids, pool);
 
         let next = due + self.spec.idt.sample(&mut self.rng);
         self.next_departure = if next < self.ends { Some(next) } else { None };
@@ -174,23 +239,14 @@ impl TrafficSender {
 
     /// Handles a packet arriving at the sender's port (an echo reply).
     pub fn on_receive(&mut self, now: Instant, packet: &Packet) {
-        let Some((seq, flow, tx)) = parse_header(&packet.payload) else {
-            return;
-        };
-        if flow != self.flow_id {
-            return;
+        if let Some((seq, tx)) = self.probe.echo(packet) {
+            self.probe.record_rtt(seq, tx, now.saturating_duration_since(tx));
         }
-        self.rtts.push(RttRecord { seq, tx, rtt: now.saturating_duration_since(tx) });
     }
 
-    /// The send log.
-    pub fn sent(&self) -> &[SentRecord] {
-        &self.sent
-    }
-
-    /// The RTT log.
-    pub fn rtts(&self) -> &[RttRecord] {
-        &self.rtts
+    /// The probe endpoint with the send and RTT logs.
+    pub fn probe(&self) -> &Probe {
+        &self.probe
     }
 }
 
@@ -203,8 +259,6 @@ pub struct TrafficReceiver {
     // lint:allow(D1) per-packet duplicate filter; membership probes only, never iterated
     seen: std::collections::HashSet<u32>,
     duplicates: u64,
-    /// Payload size of echo replies.
-    echo_payload: usize,
 }
 
 impl TrafficReceiver {
@@ -217,12 +271,11 @@ impl TrafficReceiver {
             // lint:allow(D1) constructing the membership-only dup filter justified above
             seen: std::collections::HashSet::new(),
             duplicates: 0,
-            echo_payload: HEADER_LEN,
         }
     }
 
     /// Handles an arriving packet; returns the echo reply to send, if
-    /// RTT measurement is on.
+    /// RTT measurement is on. The echo is a bare header.
     pub fn on_receive(
         &mut self,
         now: Instant,
@@ -230,10 +283,7 @@ impl TrafficReceiver {
         ids: &mut PacketIdAllocator,
         pool: &mut BufferPool,
     ) -> Option<Packet> {
-        let (seq, flow, tx) = parse_header(&packet.payload)?;
-        if flow != self.flow_id {
-            return None;
-        }
+        let (seq, tx) = header_of(packet, self.flow_id)?;
         if !self.seen.insert(seq) {
             self.duplicates += 1;
             return None;
@@ -242,16 +292,9 @@ impl TrafficReceiver {
         if !self.echo {
             return None;
         }
-        let mut payload = pool.take(self.echo_payload);
-        encode_header(&mut payload, seq, self.flow_id, tx);
         // Reply from our endpoint back to the prober.
-        Some(Packet::udp(
-            ids.allocate(),
-            Endpoint::new(packet.dst.addr, packet.dst.port),
-            packet.src,
-            payload,
-            now,
-        ))
+        let route = (packet.dst, packet.src);
+        Some(stamped((seq, self.flow_id, tx), HEADER_LEN, route, now, ids, pool))
     }
 
     /// The receive log.
@@ -275,14 +318,7 @@ mod tests {
     }
 
     fn voip_sender() -> TrafficSender {
-        TrafficSender::new(
-            FlowSpec::voip_g711(),
-            1,
-            a("10.0.0.1"),
-            a("10.0.0.2"),
-            Instant::from_secs(1),
-            99,
-        )
+        TrafficSender::new(FlowSpec::voip_g711(), 1, a("10.0.0.2"), Instant::from_secs(1), 99)
     }
 
     #[test]
@@ -291,6 +327,20 @@ mod tests {
         encode_header(&mut buf, 42, 7, Instant::from_micros(123_456));
         assert_eq!(parse_header(&buf), Some((42, 7, Instant::from_micros(123_456))));
         assert_eq!(parse_header(&buf[..8]), None);
+    }
+
+    #[test]
+    fn header_bytes_are_pinned() {
+        let mut buf = [0u8; HEADER_LEN];
+        encode_header(&mut buf, 0x0102_0304, 0x0a0b_0c0d, Instant::from_micros(0x1122_3344_5566));
+        assert_eq!(
+            buf,
+            [
+                0x01, 0x02, 0x03, 0x04, // seq
+                0x0a, 0x0b, 0x0c, 0x0d, // flow id
+                0x00, 0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, // tx, microseconds
+            ]
+        );
     }
 
     #[test]
@@ -312,7 +362,7 @@ mod tests {
     #[test]
     fn sender_stops_at_duration() {
         let spec = FlowSpec::cbr(80_000, 100, Duration::from_secs(1));
-        let mut s = TrafficSender::new(spec, 1, a("1.1.1.1"), a("2.2.2.2"), Instant::ZERO, 5);
+        let mut s = TrafficSender::new(spec, 1, a("2.2.2.2"), Instant::ZERO, 5);
         let mut ids = PacketIdAllocator::new();
         let mut pool = BufferPool::new();
         let mut count = 0;
@@ -323,7 +373,7 @@ mod tests {
         // 80 kbps / 800 bits = 100 pps for 1 s.
         assert_eq!(count, 100);
         assert!(s.finished());
-        assert_eq!(s.sent().len(), 100);
+        assert_eq!(s.probe().sent().len(), 100);
     }
 
     #[test]
@@ -358,8 +408,8 @@ mod tests {
 
         // The echo closes the RTT loop at the sender.
         s.on_receive(t + Duration::from_millis(55), &echo);
-        assert_eq!(s.rtts().len(), 1);
-        assert_eq!(s.rtts()[0].rtt, Duration::from_millis(55));
+        assert_eq!(s.probe().rtts().len(), 1);
+        assert_eq!(s.probe().rtts()[0].rtt, Duration::from_millis(55));
     }
 
     #[test]
@@ -391,20 +441,14 @@ mod tests {
     #[test]
     fn sender_ignores_foreign_echoes() {
         let mut s = voip_sender();
-        let mut other = TrafficSender::new(
-            FlowSpec::voip_g711(),
-            9,
-            a("3.3.3.3"),
-            a("4.4.4.4"),
-            Instant::ZERO,
-            1,
-        );
+        let mut other =
+            TrafficSender::new(FlowSpec::voip_g711(), 9, a("4.4.4.4"), Instant::ZERO, 1);
         let mut ids = PacketIdAllocator::new();
         let mut pool = BufferPool::new();
         let t = other.next_departure().unwrap();
         let foreign = other.emit(t, &mut ids, &mut pool).unwrap();
         s.on_receive(t, &foreign);
-        assert!(s.rtts().is_empty());
+        assert!(s.probe().rtts().is_empty());
     }
 
     #[test]

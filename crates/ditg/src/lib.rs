@@ -8,8 +8,8 @@
 //!   Pareto, Cauchy);
 //! * [`flow`] — flow specifications, including the paper's two presets
 //!   ([`flow::FlowSpec::voip_g711`] and [`flow::FlowSpec::cbr_1mbps`]);
-//! * [`agent`] — the sender/receiver pair with per-packet logs and echo
-//!   probes for RTT;
+//! * [`agent`] — the probe endpoint (one header, packet and log path for
+//!   every sender) and the sender/receiver pair with echo probes for RTT;
 //! * [`decode`] — the ITGDec equivalent: bitrate / jitter / loss / RTT
 //!   over non-overlapping 200 ms windows, plus whole-flow summaries.
 //!
@@ -35,7 +35,7 @@ pub mod decode;
 pub mod flow;
 pub mod process;
 
-pub use agent::{RecvRecord, RttRecord, SentRecord, TrafficReceiver, TrafficSender};
+pub use agent::{Probe, RecvRecord, RttRecord, SentRecord, TrafficReceiver, TrafficSender};
 pub use decode::{Decoder, FlowSummary, TimeSeries, WindowStat};
 pub use flow::{FlowSpec, VoipCodec};
 pub use process::{Distribution, IdtProcess, PsProcess};

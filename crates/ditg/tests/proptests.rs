@@ -77,7 +77,7 @@ fn sender_schedule_is_consistent() {
         );
         spec.idt = IdtProcess::new(Distribution::Exponential { mean: 1.0 / pps });
         let start = Instant::from_secs(1);
-        let mut s = TrafficSender::new(spec, 1, a("1.1.1.1"), a("2.2.2.2"), start, seed);
+        let mut s = TrafficSender::new(spec, 1, a("2.2.2.2"), start, seed);
         let mut ids = PacketIdAllocator::new();
         let mut pool = umtslab_net::bytes::BufferPool::new();
         let mut last = None;
@@ -95,7 +95,7 @@ fn sender_schedule_is_consistent() {
             assert_eq!(tx, t);
             expected_seq += 1;
         }
-        assert_eq!(s.sent().len(), expected_seq as usize);
+        assert_eq!(s.probe().sent().len(), expected_seq as usize);
     }
 }
 
@@ -109,7 +109,7 @@ fn decode_conservation() {
         let n = meta.uniform_u64(1, 299) as usize;
         let delay_ms = meta.uniform_u64(1, 499);
         let spec = FlowSpec::cbr(80_000, 100, Duration::from_secs(30));
-        let mut s = TrafficSender::new(spec, 1, a("1.1.1.1"), a("2.2.2.2"), Instant::ZERO, 1);
+        let mut s = TrafficSender::new(spec, 1, a("2.2.2.2"), Instant::ZERO, 1);
         let mut r = TrafficReceiver::new(1, false);
         let mut ids = PacketIdAllocator::new();
         let mut pool = umtslab_net::bytes::BufferPool::new();
@@ -133,13 +133,13 @@ fn decode_conservation() {
         }
         assert_eq!(r.records().len() as u64, delivered);
         let decoder = Decoder::paper();
-        let summary = decoder.summary(s.sent(), r.records(), &[]);
+        let sent = s.probe().sent();
+        let summary = decoder.summary(sent, r.records(), &[]);
         assert_eq!(summary.sent, emitted.len() as u64);
         assert_eq!(summary.received, delivered);
         assert_eq!(summary.lost, emitted.len() as u64 - delivered);
 
-        let series =
-            decoder.series(Instant::ZERO, Duration::from_secs(30), s.sent(), r.records(), &[]);
+        let series = decoder.series(Instant::ZERO, Duration::from_secs(30), sent, r.records(), &[]);
         let windowed_lost: u64 = series.points.iter().map(|p| p.lost).sum();
         let windowed_recv: u64 = series.points.iter().map(|p| p.received).sum();
         assert_eq!(windowed_lost, summary.lost);
@@ -218,14 +218,13 @@ fn sent_log_matches_emissions() {
     let mut meta = SimRng::seed_from_u64(0x0407);
     for _ in 0..CASES {
         let spec = FlowSpec::poisson(500.0, 64, Duration::from_millis(200));
-        let mut s =
-            TrafficSender::new(spec, 3, a("1.1.1.1"), a("2.2.2.2"), Instant::ZERO, meta.next_u64());
+        let mut s = TrafficSender::new(spec, 3, a("2.2.2.2"), Instant::ZERO, meta.next_u64());
         let mut ids = PacketIdAllocator::new();
         let mut pool = umtslab_net::bytes::BufferPool::new();
         while let Some(t) = s.next_departure() {
             let _ = s.emit(t, &mut ids, &mut pool);
         }
-        let sent: &[SentRecord] = s.sent();
+        let sent: &[SentRecord] = s.probe().sent();
         for w in sent.windows(2) {
             assert!(w[1].tx > w[0].tx);
             assert_eq!(w[1].seq, w[0].seq + 1);

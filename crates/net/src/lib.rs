@@ -11,7 +11,7 @@
 //! * [`packet`] — the structured [`packet::Packet`] carried through the
 //!   simulator, serializable to honest IPv4+UDP bytes;
 //! * [`iface`] — interface descriptors (`eth0`, `ppp0`);
-//! * [`queue`] — drop-tail packet FIFOs and token buckets;
+//! * [`queue`] — drop-tail packet FIFOs;
 //! * [`link`] — analytic point-to-point pipes with rate, delay, jitter and
 //!   buffering;
 //! * [`mailbox`] — deterministic cross-shard packet handoff with the
@@ -76,7 +76,7 @@ pub use link::{
 };
 pub use mailbox::{Handoff, HandoffKind, Inbox, Outbox};
 pub use packet::{Mark, Packet, PacketId, PacketIdAllocator};
-pub use queue::{PacketQueue, QueueStats, TokenBucket};
+pub use queue::{PacketQueue, QueueStats};
 pub use route::{
     FlowKey, PolicyRule, Rib, Route, RouteDecision, RoutingTable, RuleSelector, TableId,
 };

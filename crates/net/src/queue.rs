@@ -1,12 +1,9 @@
-//! Packet queues and rate limiting.
+//! Packet queues.
 //!
 //! [`PacketQueue`] is a drop-tail FIFO bounded in both packets and bytes —
 //! the discipline of the PlanetLab node interfaces and of the operator-side
 //! UMTS buffers whose depth produces the multi-second RTTs measured in the
-//! paper's saturation experiment. [`TokenBucket`] provides the classic
-//! shaper used by fault injection and by the radio bearer pacing.
-
-use umtslab_sim::time::{Duration, Instant};
+//! paper's saturation experiment.
 
 use crate::packet::Packet;
 
@@ -102,100 +99,12 @@ impl PacketQueue {
     }
 }
 
-/// A token-bucket rate limiter / shaper.
-///
-/// Tokens are denominated in bytes and refill continuously at `rate_bps / 8`
-/// bytes per second up to `burst_bytes`.
-#[derive(Debug, Clone)]
-pub struct TokenBucket {
-    rate_bps: u64,
-    burst_bytes: u64,
-    /// Available tokens, in micro-byte fixed point to avoid rounding drift.
-    tokens_ub: u64,
-    last_refill: Instant,
-}
-
-const UB: u64 = 1_000_000; // micro-bytes per byte
-
-impl TokenBucket {
-    /// Creates a bucket that is initially full.
-    pub fn new(rate_bps: u64, burst_bytes: u64) -> TokenBucket {
-        TokenBucket {
-            rate_bps,
-            burst_bytes,
-            tokens_ub: burst_bytes.saturating_mul(UB),
-            last_refill: Instant::ZERO,
-        }
-    }
-
-    /// The configured rate in bits per second.
-    pub fn rate_bps(&self) -> u64 {
-        self.rate_bps
-    }
-
-    /// Changes the refill rate (tokens already accrued are kept).
-    pub fn set_rate(&mut self, now: Instant, rate_bps: u64) {
-        self.refill(now);
-        self.rate_bps = rate_bps;
-    }
-
-    /// Whole tokens (bytes) currently available.
-    pub fn available(&mut self, now: Instant) -> u64 {
-        self.refill(now);
-        self.tokens_ub / UB
-    }
-
-    /// Tries to spend `bytes` tokens; returns whether the send conforms.
-    pub fn try_consume(&mut self, now: Instant, bytes: usize) -> bool {
-        self.refill(now);
-        let need = (bytes as u64).saturating_mul(UB);
-        if self.tokens_ub >= need {
-            self.tokens_ub -= need;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// How long until `bytes` tokens will be available, assuming no other
-    /// consumption. [`Duration::ZERO`] if available now; [`Duration::MAX`]
-    /// if the bucket can never hold that many (bytes > burst) or the rate
-    /// is zero.
-    pub fn time_until(&mut self, now: Instant, bytes: usize) -> Duration {
-        self.refill(now);
-        let need = (bytes as u64).saturating_mul(UB);
-        if self.tokens_ub >= need {
-            return Duration::ZERO;
-        }
-        if self.rate_bps == 0 || bytes as u64 > self.burst_bytes {
-            return Duration::MAX;
-        }
-        let deficit_ub = need - self.tokens_ub;
-        // rate in micro-bytes per second = rate_bps / 8 * UB
-        let rate_ub_per_sec = self.rate_bps as u128 * UB as u128 / 8;
-        // lint:allow(D4) rate→time conversion scratch; immediately wrapped in Duration below
-        let micros = (deficit_ub as u128 * 1_000_000).div_ceil(rate_ub_per_sec);
-        Duration::from_micros(micros.min(u64::MAX as u128) as u64)
-    }
-
-    fn refill(&mut self, now: Instant) {
-        if now <= self.last_refill {
-            return;
-        }
-        let elapsed = now.duration_since(self.last_refill);
-        self.last_refill = now;
-        // bytes accrued = rate_bps / 8 * seconds; in micro-bytes:
-        let add = self.rate_bps as u128 * elapsed.total_micros() as u128 / 8;
-        let cap = self.burst_bytes.saturating_mul(UB);
-        self.tokens_ub = (self.tokens_ub as u128 + add).min(cap as u128) as u64;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packet::{Packet, PacketId};
     use crate::wire::{Endpoint, Ipv4Address};
+    use umtslab_sim::time::Instant;
 
     fn pkt(id: u64, payload: usize) -> Packet {
         Packet::udp(
@@ -270,63 +179,5 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.bytes(), 0);
         assert_eq!(q.stats().dropped, 2);
-    }
-
-    #[test]
-    fn bucket_starts_full() {
-        let mut tb = TokenBucket::new(8_000, 1000);
-        assert!(tb.try_consume(Instant::ZERO, 1000));
-        assert!(!tb.try_consume(Instant::ZERO, 1));
-    }
-
-    #[test]
-    fn bucket_refills_at_rate() {
-        // 8000 bps = 1000 bytes/s = 1 byte/ms.
-        let mut tb = TokenBucket::new(8_000, 1000);
-        assert!(tb.try_consume(Instant::ZERO, 1000));
-        assert!(!tb.try_consume(Instant::from_millis(499), 500));
-        assert!(tb.try_consume(Instant::from_millis(500), 500));
-    }
-
-    #[test]
-    fn bucket_caps_at_burst() {
-        let mut tb = TokenBucket::new(8_000, 100);
-        // After a long idle period, tokens cap at burst.
-        assert_eq!(tb.available(Instant::from_secs(60)), 100);
-    }
-
-    #[test]
-    fn time_until_is_exact() {
-        let mut tb = TokenBucket::new(8_000, 1000);
-        assert!(tb.try_consume(Instant::ZERO, 1000));
-        // Need 250 bytes: at 1 byte/ms that is 250 ms.
-        assert_eq!(tb.time_until(Instant::ZERO, 250), Duration::from_millis(250));
-        assert_eq!(tb.time_until(Instant::ZERO, 0), Duration::ZERO);
-        // More than burst can never be satisfied.
-        assert_eq!(tb.time_until(Instant::ZERO, 1001), Duration::MAX);
-    }
-
-    #[test]
-    fn zero_rate_never_refills() {
-        let mut tb = TokenBucket::new(0, 100);
-        assert!(tb.try_consume(Instant::ZERO, 100));
-        assert_eq!(tb.time_until(Instant::from_secs(10), 1), Duration::MAX);
-    }
-
-    #[test]
-    fn set_rate_takes_effect() {
-        let mut tb = TokenBucket::new(8_000, 1000);
-        tb.try_consume(Instant::ZERO, 1000);
-        tb.set_rate(Instant::ZERO, 16_000); // 2 bytes/ms now
-        assert!(tb.try_consume(Instant::from_millis(250), 500));
-    }
-
-    #[test]
-    fn time_until_then_consume_conforms() {
-        let mut tb = TokenBucket::new(56_000, 700);
-        assert!(tb.try_consume(Instant::ZERO, 700));
-        let wait = tb.time_until(Instant::ZERO, 700);
-        let at = Instant::ZERO + wait;
-        assert!(tb.try_consume(at, 700), "tokens must be available after the computed wait");
     }
 }

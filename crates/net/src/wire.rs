@@ -368,11 +368,6 @@ impl<T: AsRef<[u8]>> Ipv4PacketView<T> {
         Ok(view)
     }
 
-    /// Releases the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// IP version field (always 4 for checked views).
     pub fn version(&self) -> u8 {
         self.buffer.as_ref()[0] >> 4
@@ -453,11 +448,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4PacketView<T> {
     /// Sets the TOS byte.
     pub fn set_tos(&mut self, tos: u8) {
         self.buffer.as_mut()[1] = tos;
-    }
-
-    /// Sets the total length field.
-    pub fn set_total_len(&mut self, len: u16) {
-        self.buffer.as_mut()[2..4].copy_from_slice(&len.to_be_bytes());
     }
 
     /// Sets the identification field.

@@ -21,13 +21,6 @@ pub struct CatalogEntry {
     pub pack: Pack,
 }
 
-impl CatalogEntry {
-    /// The flow labels, comma-joined for display.
-    pub fn flow_list(&self) -> String {
-        self.pack.flows.iter().map(|f| f.label.as_str()).collect::<Vec<_>>().join(",")
-    }
-}
-
 /// Loads every `*.toml` pack under `dir`, sorted by filename. A file
 /// that fails to parse fails the whole catalog — a broken shipped pack
 /// is a bug, not a row to skip.

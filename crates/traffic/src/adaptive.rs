@@ -10,10 +10,10 @@
 //! sender: given the same echo arrival times it reproduces the same
 //! level trajectory bit for bit.
 
-use umtslab_ditg::agent::{encode_header, parse_header, RttRecord, SentRecord, HEADER_LEN};
+use umtslab_ditg::agent::{Probe, HEADER_LEN};
 use umtslab_net::bytes::BufferPool;
 use umtslab_net::packet::{Packet, PacketIdAllocator};
-use umtslab_net::wire::{Endpoint, Ipv4Address};
+use umtslab_net::wire::Ipv4Address;
 use umtslab_sim::time::{serialization_time, Duration, Instant};
 
 /// A single recorded ladder move.
@@ -69,10 +69,7 @@ impl Default for AdaptiveConfig {
 #[derive(Debug)]
 pub struct AdaptiveSender {
     config: AdaptiveConfig,
-    flow_id: u32,
-    src: Endpoint,
-    dst: Endpoint,
-    start: Instant,
+    probe: Probe,
     ends: Instant,
     level: usize,
     next_seq: u32,
@@ -80,12 +77,11 @@ pub struct AdaptiveSender {
     epoch_start: Instant,
     epoch_delivered_bytes: u64,
     changes: Vec<LevelChange>,
-    sent: Vec<SentRecord>,
-    rtts: Vec<RttRecord>,
 }
 
 impl AdaptiveSender {
-    /// Creates a sender starting at `start` on the lowest ladder level.
+    /// Creates sender `flow_id` toward `dst_addr`, starting at `start` on
+    /// the lowest ladder level.
     ///
     /// # Panics
     ///
@@ -93,7 +89,6 @@ impl AdaptiveSender {
     pub fn new(
         config: AdaptiveConfig,
         flow_id: u32,
-        src_addr: Ipv4Address,
         dst_addr: Ipv4Address,
         start: Instant,
     ) -> AdaptiveSender {
@@ -102,35 +97,22 @@ impl AdaptiveSender {
             config.ladder_bps.windows(2).all(|w| w[0] < w[1]),
             "ladder must be strictly increasing"
         );
-        let src = Endpoint::new(src_addr, config.sport);
-        let dst = Endpoint::new(dst_addr, config.dport);
-        let ends = start + config.duration;
         AdaptiveSender {
+            probe: Probe::new(flow_id, config.sport, dst_addr, config.dport),
+            ends: start + config.duration,
             config,
-            flow_id,
-            src,
-            dst,
-            start,
-            ends,
             level: 0,
             next_seq: 0,
             next_frame: start,
             epoch_start: start,
             epoch_delivered_bytes: 0,
             changes: Vec::new(),
-            sent: Vec::new(),
-            rtts: Vec::new(),
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &AdaptiveConfig {
         &self.config
-    }
-
-    /// Stream start time.
-    pub fn start_time(&self) -> Instant {
-        self.start
     }
 
     /// Current ladder level index.
@@ -148,14 +130,10 @@ impl AdaptiveSender {
         &self.changes
     }
 
-    /// The send log.
-    pub fn sent(&self) -> &[SentRecord] {
-        &self.sent
-    }
-
-    /// RTT samples from echoed frames.
-    pub fn rtts(&self) -> &[RttRecord] {
-        &self.rtts
+    /// The probe endpoint with the send log and the RTT samples from
+    /// echoed frames.
+    pub fn probe(&self) -> &Probe {
+        &self.probe
     }
 
     /// Inter-frame gap at the current level: the time the current level
@@ -180,13 +158,9 @@ impl AdaptiveSender {
             return None;
         }
         self.maybe_adapt(now);
-        let size = self.config.frame_bytes.max(HEADER_LEN);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let mut payload = pool.take(size);
-        encode_header(&mut payload, seq, self.flow_id, now);
-        let packet = Packet::udp(ids.allocate(), self.src, self.dst, payload, now);
-        self.sent.push(SentRecord { seq, tx: now, payload: size });
+        let packet = self.probe.send(seq, self.config.frame_bytes.max(HEADER_LEN), now, ids, pool);
         self.next_frame = self.next_frame.max(now) + self.frame_gap();
         Some(packet)
     }
@@ -194,14 +168,11 @@ impl AdaptiveSender {
     /// Handles an echoed frame: credits the epoch's delivered byte count
     /// and records the RTT sample.
     pub fn on_receive(&mut self, now: Instant, packet: &Packet) {
-        let Some((seq, flow, tx)) = parse_header(&packet.payload) else {
+        let Some((seq, tx)) = self.probe.echo(packet) else {
             return;
         };
-        if flow != self.flow_id {
-            return;
-        }
         self.epoch_delivered_bytes += self.config.frame_bytes as u64;
-        self.rtts.push(RttRecord { seq, tx, rtt: now.saturating_duration_since(tx) });
+        self.probe.record_rtt(seq, tx, now.saturating_duration_since(tx));
         self.maybe_adapt(now);
     }
 
@@ -261,7 +232,7 @@ mod tests {
 
     fn sender(duration: Duration) -> AdaptiveSender {
         let config = AdaptiveConfig { duration, ..AdaptiveConfig::default() };
-        AdaptiveSender::new(config, 7, a("10.0.0.1"), a("10.0.0.2"), Instant::ZERO)
+        AdaptiveSender::new(config, 7, a("10.0.0.2"), Instant::ZERO)
     }
 
     /// Drives the sender against an echo path that delivers every frame
@@ -342,7 +313,7 @@ mod tests {
         let run = || {
             let s = sender(Duration::from_secs(10));
             let s = run_capped(s, 300_000, Instant::from_secs(11));
-            (s.level_changes().to_vec(), s.sent().len())
+            (s.level_changes().to_vec(), s.probe().sent().len())
         };
         assert_eq!(run(), run());
     }
@@ -363,6 +334,6 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn ladder_must_increase() {
         let config = AdaptiveConfig { ladder_bps: vec![100, 100], ..AdaptiveConfig::default() };
-        AdaptiveSender::new(config, 1, a("10.0.0.1"), a("10.0.0.2"), Instant::ZERO);
+        AdaptiveSender::new(config, 1, a("10.0.0.2"), Instant::ZERO);
     }
 }

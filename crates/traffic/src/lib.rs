@@ -6,8 +6,8 @@
 //!
 //! * [`trace`] — a zero-dependency recorded-trace format (CSV or a JSON
 //!   subset) describing time-varying link capacity and loss, parsed into
-//!   integer [`TraceSegment`]s and installed on a `net` pipe as a
-//!   [`umtslab_net::link::LinkSchedule`]. The serializer is canonical:
+//!   integer [`umtslab_net::link::LinkSegment`]s and installed on a `net`
+//!   pipe as a [`umtslab_net::link::LinkSchedule`]. The serializer is canonical:
 //!   `serialize(parse(t))` is a fixed point, the same round-trip
 //!   discipline the pack format uses.
 //! * [`adaptive`] — a deterministic video-like [`AdaptiveSender`] that
@@ -32,4 +32,4 @@ pub mod trace;
 pub use adaptive::{AdaptiveConfig, AdaptiveSender, LevelChange};
 pub use scenario::{report_hash, PolicyReport, SwitchingPolicy};
 pub use tcp::{TcpConfig, TcpFlow, TcpStats};
-pub use trace::{fmt_secs, Trace, TraceError, TraceSegment, MAX_LOSS_PPM};
+pub use trace::{fmt_secs, Trace, TraceError, MAX_LOSS_PPM};

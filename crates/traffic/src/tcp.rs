@@ -26,10 +26,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use umtslab_ditg::agent::{encode_header, parse_header, RttRecord, SentRecord, HEADER_LEN};
+use umtslab_ditg::agent::{Probe, HEADER_LEN};
 use umtslab_net::bytes::BufferPool;
 use umtslab_net::packet::{Packet, PacketIdAllocator};
-use umtslab_net::wire::{Endpoint, Ipv4Address};
+use umtslab_net::wire::Ipv4Address;
 use umtslab_sim::time::{Duration, Instant};
 
 /// Tuning knobs of a [`TcpFlow`].
@@ -89,9 +89,7 @@ pub struct TcpStats {
 #[derive(Debug)]
 pub struct TcpFlow {
     config: TcpConfig,
-    flow_id: u32,
-    src: Endpoint,
-    dst: Endpoint,
+    probe: Probe,
     start: Instant,
     ends: Instant,
     /// Congestion window in bytes.
@@ -127,30 +125,18 @@ pub struct TcpFlow {
     /// When the pending RTO fires (armed while data is in flight).
     timer: Option<Instant>,
     stats: TcpStats,
-    sent: Vec<SentRecord>,
-    rtts: Vec<RttRecord>,
 }
 
 impl TcpFlow {
-    /// Creates a flow from `src_addr` to `dst_addr` starting at `start`.
-    pub fn new(
-        config: TcpConfig,
-        flow_id: u32,
-        src_addr: Ipv4Address,
-        dst_addr: Ipv4Address,
-        start: Instant,
-    ) -> TcpFlow {
+    /// Creates flow `flow_id` toward `dst_addr` starting at `start`.
+    pub fn new(config: TcpConfig, flow_id: u32, dst_addr: Ipv4Address, start: Instant) -> TcpFlow {
         let mss = config.mss as u64;
         let cwnd = config.initial_window * mss;
         let ssthresh = config.initial_ssthresh * mss;
         let ends = start + config.duration;
-        let src = Endpoint::new(src_addr, config.sport);
-        let dst = Endpoint::new(dst_addr, config.dport);
         TcpFlow {
+            probe: Probe::new(flow_id, config.sport, dst_addr, config.dport),
             config,
-            flow_id,
-            src,
-            dst,
             start,
             ends,
             cwnd,
@@ -168,19 +154,12 @@ impl TcpFlow {
             backoff: 1,
             timer: None,
             stats: TcpStats { max_cwnd_bytes: cwnd, ..TcpStats::default() },
-            sent: Vec::new(),
-            rtts: Vec::new(),
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &TcpConfig {
         &self.config
-    }
-
-    /// Flow start time.
-    pub fn start_time(&self) -> Instant {
-        self.start
     }
 
     /// Aggregate counters so far.
@@ -198,14 +177,10 @@ impl TcpFlow {
         self.srtt
     }
 
-    /// The send log (one record per transmission, retransmits included).
-    pub fn sent(&self) -> &[SentRecord] {
-        &self.sent
-    }
-
-    /// The RTT log (Karn-filtered samples).
-    pub fn rtts(&self) -> &[RttRecord] {
-        &self.rtts
+    /// The probe endpoint: one send record per transmission,
+    /// retransmits included, and Karn-filtered RTT samples.
+    pub fn probe(&self) -> &Probe {
+        &self.probe
     }
 
     /// Bytes currently in flight (transmitted, not yet acknowledged).
@@ -275,11 +250,7 @@ impl TcpFlow {
             return None;
         };
 
-        let size = self.config.mss.max(HEADER_LEN);
-        let mut payload = pool.take(size);
-        encode_header(&mut payload, seq, self.flow_id, now);
-        let packet = Packet::udp(ids.allocate(), self.src, self.dst, payload, now);
-        self.sent.push(SentRecord { seq, tx: now, payload: size });
+        let packet = self.probe.send(seq, self.config.mss.max(HEADER_LEN), now, ids, pool);
         self.stats.transmissions += 1;
         if is_rtx {
             self.stats.retransmits += 1;
@@ -294,12 +265,9 @@ impl TcpFlow {
 
     /// Handles an echo (ACK) arriving at the sender.
     pub fn on_receive(&mut self, now: Instant, packet: &Packet) {
-        let Some((seq, flow, tx)) = parse_header(&packet.payload) else {
+        let Some((seq, tx)) = self.probe.echo(packet) else {
             return;
         };
-        if flow != self.flow_id {
-            return;
-        }
         if seq < self.cum_ack || self.sacked.contains(&seq) {
             return; // stale or already-counted acknowledgement
         }
@@ -310,7 +278,7 @@ impl TcpFlow {
                 let sample = now.saturating_duration_since(sent);
                 self.update_rtt(sample);
                 self.backoff = 1;
-                self.rtts.push(RttRecord { seq, tx, rtt: sample });
+                self.probe.record_rtt(seq, tx, sample);
             }
         }
 
@@ -435,6 +403,7 @@ impl TcpFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use umtslab_ditg::agent::parse_header;
     use umtslab_ditg::TrafficReceiver;
 
     fn a(s: &str) -> Ipv4Address {
@@ -443,7 +412,7 @@ mod tests {
 
     fn flow(duration: Duration) -> TcpFlow {
         let config = TcpConfig { duration, ..TcpConfig::default() };
-        TcpFlow::new(config, 1, a("10.0.0.1"), a("10.0.0.2"), Instant::ZERO)
+        TcpFlow::new(config, 1, a("10.0.0.2"), Instant::ZERO)
     }
 
     /// Runs the flow against a perfect fixed-RTT echo path.
@@ -497,7 +466,7 @@ mod tests {
         let lo = Duration::from_millis(110);
         let hi = Duration::from_millis(130);
         assert!(srtt >= lo && srtt <= hi, "srtt drifted: {srtt}");
-        assert!(!f.rtts().is_empty());
+        assert!(!f.probe().rtts().is_empty());
     }
 
     #[test]
@@ -590,7 +559,7 @@ mod tests {
         assert_eq!(f.stats().timeouts, 1);
         assert_eq!(f.cwnd_bytes(), 1_024, "window collapses to one MSS");
         // Karn: no RTT samples were ever taken from the retransmission.
-        assert!(f.rtts().is_empty());
+        assert!(f.probe().rtts().is_empty());
     }
 
     #[test]
@@ -622,7 +591,7 @@ mod tests {
         let run = || {
             let f = flow(Duration::from_secs(1));
             let f = run_lossless(f, Duration::from_millis(80), Instant::from_secs(2));
-            (f.sent().to_vec(), f.stats())
+            (f.probe().sent().to_vec(), f.stats())
         };
         let (a, sa) = run();
         let (b, sb) = run();

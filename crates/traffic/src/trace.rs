@@ -32,24 +32,13 @@ use umtslab_net::link::{LinkSchedule, LinkSegment};
 use umtslab_sim::rng::SimRng;
 use umtslab_sim::time::Duration;
 
-/// One piecewise-constant segment of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceSegment {
-    /// Offset from the start of the replay at which this segment begins.
-    pub at: Duration,
-    /// Link capacity while the segment is active, in bits per second.
-    pub rate_bps: u64,
-    /// Random loss while the segment is active, in parts per million.
-    pub loss_ppm: u32,
-}
-
 /// A parsed link trace: a name and its ordered segments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Trace name (from the header line).
     pub name: String,
-    /// Segments in strictly increasing `at` order; never empty.
-    pub segments: Vec<TraceSegment>,
+    /// Segments in strictly increasing `start` order; never empty.
+    pub segments: Vec<LinkSegment>,
 }
 
 /// A parse failure with its position in the input.
@@ -112,18 +101,23 @@ impl Trace {
                 }
                 continue;
             }
-            let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-            if fields.len() != 3 {
+            // Each field with its 1-based column in `raw`.
+            let mut col = raw.len() - raw.trim_start().len() + 1;
+            let mut fields = Vec::with_capacity(3);
+            for field in line.split(',') {
+                fields.push((field.trim(), col + field.len() - field.trim_start().len()));
+                col += field.len() + 1;
+            }
+            let [(at, at_col), (rate, rate_col), (loss, loss_col)] = fields[..] else {
                 return err(lineno, 1, format!("expected 3 fields, got {}", fields.len()));
-            }
-            let col_of = |i: usize| raw.find(fields[i]).map_or(1, |p| p + 1);
-            let at = parse_secs(fields[0], lineno, col_of(0))?;
-            let rate_bps = parse_uint(fields[1], lineno, col_of(1), "rate_bps")?;
-            let loss_ppm = parse_uint(fields[2], lineno, col_of(2), "loss_ppm")?;
+            };
+            let start = parse_secs(at, lineno, at_col)?;
+            let rate_bps = parse_uint(rate, lineno, rate_col, "rate_bps")?;
+            let loss_ppm = parse_uint(loss, lineno, loss_col, "loss_ppm")?;
             if loss_ppm > u64::from(MAX_LOSS_PPM) {
-                return err(lineno, col_of(2), format!("loss_ppm exceeds {MAX_LOSS_PPM}"));
+                return err(lineno, loss_col, format!("loss_ppm exceeds {MAX_LOSS_PPM}"));
             }
-            segments.push(TraceSegment { at, rate_bps, loss_ppm: loss_ppm as u32 });
+            segments.push(LinkSegment { start, rate_bps, loss_ppm: loss_ppm as u32 });
             seg_lines.push(lineno);
         }
         Trace { name, segments }.validate(&seg_lines)
@@ -131,18 +125,13 @@ impl Trace {
 
     /// The total span covered before the final (infinite) segment.
     pub fn span(&self) -> Duration {
-        self.segments.last().map_or(Duration::ZERO, |s| s.at)
+        self.segments.last().map_or(Duration::ZERO, |s| s.start)
     }
 
     /// Converts the trace into the link-layer schedule that drives
     /// [`umtslab_net::link::Pipe`] replay.
     pub fn to_schedule(&self) -> LinkSchedule {
-        LinkSchedule::new(
-            self.segments
-                .iter()
-                .map(|s| LinkSegment { start: s.at, rate_bps: s.rate_bps, loss_ppm: s.loss_ppm })
-                .collect(),
-        )
+        LinkSchedule::new(self.segments.clone())
     }
 
     /// Validates ordering and bounds; `seg_lines[i]` is the input line
@@ -156,10 +145,10 @@ impl Trace {
         }
         for (i, seg) in self.segments.iter().enumerate() {
             let (line, col) = (seg_lines[i], 1);
-            if i == 0 && !seg.at.is_zero() {
+            if i == 0 && !seg.start.is_zero() {
                 return err(line, col, "first segment must start at 0");
             }
-            if i > 0 && seg.at <= self.segments[i - 1].at {
+            if i > 0 && seg.start <= self.segments[i - 1].start {
                 return err(line, col, "segment offsets must strictly increase");
             }
             if seg.loss_ppm > MAX_LOSS_PPM {
@@ -189,7 +178,7 @@ pub fn serialize(trace: &Trace) -> String {
     out.push_str(&format!("# umtslab-trace v1 name={}\n", trace.name));
     out.push_str("# at_s,rate_bps,loss_ppm\n");
     for seg in &trace.segments {
-        out.push_str(&format!("{},{},{}\n", fmt_secs(seg.at), seg.rate_bps, seg.loss_ppm));
+        out.push_str(&format!("{},{},{}\n", fmt_secs(seg.start), seg.rate_bps, seg.loss_ppm));
     }
     out
 }
@@ -250,11 +239,11 @@ fn parse_uint(tok: &str, line: usize, col: usize, what: &str) -> Result<u64, Tra
 pub fn random_trace(seed: u64) -> Trace {
     let mut rng = SimRng::seed_from_u64(seed ^ 0x7261_6365);
     let n = rng.uniform_u64(1, 40) as usize;
-    let mut at = Duration::ZERO;
+    let mut start = Duration::ZERO;
     let mut segments = Vec::with_capacity(n);
     for i in 0..n {
         if i > 0 {
-            at += Duration::from_micros(rng.uniform_u64(1, 30_000_000));
+            start += Duration::from_micros(rng.uniform_u64(1, 30_000_000));
         }
         let rate_bps = match rng.uniform_u64(0, 3) {
             0 => rng.uniform_u64(8_000, 64_000),
@@ -267,7 +256,7 @@ pub fn random_trace(seed: u64) -> Trace {
         } else {
             0
         };
-        segments.push(TraceSegment { at, rate_bps, loss_ppm });
+        segments.push(LinkSegment { start, rate_bps, loss_ppm });
     }
     Trace { name: format!("random-{seed}"), segments }
 }
@@ -289,7 +278,7 @@ mod tests {
         let t = Trace::parse(CSV).unwrap();
         assert_eq!(t.name, "drive");
         assert_eq!(t.segments.len(), 3);
-        assert_eq!(t.segments[1].at, Duration::from_micros(2_500_000));
+        assert_eq!(t.segments[1].start, Duration::from_micros(2_500_000));
         assert_eq!(t.segments[1].rate_bps, 128_000);
         assert_eq!(t.segments[1].loss_ppm, 12_000);
         assert_eq!(t.span(), Duration::from_micros(7_250_000));
@@ -329,6 +318,20 @@ mod tests {
         // line with a spanned error instead of panicking.
         let e = Trace::parse("{\"name\": \"x\", \"segments\": [{\"at_s\": 0}]}").unwrap_err();
         assert_eq!(e.line, 1, "{e}");
+    }
+
+    #[test]
+    fn error_columns_point_at_the_offending_field() {
+        // The bad field repeats text that occurs earlier on its line.
+        let e = Trace::parse("# umtslab-trace v1 name=x\n1.5,1.5,0\n").unwrap_err();
+        assert_eq!((e.line, e.col), (2, 5), "{e}");
+        assert!(e.message.contains("rate_bps"), "{e}");
+        let e = Trace::parse("# umtslab-trace v1 name=x\n0.000000,2000000,2000000\n").unwrap_err();
+        assert_eq!((e.line, e.col), (2, 18), "{e}");
+        assert!(e.message.contains("loss_ppm"), "{e}");
+        // Padding around a field is not part of its column.
+        let e = Trace::parse("# umtslab-trace v1 name=x\n  0.0 ,  1.5,0\n").unwrap_err();
+        assert_eq!((e.line, e.col), (2, 10), "{e}");
     }
 
     #[test]

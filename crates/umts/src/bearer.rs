@@ -12,7 +12,7 @@
 
 use umtslab_net::link::JitterModel;
 use umtslab_net::packet::Packet;
-use umtslab_net::queue::{PacketQueue, QueueStats};
+use umtslab_net::queue::PacketQueue;
 use umtslab_sim::rng::SimRng;
 use umtslab_sim::time::{Duration, Instant};
 
@@ -166,11 +166,6 @@ impl UmtsBearer {
     /// Lifetime counters.
     pub fn stats(&self) -> BearerStats {
         self.stats
-    }
-
-    /// Queue counters (enqueued/dequeued/dropped).
-    pub fn queue_stats(&self) -> QueueStats {
-        self.queue.stats()
     }
 
     /// Offers a packet at `now`. On buffer overflow the packet is

@@ -156,11 +156,6 @@ impl<H: OptionHandler> CpFsm<H> {
         &self.handler
     }
 
-    /// Mutable access to the protocol handler.
-    pub fn handler_mut(&mut self) -> &mut H {
-        &mut self.handler
-    }
-
     /// The next restart-timer expiry, if one is armed.
     pub fn next_timeout(&self) -> Option<Instant> {
         self.restart_deadline

@@ -6,8 +6,6 @@
 //! operator's GGSN configuration, which `wvdial` answers with the
 //! subscriber credentials.
 
-use umtslab_net::wire::Ipv4Address;
-
 use super::frame::CpOption;
 use super::fsm::{OptionHandler, PeerJudgement};
 
@@ -201,12 +199,6 @@ pub fn echo_payload(magic: u32) -> Vec<u8> {
 /// Extracts the magic from an echo payload.
 pub fn echo_magic(data: &[u8]) -> Option<u32> {
     data.get(..4).and_then(|b| <[u8; 4]>::try_from(b).ok()).map(u32::from_be_bytes)
-}
-
-/// Converts an IPv4 address to the `u32` used in IPCP options (re-exported
-/// here for symmetry with `echo_magic`).
-pub fn addr_to_u32(addr: Ipv4Address) -> u32 {
-    addr.to_u32()
 }
 
 #[cfg(test)]
