@@ -2,27 +2,25 @@
 //!
 //! The headline scenario of the supervisor subsystem: the Section 3
 //! two-node testbed runs the 72 kbps G.711 VoIP workload over the UMTS
-//! path while a seeded [`FaultPlan`] attacks the session (LCP terminates,
-//! modem hangs, operator detaches, ...). A
-//! [`SessionSupervisor`](umtslab_supervisor::supervisor::SessionSupervisor)
-//! keeps
-//! re-establishing the session; the campaign reports how well it did
-//! (availability metrics, lifecycle marker trail) and gives the caller a
-//! checkpoint hook after every drop and recovery — `umtslab-verify` uses
+//! path while a seeded [`FaultPlan`](umtslab_supervisor::faults::FaultPlan)
+//! attacks the session (LCP terminates, modem hangs, operator detaches,
+//! ...). A [`SessionSupervisor`](umtslab_supervisor::supervisor::SessionSupervisor)
+//! keeps re-establishing the session; the campaign reports how well it
+//! did (availability metrics, lifecycle marker trail) and gives the caller
+//! a checkpoint hook after every drop and recovery — `umtslab-verify` uses
 //! it to prove that no recovery ever leaves stale routing state or a
 //! cross-slice leak behind.
 
 use umtslab_ditg::{Decoder, FlowSpec, FlowSummary};
 use umtslab_net::trace::TraceKind;
-use umtslab_net::wire::Ipv4Cidr;
 use umtslab_planetlab::node::Node;
 use umtslab_sim::time::{Duration, Instant};
-use umtslab_supervisor::faults::{CampaignConfig, FaultEvent, FaultPlan};
+use umtslab_supervisor::faults::{CampaignConfig, FaultEvent};
 use umtslab_supervisor::metrics::AvailabilityMetrics;
-use umtslab_supervisor::supervisor::{SupervisorConfig, SupervisorState};
+use umtslab_supervisor::supervisor::SupervisorState;
 use umtslab_umts::attachment::SessionFault;
 
-use crate::experiment::{ExperimentConfig, PathKind, TwoNodeTestbed, INRIA_ADDR};
+use crate::experiment::{ExperimentConfig, PathKind, TwoNodeTestbed};
 
 /// Configuration of one chaos campaign.
 #[derive(Debug, Clone)]
@@ -34,8 +32,6 @@ pub struct ChaosConfig {
     pub horizon: Duration,
     /// Fault-campaign parameters (window, mean gap, fault mix).
     pub campaign: CampaignConfig,
-    /// Supervisor tuning.
-    pub supervisor: SupervisorConfig,
 }
 
 impl ChaosConfig {
@@ -56,11 +52,7 @@ impl ChaosConfig {
                 SessionFault::BearerPreemption,
             ],
         };
-        let supervisor = SupervisorConfig {
-            destinations: vec![Ipv4Cidr::host(INRIA_ADDR)],
-            ..SupervisorConfig::default()
-        };
-        ChaosConfig { seed, horizon, campaign, supervisor }
+        ChaosConfig { seed, horizon, campaign }
     }
 }
 
@@ -99,19 +91,15 @@ pub fn run_chaos_campaign(
     // The probe runs almost wall to wall; what is lost while the session
     // recovers shows up in the summary, not as a truncated flow.
     spec.duration = cfg.horizon - Duration::from_secs(30);
-    let experiment = ExperimentConfig::paper(spec.clone(), PathKind::UmtsToEthernet, cfg.seed);
+    let experiment = ExperimentConfig::paper(spec, PathKind::UmtsToEthernet, cfg.seed);
     let mut env = TwoNodeTestbed::build(&experiment);
     env.tb.node_mut(env.napoli).trace.set_enabled(true);
+    let faults = env.supervise(cfg.seed, &cfg.campaign);
 
-    let plan = FaultPlan::seeded(cfg.seed, &cfg.campaign);
-    let faults = plan.events().to_vec();
-    env.tb.attach_supervisor(env.napoli, env.umts_slice, cfg.supervisor.clone());
-    env.tb.schedule_faults(env.napoli, plan);
-    env.tb.start_supervisor(env.napoli);
-
+    // The flow starts at a fixed instant, whether or not the first dial
+    // has landed by then.
     let flow_start = Instant::from_secs(15);
-    let dport = spec.dport;
-    let tx = env.tb.add_sender(env.napoli, env.umts_slice, spec, INRIA_ADDR, flow_start);
+    let (tx, _, dport) = env.add_measurement_flow(&experiment, flow_start);
     let rx = env.tb.add_receiver(env.inria, env.probe_slice, dport, tx, true);
 
     let horizon = Instant::ZERO + cfg.horizon;

@@ -14,7 +14,7 @@ use umtslab_net::wire::{Ipv4Address, Ipv4Cidr};
 use umtslab_planetlab::slice::SliceId;
 use umtslab_planetlab::umtscmd::{UmtsPhase, UmtsRequest};
 use umtslab_sim::time::{Duration, Instant};
-use umtslab_supervisor::faults::{CampaignConfig, FaultPlan};
+use umtslab_supervisor::faults::{CampaignConfig, FaultEvent, FaultPlan};
 use umtslab_supervisor::metrics::AvailabilityMetrics;
 use umtslab_supervisor::supervisor::SupervisorConfig;
 use umtslab_umts::at::DeviceProfile;
@@ -84,7 +84,9 @@ impl AccessLink {
 }
 
 /// A slice that exists on the testbed beyond the two the measurement
-/// needs — declarative packs use these to express ACL scenarios.
+/// needs — declarative packs use these to express ACL scenarios. A pack
+/// decodes each of its `[[slice]]`s, the sender and probe included, into
+/// one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtraSlice {
     /// Slice name.
@@ -169,6 +171,13 @@ pub struct ExperimentConfig {
     pub access: AccessLink,
     /// The slices to create and their `umts` ACL grants.
     pub slices: SlicePlan,
+    /// A seeded session-fault campaign against the UMTS session. When set,
+    /// a [`SessionSupervisor`] keeps the session alive and the run reports
+    /// [`ExperimentResult::availability`]; only the UMTS path has a session
+    /// to attack.
+    ///
+    /// [`SessionSupervisor`]: umtslab_supervisor::supervisor::SessionSupervisor
+    pub fault_plan: Option<CampaignConfig>,
 }
 
 impl ExperimentConfig {
@@ -188,6 +197,7 @@ impl ExperimentConfig {
             access_fault: FaultConfig::none(),
             access: AccessLink::paper(),
             slices: SlicePlan::paper(),
+            fault_plan: None,
         }
     }
 }
@@ -218,6 +228,9 @@ pub struct ExperimentResult {
     pub tcp: Option<umtslab_traffic::TcpStats>,
     /// RRC per-state dwell times of the UMTS attachment, when one exists.
     pub rrc_dwell: Option<umtslab_umts::RrcDwell>,
+    /// Session availability (uptime, drops, redials, MTBF/MTTR), when the
+    /// run was supervised ([`ExperimentConfig::fault_plan`]).
+    pub availability: Option<AvailabilityMetrics>,
 }
 
 /// Failure modes of a run.
@@ -361,28 +374,55 @@ impl TwoNodeTestbed {
 
     /// Issues `umts start` and runs until connected (or failure).
     pub fn umts_up(&mut self, horizon: Duration) -> Result<Duration, ExperimentError> {
-        let started = self.tb.now();
         self.tb
             .node_mut(self.napoli)
             .vsys_submit(self.umts_slice, UmtsRequest::Start)
             .map_err(|e| ExperimentError::UmtsConnectFailed(format!("vsys: {e:?}")))?;
-        let deadline = started + horizon;
+        self.wait_up(horizon)
+    }
+
+    /// Runs in 100 ms steps until the Napoli session is up, returning how
+    /// long that took. An unsupervised dial error fails at once; under a
+    /// supervisor, which redials on its own, only `horizon` ends the wait.
+    fn wait_up(&mut self, horizon: Duration) -> Result<Duration, ExperimentError> {
+        let started = self.tb.now();
+        let supervised = self.tb.supervisor(self.napoli).is_some();
         loop {
             self.tb.run_for(Duration::from_millis(100));
-            let status = self.tb.node(self.napoli).umts_status();
-            match status.phase {
+            let node = self.tb.node(self.napoli);
+            match node.umts_status().phase {
                 UmtsPhase::Up => return Ok(self.tb.now().duration_since(started)),
-                UmtsPhase::Down => {
-                    if let Some(err) = self.tb.node(self.napoli).last_dial_error() {
+                UmtsPhase::Down if !supervised => {
+                    if let Some(err) = node.last_dial_error() {
                         return Err(ExperimentError::UmtsConnectFailed(format!("{err:?}")));
                     }
                 }
                 _ => {}
             }
-            if self.tb.now() >= deadline {
-                return Err(ExperimentError::UmtsConnectFailed("timeout".to_string()));
+            if self.tb.now() >= started + horizon {
+                let why = if supervised { "timeout under supervision" } else { "timeout" };
+                return Err(ExperimentError::UmtsConnectFailed(why.to_string()));
             }
         }
+    }
+
+    /// Puts the Napoli session under a [`SessionSupervisor`] that keeps
+    /// the INRIA destination routed, schedules the campaign's
+    /// [`FaultPlan::seeded`] from `seed` and starts the supervisor (which
+    /// dials). Returns the scheduled faults.
+    ///
+    /// [`SessionSupervisor`]: umtslab_supervisor::supervisor::SessionSupervisor
+    pub(crate) fn supervise(&mut self, seed: u64, campaign: &CampaignConfig) -> Vec<FaultEvent> {
+        let supervisor = SupervisorConfig {
+            destinations: vec![Ipv4Cidr::host(INRIA_ADDR)],
+            ..SupervisorConfig::default()
+        };
+        let plan = FaultPlan::seeded(seed, campaign);
+        let faults = plan.events().to_vec();
+        self.tb.attach_supervisor(self.napoli, self.umts_slice, supervisor);
+        self.tb.schedule_faults(self.napoli, plan);
+        self.tb.start_supervisor(self.napoli);
+        faults
     }
 
     /// Registers the INRIA node as a UMTS destination.
@@ -395,90 +435,44 @@ impl TwoNodeTestbed {
     }
 }
 
-/// Runs one complete experiment.
+/// Runs one complete experiment: the plain paper method, or, when
+/// [`ExperimentConfig::fault_plan`] is set, a supervised run whose seeded
+/// fault campaign attacks the session while the flow is measured.
 pub fn run_experiment(cfg: ExperimentConfig) -> Result<ExperimentResult, ExperimentError> {
-    let mut env = TwoNodeTestbed::build(&cfg);
-    let mut connect_time = None;
-
-    if cfg.path == PathKind::UmtsToEthernet {
-        let dialed = env.umts_up(Duration::from_secs(120))?;
-        connect_time = Some(dialed);
-        env.register_destination();
-    }
-
-    let flow_start = env.tb.now() + cfg.settle;
-    let (tx, duration, dport) = env.add_measurement_flow(&cfg, flow_start);
-    let rx = env.tb.add_receiver(env.inria, env.probe_slice, dport, tx, true);
-
-    env.tb.run_until(flow_start + duration + cfg.drain);
-
-    Ok(collect_result(&env.tb, &cfg, tx, rx, flow_start, duration, connect_time))
-}
-
-/// An [`ExperimentResult`] measured under a session-fault campaign, with
-/// the supervisor's availability accounting alongside.
-#[derive(Debug, Clone)]
-pub struct SupervisedResult {
-    /// The flow measurement (same shape as an unsupervised run).
-    pub result: ExperimentResult,
-    /// Session availability (uptime, drops, redials, MTBF/MTTR).
-    pub availability: AvailabilityMetrics,
-}
-
-/// Runs one experiment with a [`SessionSupervisor`] keeping the UMTS
-/// session alive while a seeded fault campaign attacks it — the
-/// declarative-pack (`umtslab-pack`) counterpart of
-/// [`crate::chaos::run_chaos_campaign`], measuring an arbitrary workload
-/// instead of the fixed chaos VoIP probe.
-///
-/// The fault schedule is [`FaultPlan::seeded`] from the experiment seed,
-/// so supervised runs are as replayable as plain ones.
-///
-/// [`SessionSupervisor`]: umtslab_supervisor::supervisor::SessionSupervisor
-pub fn run_supervised_experiment(
-    cfg: ExperimentConfig,
-    campaign: &CampaignConfig,
-) -> Result<SupervisedResult, ExperimentError> {
-    if cfg.path != PathKind::UmtsToEthernet {
+    if cfg.fault_plan.is_some() && cfg.path != PathKind::UmtsToEthernet {
         return Err(ExperimentError::Unsupported(
             "a fault campaign needs a session to attack: supervised runs require the UMTS path"
                 .to_string(),
         ));
     }
     let mut env = TwoNodeTestbed::build(&cfg);
-    let supervisor = SupervisorConfig {
-        destinations: vec![Ipv4Cidr::host(INRIA_ADDR)],
-        ..SupervisorConfig::default()
-    };
-    env.tb.attach_supervisor(env.napoli, env.umts_slice, supervisor);
-    env.tb.schedule_faults(env.napoli, FaultPlan::seeded(cfg.seed, campaign));
-    env.tb.start_supervisor(env.napoli);
+    let mut connect_time = None;
 
-    // The supervisor dials and installs the destination route; wait for
-    // the first establishment as `umts_up` would.
-    let started = env.tb.now();
-    let deadline = started + Duration::from_secs(120);
-    loop {
-        env.tb.run_for(Duration::from_millis(100));
-        if env.tb.node(env.napoli).umts_status().phase == UmtsPhase::Up {
-            break;
-        }
-        if env.tb.now() >= deadline {
-            return Err(ExperimentError::UmtsConnectFailed(
-                "timeout under supervision".to_string(),
-            ));
-        }
+    if cfg.path == PathKind::UmtsToEthernet {
+        connect_time = Some(match &cfg.fault_plan {
+            None => {
+                let dialed = env.umts_up(Duration::from_secs(120))?;
+                env.register_destination();
+                dialed
+            }
+            // The supervisor dials and installs the destination route.
+            Some(campaign) => {
+                env.supervise(cfg.seed, campaign);
+                env.wait_up(Duration::from_secs(120))?
+            }
+        });
     }
-    let connect_time = Some(env.tb.now().duration_since(started));
 
     let flow_start = env.tb.now() + cfg.settle;
     let (tx, duration, dport) = env.add_measurement_flow(&cfg, flow_start);
     let rx = env.tb.add_receiver(env.inria, env.probe_slice, dport, tx, true);
+
     env.tb.run_until(flow_start + duration + cfg.drain);
 
-    let availability = env.tb.availability(env.napoli).expect("supervisor attached");
+    // Folding the supervisor's tail interval comes first, as it always has.
+    let availability = env.tb.availability(env.napoli);
     let result = collect_result(&env.tb, &cfg, tx, rx, flow_start, duration, connect_time);
-    Ok(SupervisedResult { result, availability })
+    Ok(ExperimentResult { availability, ..result })
 }
 
 /// Decodes logs into a result (shared by the ablation benches, which
@@ -509,6 +503,7 @@ pub fn collect_result(
         metrics: tb.metrics(),
         tcp: tb.tcp_stats(tx),
         rrc_dwell: tb.rrc_dwell_total(),
+        availability: None,
     }
 }
 
@@ -527,6 +522,35 @@ mod tests {
         let rtt = r.summary.mean_rtt.unwrap();
         assert!(rtt >= Duration::from_millis(23) && rtt <= Duration::from_millis(32), "rtt {rtt}");
         assert!(r.connect_time.is_none());
+        assert!(r.availability.is_none());
+    }
+
+    #[test]
+    fn a_fault_plan_needs_the_umts_path() {
+        let mut cfg =
+            ExperimentConfig::paper(FlowSpec::voip_g711(), PathKind::EthernetToEthernet, 15);
+        cfg.fault_plan = Some(CampaignConfig::default());
+        assert!(matches!(run_experiment(cfg), Err(ExperimentError::Unsupported(_))));
+    }
+
+    #[test]
+    fn availability_is_reported_exactly_for_supervised_runs() {
+        let mut spec = FlowSpec::voip_g711();
+        spec.duration = Duration::from_secs(10);
+        let plain = ExperimentConfig::paper(spec, PathKind::UmtsToEthernet, 16);
+        let mut supervised = plain.clone();
+        supervised.fault_plan = Some(CampaignConfig {
+            start: Instant::from_secs(8),
+            horizon: Instant::from_secs(20),
+            mean_gap: Duration::from_secs(4),
+            mix: vec![umtslab_umts::attachment::SessionFault::PppTerminate],
+        });
+        let r = run_experiment(plain).unwrap();
+        assert!(r.availability.is_none());
+        let r = run_experiment(supervised).unwrap();
+        assert!(r.connect_time.is_some(), "the supervisor dials");
+        let a = r.availability.expect("a supervised run reports availability");
+        assert!(a.sessions_established >= 1, "{a:?}");
     }
 
     #[test]

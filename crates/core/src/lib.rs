@@ -57,9 +57,8 @@ pub mod testbed;
 pub use chaos::{run_chaos_campaign, ChaosConfig, ChaosReport};
 pub use crosslayer::{run_switching_policy, CrosslayerConfig};
 pub use experiment::{
-    run_experiment, run_supervised_experiment, AccessLink, ExperimentConfig, ExperimentError,
-    ExperimentResult, ExtraSlice, FlowModel, NodeRole, PathKind, SlicePlan, SupervisedResult,
-    TwoNodeTestbed, INRIA_ADDR, NAPOLI_ADDR,
+    run_experiment, AccessLink, ExperimentConfig, ExperimentError, ExperimentResult, ExtraSlice,
+    FlowModel, NodeRole, PathKind, SlicePlan, TwoNodeTestbed, INRIA_ADDR, NAPOLI_ADDR,
 };
 pub use fleet::{
     metrics_members, render_metrics_json, run_fleet, run_fleet_with, FleetConfig, FleetReport,

@@ -37,7 +37,7 @@ pub enum LossModel {
 }
 
 /// Full fault-injection configuration for one link direction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultConfig {
     /// Loss process.
     pub loss: LossModel,

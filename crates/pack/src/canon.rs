@@ -10,9 +10,10 @@
 
 use std::fmt::Write;
 
-use umtslab_sim::time::Duration;
+use umtslab_net::fault::LossModel;
+use umtslab_sim::time::{Duration, Instant};
 
-use crate::schema::{FaultSpec, FlowKind, LossSpec, Pack};
+use crate::schema::{FaultSpec, FlowKind, Pack};
 
 /// Formats a float so that it re-parses as a float (never an int) and
 /// recovers the exact same `f64`.
@@ -72,14 +73,14 @@ pub fn serialize(pack: &Pack) -> String {
             let _ = writeln!(o, "\n[topology.fault]");
             let _ = writeln!(o, "preset = \"custom\"");
             match c.loss {
-                LossSpec::None => {
+                LossModel::None => {
                     let _ = writeln!(o, "loss = \"none\"");
                 }
-                LossSpec::Bernoulli { p } => {
+                LossModel::Bernoulli { p } => {
                     let _ = writeln!(o, "loss = \"bernoulli\"");
                     let _ = writeln!(o, "p = {}", fmt_float(p));
                 }
-                LossSpec::GilbertElliott { p_gb, p_bg, loss_good, loss_bad } => {
+                LossModel::GilbertElliott { p_gb, p_bg, loss_good, loss_bad } => {
                     let _ = writeln!(o, "loss = \"gilbert_elliott\"");
                     let _ = writeln!(o, "p_gb = {}", fmt_float(p_gb));
                     let _ = writeln!(o, "p_bg = {}", fmt_float(p_bg));
@@ -171,8 +172,8 @@ pub fn serialize(pack: &Pack) -> String {
 
     if let Some(fp) = &pack.fault_plan {
         let _ = writeln!(o, "\n[fault_plan]");
-        let _ = writeln!(o, "start_s = {}", fmt_secs(fp.start));
-        let _ = writeln!(o, "horizon_s = {}", fmt_secs(fp.horizon));
+        let _ = writeln!(o, "start_s = {}", fmt_secs(fp.start - Instant::ZERO));
+        let _ = writeln!(o, "horizon_s = {}", fmt_secs(fp.horizon - Instant::ZERO));
         let _ = writeln!(o, "mean_gap_s = {}", fmt_secs(fp.mean_gap));
         let mix: Vec<String> = fp.mix.iter().map(|f| format!("\"{}\"", f.key())).collect();
         let _ = writeln!(o, "mix = [{}]", mix.join(", "));

@@ -1,33 +1,17 @@
 //! Compiling a typed [`Pack`] onto the existing experiment machinery:
 //! every `[[flow]]` × every campaign seed becomes one
-//! [`ExperimentConfig`], plus an optional [`CampaignConfig`] when the
-//! pack declares a `[fault_plan]`.
+//! [`ExperimentConfig`], supervised under the pack's `[fault_plan]` when
+//! the flow rides the UMTS path.
 
 use umtslab::umtslab_traffic::{AdaptiveConfig, TcpConfig, Trace};
-use umtslab::{ExperimentConfig, ExtraSlice, FlowModel, NodeRole, PathKind, SlicePlan};
+use umtslab::{ExperimentConfig, FlowModel, NodeRole, PathKind, SlicePlan};
 use umtslab_ditg::FlowSpec;
-use umtslab_net::fault::{FaultConfig, LossModel};
-use umtslab_sim::time::Instant;
-use umtslab_supervisor::faults::CampaignConfig;
+use umtslab_net::fault::FaultConfig;
 use umtslab_umts::at::DeviceProfile;
 use umtslab_umts::operator::OperatorProfile;
 use umtslab_umts::ppp::Credentials;
 
-use crate::schema::{FaultSpec, FlowDef, FlowKind, LossSpec, Pack};
-
-/// One concrete run: a flow at a seed, fully configured.
-#[derive(Debug, Clone)]
-pub struct CompiledRun {
-    /// The pack-level flow label (goldens key on it).
-    pub flow: String,
-    /// The run's seed.
-    pub seed: u64,
-    /// The ready-to-run experiment configuration.
-    pub cfg: ExperimentConfig,
-    /// A session-fault campaign, when the pack declares one and the flow
-    /// rides the UMTS path (supervised execution).
-    pub campaign: Option<CampaignConfig>,
-}
+use crate::schema::{FaultSpec, FlowDef, FlowKind, Pack};
 
 /// Builds the [`FlowSpec`] for one pack flow (label overridden to the
 /// pack's flow label so goldens and reports key consistently).
@@ -76,19 +60,7 @@ fn fault_config(spec: &FaultSpec) -> FaultConfig {
     match spec {
         FaultSpec::None => FaultConfig::none(),
         FaultSpec::BurstyUmts => FaultConfig::bursty_umts(),
-        FaultSpec::Custom(c) => FaultConfig {
-            loss: match c.loss {
-                LossSpec::None => LossModel::None,
-                LossSpec::Bernoulli { p } => LossModel::Bernoulli { p },
-                LossSpec::GilbertElliott { p_gb, p_bg, loss_good, loss_bad } => {
-                    LossModel::GilbertElliott { p_gb, p_bg, loss_good, loss_bad }
-                }
-            },
-            corrupt_prob: c.corrupt_prob,
-            duplicate_prob: c.duplicate_prob,
-            reorder_prob: c.reorder_prob,
-            reorder_delay: c.reorder_delay,
-        },
+        FaultSpec::Custom(c) => c.clone(),
     }
 }
 
@@ -110,7 +82,7 @@ fn slice_plan(pack: &Pack) -> SlicePlan {
         .slices
         .iter()
         .filter(|s| s.name != sender.name && s.name != probe.name)
-        .map(|s| ExtraSlice { name: s.name.clone(), node: s.node, umts_access: s.umts_access })
+        .cloned()
         .collect();
     SlicePlan {
         sender: sender.name.clone(),
@@ -127,7 +99,7 @@ fn slice_plan(pack: &Pack) -> SlicePlan {
 /// A pack that declares a `[trace]` section panics without its trace
 /// (from [`crate::load_trace`]), because silently dropping the schedule
 /// would change every golden.
-pub fn compile(pack: &Pack, trace: Option<&Trace>) -> Vec<CompiledRun> {
+pub fn compile(pack: &Pack, trace: Option<&Trace>) -> Vec<ExperimentConfig> {
     assert!(
         pack.trace.is_none() || trace.is_some(),
         "pack `{}` declares [trace]; pass the schedule from load_trace",
@@ -156,16 +128,10 @@ pub fn compile(pack: &Pack, trace: Option<&Trace>) -> Vec<CompiledRun> {
             cfg.slices = slices.clone();
             cfg.flow_model = flow_model(flow);
             cfg.access_trace = trace.cloned();
-            let campaign = match (&pack.fault_plan, flow.path) {
-                (Some(fp), PathKind::UmtsToEthernet) => Some(CampaignConfig {
-                    start: Instant::ZERO + fp.start,
-                    horizon: Instant::ZERO + fp.horizon,
-                    mean_gap: fp.mean_gap,
-                    mix: fp.mix.clone(),
-                }),
-                _ => None,
-            };
-            runs.push(CompiledRun { flow: flow.label.clone(), seed, cfg, campaign });
+            if flow.path == PathKind::UmtsToEthernet {
+                cfg.fault_plan = pack.fault_plan.clone();
+            }
+            runs.push(cfg);
         }
     }
     runs
@@ -183,14 +149,13 @@ mod tests {
         let runs = compile(&pack, None);
         assert_eq!(runs.len(), 1);
         let run = &runs[0];
-        assert_eq!(run.flow, "voip");
+        assert_eq!(run.spec.label, "voip");
         assert_eq!(run.seed, 1);
-        assert_eq!(run.cfg.spec.label, "voip");
-        assert_eq!(run.cfg.spec.duration, Duration::from_secs(2));
-        assert_eq!(run.cfg.path, PathKind::EthernetToEthernet);
-        assert_eq!(run.cfg.slices.sender, "unina_umts");
-        assert_eq!(run.cfg.slices.probe, "unina_probe");
-        assert!(run.campaign.is_none());
+        assert_eq!(run.spec.duration, Duration::from_secs(2));
+        assert_eq!(run.path, PathKind::EthernetToEthernet);
+        assert_eq!(run.slices.sender, "unina_umts");
+        assert_eq!(run.slices.probe, "unina_probe");
+        assert!(run.fault_plan.is_none());
     }
 
     #[test]
@@ -203,8 +168,8 @@ mod tests {
         let pack = Pack::parse(&text).unwrap();
         let runs = compile(&pack, None);
         assert_eq!(runs.len(), 2);
-        assert!(runs[0].campaign.is_none(), "ethernet flow is unsupervised");
-        let campaign = runs[1].campaign.as_ref().expect("umts flow is supervised");
+        assert!(runs[0].fault_plan.is_none(), "ethernet flow is unsupervised");
+        let campaign = runs[1].fault_plan.as_ref().expect("umts flow is supervised");
         assert_eq!(campaign.mean_gap, Duration::from_secs(10));
         assert_eq!(campaign.mix.len(), 2);
     }
@@ -226,20 +191,20 @@ mod tests {
         .unwrap();
         let runs = compile(&pack, Some(&trace));
         assert_eq!(runs.len(), 4);
-        match &runs[1].cfg.flow_model {
+        match &runs[1].flow_model {
             FlowModel::Tcp(tcp) => {
                 assert_eq!(tcp.mss, 512);
                 assert_eq!(tcp.duration, Duration::from_secs(3));
             }
             other => panic!("expected Tcp model, got {other:?}"),
         }
-        match &runs[2].cfg.flow_model {
+        match &runs[2].flow_model {
             FlowModel::Adaptive(a) => assert_eq!(a.duration, Duration::from_secs(4)),
             other => panic!("expected Adaptive model, got {other:?}"),
         }
-        assert!(matches!(runs[3].cfg.flow_model, FlowModel::OpenLoop));
+        assert!(matches!(runs[3].flow_model, FlowModel::OpenLoop));
         for run in &runs {
-            assert_eq!(run.cfg.access_trace.as_ref(), Some(&trace));
+            assert_eq!(run.access_trace.as_ref(), Some(&trace));
         }
     }
 
@@ -257,7 +222,7 @@ mod tests {
             + "[[slice]]\nname = \"rival\"\nnode = \"napoli\"\numts_access = false\n";
         let pack = Pack::parse(&text).unwrap();
         let runs = compile(&pack, None);
-        let slices = &runs[0].cfg.slices;
+        let slices = &runs[0].slices;
         assert_eq!(slices.extra.len(), 1);
         assert_eq!(slices.extra[0].name, "rival");
         assert!(!slices.extra[0].umts_access);

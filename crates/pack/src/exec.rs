@@ -8,21 +8,12 @@
 use std::path::{Path, PathBuf};
 
 use umtslab::umtslab_traffic::Trace;
-use umtslab::{run_experiment, run_supervised_experiment, ExperimentResult};
+use umtslab::{run_experiment, ExperimentConfig, ExperimentResult};
 use umtslab_supervisor::metrics::AvailabilityMetrics;
 
-use crate::compile::{compile, CompiledRun};
+use crate::compile::compile;
 use crate::golden::{diff_goldens, Golden, GoldenDiff, Metric};
 use crate::schema::Pack;
-
-/// What one run measured.
-#[derive(Debug, Clone)]
-pub struct Measured {
-    /// The flow measurement.
-    pub result: ExperimentResult,
-    /// Supervisor availability accounting (supervised runs only).
-    pub availability: Option<AvailabilityMetrics>,
-}
 
 /// One run's outcome: measurements, or the failure that prevented them.
 #[derive(Debug, Clone)]
@@ -32,7 +23,7 @@ pub struct RunOutcome {
     /// The run's seed.
     pub seed: u64,
     /// The measurement, or the experiment error rendered as text.
-    pub outcome: Result<Measured, String>,
+    pub outcome: Result<ExperimentResult, String>,
 }
 
 /// A pack after execution: every outcome plus which seeds actually ran.
@@ -47,7 +38,7 @@ pub struct ExecutedPack {
 
 impl ExecutedPack {
     /// Finds a run's measurement.
-    pub fn measured(&self, flow: &str, seed: u64) -> Option<&Measured> {
+    pub fn measured(&self, flow: &str, seed: u64) -> Option<&ExperimentResult> {
         self.runs
             .iter()
             .find(|r| r.flow == flow && r.seed == seed)
@@ -97,15 +88,12 @@ pub fn load_trace(pack: &Pack, pack_path: Option<&Path>) -> Result<Option<Trace>
     ))
 }
 
-/// Executes one compiled run.
-pub fn run_one(run: &CompiledRun) -> Result<Measured, String> {
-    match &run.campaign {
-        None => run_experiment(run.cfg.clone())
-            .map(|result| Measured { result, availability: None })
-            .map_err(|e| e.to_string()),
-        Some(campaign) => run_supervised_experiment(run.cfg.clone(), campaign)
-            .map(|s| Measured { result: s.result, availability: Some(s.availability) })
-            .map_err(|e| e.to_string()),
+/// Executes one planned run, keyed by its flow label and seed.
+pub fn run_one(cfg: &ExperimentConfig) -> RunOutcome {
+    RunOutcome {
+        flow: cfg.spec.label.clone(),
+        seed: cfg.seed,
+        outcome: run_experiment(cfg.clone()).map_err(|e| e.to_string()),
     }
 }
 
@@ -118,7 +106,7 @@ pub fn run_one(run: &CompiledRun) -> Result<Measured, String> {
 /// own seed — so a caller may execute them in any order (e.g. across a
 /// worker pool) and collect the outcomes back in plan order into an
 /// [`ExecutedPack`] byte-identical to what [`execute`] produces.
-pub fn plan(pack: &Pack, quick: bool, trace: Option<&Trace>) -> (Vec<CompiledRun>, Vec<u64>) {
+pub fn plan(pack: &Pack, quick: bool, trace: Option<&Trace>) -> (Vec<ExperimentConfig>, Vec<u64>) {
     let mut seeds_run = pack.seeds.expand();
     if quick {
         seeds_run.truncate(1);
@@ -139,8 +127,8 @@ pub fn execute(
     let (planned, seeds_run) = plan(pack, quick, trace);
     let runs = planned
         .into_iter()
-        .map(|r| {
-            let outcome = RunOutcome { flow: r.flow.clone(), seed: r.seed, outcome: run_one(&r) };
+        .map(|cfg| {
+            let outcome = run_one(&cfg);
             progress(&outcome);
             outcome
         })
@@ -151,8 +139,8 @@ pub fn execute(
 /// Extracts one golden metric from a measurement. `None` means the run
 /// did not produce it (e.g. RTT when no probe was answered, or
 /// availability metrics on an unsupervised run).
-pub fn metric_value(m: &Measured, metric: Metric) -> Option<f64> {
-    let s = &m.result.summary;
+pub fn metric_value(m: &ExperimentResult, metric: Metric) -> Option<f64> {
+    let s = &m.summary;
     match metric {
         Metric::Sent => Some(s.sent as f64),
         Metric::Received => Some(s.received as f64),
@@ -164,8 +152,8 @@ pub fn metric_value(m: &Measured, metric: Metric) -> Option<f64> {
         Metric::MeanJitterS => s.mean_jitter.map(|d| d.as_secs_f64()),
         Metric::MeanRttS => s.mean_rtt.map(|d| d.as_secs_f64()),
         Metric::MaxRttS => s.max_rtt.map(|d| d.as_secs_f64()),
-        Metric::ConnectTimeS => m.result.connect_time.map(|d| d.as_secs_f64()),
-        Metric::Events => Some(m.result.events as f64),
+        Metric::ConnectTimeS => m.connect_time.map(|d| d.as_secs_f64()),
+        Metric::Events => Some(m.events as f64),
         Metric::UptimeFraction => {
             m.availability.as_ref().and_then(AvailabilityMetrics::uptime_fraction)
         }
@@ -257,6 +245,22 @@ mod tests {
     }
 
     #[test]
+    fn uptime_is_measured_exactly_on_supervised_runs() {
+        let text = crate::schema::tests::minimal()
+            + "[[flow]]\nlabel = \"voip_3g\"\nkind = \"voip_g711\"\npath = \"umts\"\n\
+               duration_s = 2.0\n\
+               [fault_plan]\nstart_s = 5.0\nhorizon_s = 30.0\nmean_gap_s = 5.0\n\
+               mix = [\"ppp_terminate\"]\n";
+        let pack = Pack::parse(&text).unwrap();
+        let executed = execute(&pack, false, None, |_| {});
+        assert_eq!(executed.failures().count(), 0, "{:?}", executed.failures().next());
+        let uptime =
+            |flow| executed.measured(flow, 1).and_then(|m| metric_value(m, Metric::UptimeFraction));
+        assert!(uptime("voip").is_none(), "the ethernet flow is unsupervised");
+        assert!(uptime("voip_3g").is_some(), "the umts flow is supervised");
+    }
+
+    #[test]
     fn perturbed_golden_fails_the_diff() {
         let pack = Pack::parse(&crate::schema::tests::minimal()).unwrap();
         let executed = execute(&pack, false, None, |_| {});
@@ -279,14 +283,8 @@ mod tests {
         assert_eq!(seeds_run, serial.seeds_run);
         // Run the planned runs in reverse order, then put the outcomes
         // back into plan order — the worker-pool shape.
-        let mut outcomes: Vec<(usize, RunOutcome)> = planned
-            .iter()
-            .enumerate()
-            .rev()
-            .map(|(i, r)| {
-                (i, RunOutcome { flow: r.flow.clone(), seed: r.seed, outcome: run_one(r) })
-            })
-            .collect();
+        let mut outcomes: Vec<(usize, RunOutcome)> =
+            planned.iter().enumerate().rev().map(|(i, cfg)| (i, run_one(cfg))).collect();
         outcomes.sort_by_key(|&(i, _)| i);
         let assembled =
             ExecutedPack { runs: outcomes.into_iter().map(|(_, o)| o).collect(), seeds_run };

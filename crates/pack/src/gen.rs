@@ -7,17 +7,19 @@
 //! pack and re-parsing it reproduces the identical typed pack and the
 //! identical bytes — so the generator's job is breadth, not realism.
 
-use umtslab::{NodeRole, PathKind};
+use umtslab::{ExtraSlice, NodeRole, PathKind};
+use umtslab_net::fault::{FaultConfig, LossModel};
 use umtslab_sim::rng::SimRng;
-use umtslab_sim::time::Duration;
+use umtslab_sim::time::{Duration, Instant};
+use umtslab_supervisor::faults::CampaignConfig;
 use umtslab_umts::at::DEVICE_PRESETS;
 use umtslab_umts::attachment::SessionFault;
 use umtslab_umts::operator::OPERATOR_PRESETS;
 
 use crate::golden::{Golden, Metric};
 use crate::schema::{
-    CustomFault, FaultPlanSpec, FaultSpec, FlowDef, FlowKind, LossSpec, Pack, PackMeta, Seeds,
-    SliceSpec, Topology, TraceRef, UmtsSpec, CODEC_KEYS,
+    FaultSpec, FlowDef, FlowKind, Pack, PackMeta, Seeds, Topology, TraceRef, UmtsSpec, CODEC_KEYS,
+    MAX_EXPECTED_FAULTS,
 };
 
 fn pick<'a, T>(rng: &mut SimRng, items: &'a [T]) -> &'a T {
@@ -61,11 +63,11 @@ fn random_fault(rng: &mut SimRng) -> FaultSpec {
     match rng.uniform_u64(0, 3) {
         0 | 1 => FaultSpec::None,
         2 => FaultSpec::BurstyUmts,
-        _ => FaultSpec::Custom(CustomFault {
+        _ => FaultSpec::Custom(FaultConfig {
             loss: match rng.uniform_u64(0, 2) {
-                0 => LossSpec::None,
-                1 => LossSpec::Bernoulli { p: rng.uniform01() },
-                _ => LossSpec::GilbertElliott {
+                0 => LossModel::None,
+                1 => LossModel::Bernoulli { p: rng.uniform01() },
+                _ => LossModel::GilbertElliott {
                     p_gb: rng.uniform01() * 0.1,
                     p_bg: rng.uniform01(),
                     loss_good: rng.uniform01() * 0.01,
@@ -136,15 +138,19 @@ pub fn random_pack(seed: u64) -> Pack {
     };
 
     let mut slices = vec![
-        SliceSpec {
+        ExtraSlice {
             name: random_name(rng, "sender", 0),
             node: NodeRole::Napoli,
             umts_access: true,
         },
-        SliceSpec { name: random_name(rng, "probe", 1), node: NodeRole::Inria, umts_access: false },
+        ExtraSlice {
+            name: random_name(rng, "probe", 1),
+            node: NodeRole::Inria,
+            umts_access: false,
+        },
     ];
     for i in 0..rng.uniform_u64(0, 2) {
-        slices.push(SliceSpec {
+        slices.push(ExtraSlice {
             name: random_name(rng, "extra", 100 + i),
             node: *pick(rng, &[NodeRole::Napoli, NodeRole::Inria]),
             umts_access: rng.chance(0.3),
@@ -169,15 +175,18 @@ pub fn random_pack(seed: u64) -> Pack {
         .then(|| TraceRef { file: format!("traces/{}.csv", random_name(rng, "trace", seed)) });
 
     let fault_plan = rng.chance(0.4).then(|| {
-        let start = random_duration(rng, Duration::from_secs(30));
+        let start = Instant::ZERO + random_duration(rng, Duration::from_secs(30));
         let mut mix = Vec::new();
         for _ in 0..rng.uniform_u64(1, 3) {
             mix.push(*pick(rng, &SessionFault::ALL));
         }
-        FaultPlanSpec {
+        let window = random_duration(rng, Duration::from_secs(300));
+        // The shortest gap that keeps the expected fault count in bounds.
+        let min_gap = Duration::from_micros(window.total_micros().div_ceil(MAX_EXPECTED_FAULTS));
+        CampaignConfig {
             start,
-            horizon: start + random_duration(rng, Duration::from_secs(300)),
-            mean_gap: random_duration(rng, Duration::from_secs(60)),
+            horizon: start + window,
+            mean_gap: random_duration(rng, Duration::from_secs(60)).max(min_gap),
             mix,
         }
     });

@@ -9,9 +9,11 @@
 //! labels and seeds) with span-carrying errors.
 
 use umtslab::paper::campaign_seeds;
-use umtslab::{NodeRole, PathKind};
+use umtslab::{ExtraSlice, NodeRole, PathKind};
 use umtslab_ditg::VoipCodec;
-use umtslab_sim::time::Duration;
+use umtslab_net::fault::{FaultConfig, LossModel};
+use umtslab_sim::time::{Duration, Instant};
+use umtslab_supervisor::faults::CampaignConfig;
 use umtslab_umts::at::DeviceProfile;
 use umtslab_umts::attachment::SessionFault;
 use umtslab_umts::operator::OperatorProfile;
@@ -31,43 +33,14 @@ pub struct PackMeta {
     pub version: u64,
 }
 
-/// The loss process of a custom packet-fault configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LossSpec {
-    /// No loss.
-    None,
-    /// Independent per-packet loss.
-    Bernoulli {
-        /// Loss probability.
-        p: f64,
-    },
-    /// Two-state Markov (Gilbert–Elliott) bursty loss.
-    GilbertElliott {
-        /// P(good → bad) per packet.
-        p_gb: f64,
-        /// P(bad → good) per packet.
-        p_bg: f64,
-        /// Loss probability in the good state.
-        loss_good: f64,
-        /// Loss probability in the bad state.
-        loss_bad: f64,
-    },
-}
+/// The longest span any `*_s` key may give: one day. It keeps every
+/// run's end (`flow start + duration + drain`) far inside simulated time.
+pub const MAX_SECONDS: f64 = 86_400.0;
 
-/// A custom `[topology.fault]` packet-fault process.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CustomFault {
-    /// The loss process.
-    pub loss: LossSpec,
-    /// Corruption probability for surviving packets.
-    pub corrupt_prob: f64,
-    /// Duplication probability for surviving packets.
-    pub duplicate_prob: f64,
-    /// Reordering probability for surviving packets.
-    pub reorder_prob: f64,
-    /// Extra delay applied to reordered packets.
-    pub reorder_delay: Duration,
-}
+/// The most faults a `[fault_plan]` may expect to draw:
+/// `(horizon_s - start_s) / mean_gap_s`. It bounds the seeded schedule's
+/// memory.
+pub const MAX_EXPECTED_FAULTS: u64 = 10_000;
 
 /// The access-link packet-fault process of the pack.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,7 +50,7 @@ pub enum FaultSpec {
     /// The fitted Gilbert–Elliott 3G fade preset.
     BurstyUmts,
     /// Explicit parameters.
-    Custom(CustomFault),
+    Custom(FaultConfig),
 }
 
 /// The `[topology]` section.
@@ -104,17 +77,6 @@ pub struct UmtsSpec {
     pub username: Option<String>,
     /// PAP password.
     pub password: Option<String>,
-}
-
-/// One `[[slice]]` declaration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SliceSpec {
-    /// Slice name.
-    pub name: String,
-    /// Hosting node.
-    pub node: NodeRole,
-    /// Whether the slice is admitted to the `umts` vsys ACL.
-    pub umts_access: bool,
 }
 
 /// The workload of one `[[flow]]`.
@@ -189,7 +151,7 @@ pub const CODEC_KEYS: [(&str, VoipCodec); 3] =
 /// replayed on both access links for every run of the pack.
 ///
 /// Only the *reference* lives in the pack; the trace file itself is a
-/// separate committed artifact (`umtslab_traffic::Trace` CSV/JSON),
+/// separate committed artifact (a `umtslab_traffic::Trace` CSV file),
 /// loaded at execution time. The path is resolved relative to the
 /// process working directory first, then relative to the pack file's
 /// directory and its parent — so catalog packs in `packs/` can point at
@@ -215,20 +177,6 @@ pub struct FlowDef {
     pub duration: Duration,
     /// Optional per-flow operator preset override.
     pub operator: Option<String>,
-}
-
-/// The optional `[fault_plan]` section: a seeded session-fault campaign
-/// applied to every UMTS-path run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultPlanSpec {
-    /// No faults before this offset.
-    pub start: Duration,
-    /// No faults at or after this offset.
-    pub horizon: Duration,
-    /// Mean gap between faults (exponential).
-    pub mean_gap: Duration,
-    /// The fault mix, drawn uniformly.
-    pub mix: Vec<SessionFault>,
 }
 
 /// The `[seeds]` section: the repetition scheme.
@@ -259,11 +207,12 @@ pub struct Pack {
     /// Optional access-link capacity/loss trace reference.
     pub trace: Option<TraceRef>,
     /// Slices, in declaration order.
-    pub slices: Vec<SliceSpec>,
+    pub slices: Vec<ExtraSlice>,
     /// Flows, in declaration order.
     pub flows: Vec<FlowDef>,
-    /// Optional session-fault campaign.
-    pub fault_plan: Option<FaultPlanSpec>,
+    /// Optional seeded session-fault campaign, applied to every UMTS-path
+    /// run.
+    pub fault_plan: Option<CampaignConfig>,
     /// Seeds.
     pub seeds: Seeds,
     /// Goldens, sorted by (flow, seed, metric).
@@ -331,28 +280,11 @@ impl<'a> Fields<'a> {
     }
 
     fn prob(&mut self, key: &str) -> Result<f64, ParseError> {
-        let e = self.require(key)?;
-        let v = expect_f64(e)?;
-        if !(0.0..=1.0).contains(&v) {
-            return Err(ParseError::new(e.span, format!("`{key}` must be in [0, 1], got {v}")));
-        }
-        Ok(v)
+        expect_prob(self.require(key)?)
     }
 
     fn opt_prob(&mut self, key: &str) -> Result<Option<f64>, ParseError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(e) => {
-                let v = expect_f64(e)?;
-                if !(0.0..=1.0).contains(&v) {
-                    return Err(ParseError::new(
-                        e.span,
-                        format!("`{key}` must be in [0, 1], got {v}"),
-                    ));
-                }
-                Ok(Some(v))
-            }
-        }
+        self.take(key).map(expect_prob).transpose()
     }
 
     fn seconds(&mut self, key: &str) -> Result<Duration, ParseError> {
@@ -361,7 +293,7 @@ impl<'a> Fields<'a> {
         if v < 0.0 {
             return Err(ParseError::new(e.span, format!("`{key}` must be non-negative")));
         }
-        Ok(Duration::from_secs_f64(v))
+        at_most_a_day(e, v)
     }
 
     fn str_array(&mut self, key: &str) -> Result<Vec<(String, Span)>, ParseError> {
@@ -415,6 +347,25 @@ fn expect_u64(e: &Entry) -> Result<u64, ParseError> {
         }
         ref other => Err(type_mismatch(e, "integer", other)),
     }
+}
+
+fn expect_prob(e: &Entry) -> Result<f64, ParseError> {
+    let v = expect_f64(e)?;
+    if !(0.0..=1.0).contains(&v) {
+        return Err(ParseError::new(e.span, format!("`{}` must be in [0, 1], got {v}", e.key)));
+    }
+    Ok(v)
+}
+
+/// Converts a non-negative `*_s` value, refusing more than [`MAX_SECONDS`].
+fn at_most_a_day(e: &Entry, secs: f64) -> Result<Duration, ParseError> {
+    if secs > MAX_SECONDS {
+        return Err(ParseError::new(
+            e.span,
+            format!("`{}` must be at most {MAX_SECONDS} s (one day), got {secs}", e.key),
+        ));
+    }
+    Ok(Duration::from_secs_f64(secs))
 }
 
 /// Reads a `payload_bytes` key bounded to what fits one UDP datagram.
@@ -514,9 +465,9 @@ pub fn decode(doc: &Document) -> Result<Pack, ParseError> {
             "custom" => {
                 let loss_kind = f.str("loss")?;
                 let loss = match loss_kind.as_str() {
-                    "none" => LossSpec::None,
-                    "bernoulli" => LossSpec::Bernoulli { p: f.prob("p")? },
-                    "gilbert_elliott" => LossSpec::GilbertElliott {
+                    "none" => LossModel::None,
+                    "bernoulli" => LossModel::Bernoulli { p: f.prob("p")? },
+                    "gilbert_elliott" => LossModel::GilbertElliott {
                         p_gb: f.prob("p_gb")?,
                         p_bg: f.prob("p_bg")?,
                         loss_good: f.prob("loss_good")?,
@@ -532,14 +483,14 @@ pub fn decode(doc: &Document) -> Result<Pack, ParseError> {
                         ));
                     }
                 };
-                FaultSpec::Custom(CustomFault {
+                FaultSpec::Custom(FaultConfig {
                     loss,
                     corrupt_prob: f.opt_prob("corrupt_prob")?.unwrap_or(0.0),
                     duplicate_prob: f.opt_prob("duplicate_prob")?.unwrap_or(0.0),
                     reorder_prob: f.opt_prob("reorder_prob")?.unwrap_or(0.0),
                     reorder_delay: match f.take("reorder_delay_s") {
                         None => Duration::ZERO,
-                        Some(e) => Duration::from_secs_f64(expect_f64(e)?.max(0.0)),
+                        Some(e) => at_most_a_day(e, expect_f64(e)?.max(0.0))?,
                     },
                 })
             }
@@ -611,7 +562,7 @@ pub fn decode(doc: &Document) -> Result<Pack, ParseError> {
         let mut f = Fields::new(t);
         let name_entry = f.require("name")?;
         let name = expect_str(name_entry)?;
-        if slices.iter().any(|s: &SliceSpec| s.name == name) {
+        if slices.iter().any(|s: &ExtraSlice| s.name == name) {
             return Err(ParseError::new(name_entry.span, format!("duplicate slice `{name}`")));
         }
         let node_entry = f.require("node")?;
@@ -627,7 +578,7 @@ pub fn decode(doc: &Document) -> Result<Pack, ParseError> {
         };
         let umts_access = f.bool("umts_access")?;
         f.finish()?;
-        slices.push(SliceSpec { name, node, umts_access });
+        slices.push(ExtraSlice { name, node, umts_access });
     }
     if !slices.iter().any(|s| s.node == NodeRole::Napoli) {
         return Err(ParseError::new(origin, "pack needs a [[slice]] on node \"napoli\""));
@@ -774,9 +725,9 @@ pub fn decode(doc: &Document) -> Result<Pack, ParseError> {
         None => None,
         Some(t) => {
             let mut f = Fields::new(t);
-            let spec = FaultPlanSpec {
-                start: f.seconds("start_s")?,
-                horizon: f.seconds("horizon_s")?,
+            let plan = CampaignConfig {
+                start: Instant::ZERO + f.seconds("start_s")?,
+                horizon: Instant::ZERO + f.seconds("horizon_s")?,
                 mean_gap: f.seconds("mean_gap_s")?,
                 mix: {
                     let mut mix = Vec::new();
@@ -790,16 +741,27 @@ pub fn decode(doc: &Document) -> Result<Pack, ParseError> {
                 },
             };
             f.finish()?;
-            if spec.mix.is_empty() {
+            if plan.mix.is_empty() {
                 return Err(ParseError::new(t.span, "fault_plan mix must not be empty"));
             }
-            if spec.horizon <= spec.start {
+            if plan.horizon <= plan.start {
                 return Err(ParseError::new(t.span, "fault_plan horizon_s must exceed start_s"));
             }
-            if spec.mean_gap.is_zero() {
+            if plan.mean_gap.is_zero() {
                 return Err(ParseError::new(t.span, "fault_plan mean_gap_s must be positive"));
             }
-            Some(spec)
+            let window = (plan.horizon - plan.start).total_micros();
+            if window > plan.mean_gap.total_micros().saturating_mul(MAX_EXPECTED_FAULTS) {
+                return Err(ParseError::new(
+                    t.span,
+                    format!(
+                        "fault_plan expects about {} faults; (horizon_s - start_s) / \
+                         mean_gap_s must be at most {MAX_EXPECTED_FAULTS}",
+                        window / plan.mean_gap.total_micros()
+                    ),
+                ));
+            }
+            Some(plan)
         }
     };
 
@@ -1002,7 +964,7 @@ pub(crate) mod tests {
             FaultSpec::Custom(c) => {
                 assert_eq!(
                     c.loss,
-                    LossSpec::GilbertElliott {
+                    LossModel::GilbertElliott {
                         p_gb: 0.004,
                         p_bg: 0.25,
                         loss_good: 0.001,

@@ -164,3 +164,34 @@ fn credentials_must_come_in_pairs() {
         err.message
     );
 }
+
+#[test]
+fn seconds_beyond_one_day_are_rejected() {
+    // `duration_s` is line 24. 1e20 s would overflow the run's end instant.
+    let text = valid().replace("duration_s = 2.0", "duration_s = 1e20");
+    expect_error(&text, 24, 1, "`duration_s` must be at most 86400 s (one day)");
+    Pack::parse(&valid().replace("duration_s = 2.0", "duration_s = 86400.0"))
+        .expect("exactly one day is allowed");
+}
+
+#[test]
+fn fault_plans_expecting_too_many_faults_are_rejected() {
+    let plan = |horizon: &str, gap: &str| {
+        valid().replace(
+            "[seeds]",
+            &format!(
+                "[fault_plan]\nstart_s = 0.0\nhorizon_s = {horizon}\nmean_gap_s = {gap}\n\
+                 mix = [\"ppp_terminate\"]\n[seeds]"
+            ),
+        )
+    };
+    // A day of faults one microsecond apart would schedule ~8.6e10
+    // events. The [fault_plan] header is line 25.
+    expect_error(
+        &plan("86400.0", "0.000001"),
+        25,
+        1,
+        "(horizon_s - start_s) / mean_gap_s must be at most 10000",
+    );
+    Pack::parse(&plan("10.0", "0.001")).expect("exactly 10000 expected faults is allowed");
+}

@@ -306,6 +306,14 @@ impl Node {
         let sent_place = self.slice_place(slice);
         self.trace.record(now, TraceKind::Sent, &packet, sent_place);
 
+        self.egress(now, packet)
+    }
+
+    /// The output path every locally originated packet takes once it is
+    /// marked: local delivery, policy routing, source-address selection,
+    /// the interface check, the egress firewall and the hand-off to the
+    /// wire or the UMTS uplink. Every drop leaves a trace record.
+    fn egress(&mut self, now: Instant, mut packet: Packet) -> EgressAction {
         // Local destination? Deliver without touching the wire.
         if self.is_local_addr(packet.dst.addr) {
             return self.deliver_local(now, LO, packet);
@@ -478,31 +486,8 @@ impl Node {
     pub fn poll(&mut self, now: Instant) -> NodePoll {
         let mut out = NodePoll::default();
         // Kernel-originated egress (ICMP echo replies).
-        for mut packet in std::mem::take(&mut self.kernel_tx) {
-            let key = FlowKey { src: packet.src.addr, dst: packet.dst.addr, mark: packet.mark };
-            let Some(decision) = self.rib.resolve(&key) else {
-                self.trace.record(now, TraceKind::DropNoRoute, &packet, self.places.node);
-                continue;
-            };
-            if !self.iface(decision.dev).up {
-                self.trace.record(now, TraceKind::DropNoRoute, &packet, self.places.node);
-                continue;
-            }
-            if self.firewall.process_output(&mut packet, decision.dev) == FilterVerdict::Drop {
-                self.trace.record(now, TraceKind::DropFilter, &packet, self.places.node);
-                continue;
-            }
-            self.trace.record(
-                now,
-                TraceKind::Egress,
-                &packet,
-                self.places.ifaces[decision.dev.0 as usize],
-            );
-            if decision.dev == PPP0 {
-                if let Some(att) = self.umts.as_mut() {
-                    let _ = att.send_uplink(now, packet);
-                }
-            } else {
+        for packet in std::mem::take(&mut self.kernel_tx) {
+            if let EgressAction::Wire { packet, .. } = self.egress(now, packet) {
                 out.wire_tx.push(packet);
             }
         }
@@ -1113,6 +1098,33 @@ mod tests {
         assert!(n.ingress(Instant::ZERO, ETH0, req).is_none());
         assert_eq!(n.poll(Instant::ZERO).wire_tx.len(), 0);
         assert_eq!(n.trace.of_kind(TraceKind::DropCorrupt).count(), 1);
+    }
+
+    #[test]
+    fn kernel_reply_the_uplink_refuses_leaves_a_drop_record() {
+        let (mut n, s) = node_with_umts();
+        n.trace.set_enabled(true);
+        let t = connect(&mut n, s);
+        let ppp = n.ppp_addr().expect("connected");
+        // Let kernel traffic out of ppp0, so the reply reaches the uplink.
+        n.firewall.egress.remove_by_comment(ISOLATION_COMMENT);
+        let req =
+            umtslab_net::icmp::echo_request(PacketId(55), a("138.96.20.10"), ppp, 1, 1, b"", t);
+        assert!(n.ingress(t, PPP0, req).is_none());
+        // The detach refuses the uplink before the node sees the teardown.
+        n.inject_umts_fault(t, SessionFault::OperatorDetach);
+        let counts = |n: &Node| {
+            let dropped = n.trace.of_kind(TraceKind::DropQueue).count()
+                + n.trace.of_kind(TraceKind::DropNoRoute).count();
+            (n.trace.of_kind(TraceKind::Egress).count(), dropped)
+        };
+        let (egress, dropped) = counts(&n);
+        assert!(n.poll(t).wire_tx.is_empty());
+        assert_eq!(
+            counts(&n),
+            (egress + 1, dropped + 1),
+            "the refused reply must leave a drop record after its egress"
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ use umtslab::umtslab_traffic::{fmt_secs, report_hash, Trace};
 use umtslab_pack::canon::fmt_float;
 use umtslab_pack::{
     diff, load_catalog, load_trace, plan, record, render_diff_table, render_json, render_table,
-    run_one, serialize, ExecutedPack, Pack, RunOutcome,
+    run_one, serialize, ExecutedPack, Pack,
 };
 use umtslab_runner::{run_fleet_parallel, run_jobs, run_traffic_grid, MetricsRegistry};
 use umtslab_sim::json;
@@ -230,11 +230,7 @@ fn cmd_pack(args: &[String]) -> ExitCode {
     // the output byte-identical to the serial path.
     let run_quick = quick && !do_record;
     let (planned, seeds_run) = plan(&pack, run_quick, trace.as_ref());
-    let outcomes = run_jobs(planned, workers, |_, r| RunOutcome {
-        flow: r.flow.clone(),
-        seed: r.seed,
-        outcome: run_one(r),
-    });
+    let outcomes = run_jobs(planned, workers, |_, cfg| run_one(cfg));
     for outcome in &outcomes {
         if !json {
             match &outcome.outcome {
@@ -242,9 +238,9 @@ fn cmd_pack(args: &[String]) -> ExitCode {
                     "ran {}@{}: sent {} received {} loss {:.4}",
                     outcome.flow,
                     outcome.seed,
-                    m.result.summary.sent,
-                    m.result.summary.received,
-                    m.result.summary.loss_rate
+                    m.summary.sent,
+                    m.summary.received,
+                    m.summary.loss_rate
                 ),
                 Err(e) => println!("ran {}@{}: FAILED ({e})", outcome.flow, outcome.seed),
             }

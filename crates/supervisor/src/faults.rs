@@ -21,7 +21,7 @@ pub struct FaultEvent {
 }
 
 /// Parameters of a seeded (randomised) campaign.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignConfig {
     /// No faults before this instant (lets the first dial settle).
     pub start: Instant,

@@ -4,8 +4,8 @@
 //! This crate grows the testbed's workload vocabulary beyond open-loop
 //! D-ITG probe flows, in three pieces:
 //!
-//! * [`trace`] — a zero-dependency recorded-trace format (CSV or a JSON
-//!   subset) describing time-varying link capacity and loss, parsed into
+//! * [`trace`] — a zero-dependency recorded-trace format (CSV)
+//!   describing time-varying link capacity and loss, parsed into
 //!   integer [`umtslab_net::link::LinkSegment`]s and installed on a `net`
 //!   pipe as a [`umtslab_net::link::LinkSchedule`]. The serializer is canonical:
 //!   `serialize(parse(t))` is a fixed point, the same round-trip
