@@ -403,13 +403,10 @@ mod tests {
         let b = run_fleet(&cfg);
         assert_eq!(a.trace_hash, b.trace_hash);
         assert_eq!(a.metrics_json, b.metrics_json);
-        // Pinned absolute digest: a change in which bytes reach the
-        // hasher (or in how it folds them) fails here even when every
-        // run-twice and shard-count comparison still agrees.
-        assert_eq!(a.trace_hash, 0x9179_2a4a_054e_dffe);
-        // A shard count outside {1, 2, 4, 8} regroups the nodes; same pin.
+        // A shard count outside {1, 2, 4, 8} regroups the nodes; same
+        // hash. Its absolute value is the `fleet.small` witness.
         let three = run_fleet(&FleetConfig { shards: 3, ..cfg });
-        assert_eq!(three.trace_hash, 0x9179_2a4a_054e_dffe);
+        assert_eq!(three.trace_hash, a.trace_hash);
     }
 
     #[test]

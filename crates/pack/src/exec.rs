@@ -9,8 +9,10 @@ use std::path::{Path, PathBuf};
 
 use umtslab::umtslab_traffic::Trace;
 use umtslab::{run_experiment, ExperimentConfig, ExperimentResult};
+use umtslab_sim::json;
 use umtslab_supervisor::metrics::AvailabilityMetrics;
 
+use crate::canon::fmt_float;
 use crate::compile::compile;
 use crate::golden::{diff_goldens, Golden, GoldenDiff, Metric};
 use crate::schema::Pack;
@@ -169,6 +171,44 @@ pub fn diff(pack: &Pack, executed: &ExecutedPack) -> GoldenDiff {
         |_, seed| executed.seeds_run.contains(&seed),
         |flow, seed, metric| executed.measured(flow, seed).and_then(|m| metric_value(m, metric)),
     )
+}
+
+/// Renders a golden diff as the deterministic JSON document `runner pack
+/// --json` prints: the pack, every run's status, every checked golden
+/// and the verdict (`pass` also requires that no run failed outright).
+pub fn render_diff_json(
+    pack: &Pack,
+    file: &Path,
+    quick: bool,
+    executed: &ExecutedPack,
+    d: &GoldenDiff,
+) -> String {
+    json::document(|o| {
+        o.str("pack", &pack.meta.name)
+            .str("file", &file.display().to_string())
+            .value("quick", quick);
+        o.array("runs", &executed.runs, |o, r| {
+            o.str("flow", &r.flow).value("seed", r.seed);
+            match &r.outcome {
+                Ok(_) => o.str("status", "ok"),
+                Err(e) => o.str("status", &format!("failed: {e}")),
+            };
+        });
+        o.array("goldens", &d.rows, |o, row| {
+            let g = &row.golden;
+            o.str("flow", &g.flow)
+                .value("seed", g.seed)
+                .str("metric", &g.metric.to_string())
+                .value("expected", fmt_float(g.value));
+            match row.actual {
+                Some(v) => o.value("actual", fmt_float(v)),
+                None => o.null("actual"),
+            };
+            o.value("tolerance", fmt_float(g.tolerance)).value("pass", row.pass);
+        });
+        o.value("skipped", d.skipped)
+            .value("pass", d.pass() && executed.failures().next().is_none());
+    })
 }
 
 /// The metrics `--record` pins for each run: the stable whole-flow

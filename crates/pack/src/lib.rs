@@ -37,7 +37,8 @@ pub use canon::serialize;
 pub use catalog::{load_catalog, render_json, render_table, CatalogEntry};
 pub use compile::compile;
 pub use exec::{
-    diff, execute, load_trace, metric_value, plan, record, run_one, ExecutedPack, RunOutcome,
+    diff, execute, load_trace, metric_value, plan, record, render_diff_json, run_one, ExecutedPack,
+    RunOutcome,
 };
 pub use gen::random_pack;
 pub use golden::{diff_goldens, render_diff_table, Golden, GoldenDiff, Metric};

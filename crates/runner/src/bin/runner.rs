@@ -8,14 +8,15 @@
 //! runner packs --list [--dir DIR] [--json]
 //! runner traffic [--seed N] [--reps N] [--seconds N] [--trace FILE]
 //!                [--workers N] [--json]
+//! runner witnesses [--record]
 //! ```
 //!
 //! `run` builds one coupled fleet topology partitioned across `--shards`
 //! deterministic schedulers, drives it on a worker pool, and prints the
 //! metrics summary plus a `trace_hash=` line (in `--json` mode the hash
 //! is a field of the JSON object instead); the hash is invariant under
-//! the shard and worker counts, which CI gates on. `pack` parses a pack
-//! document, runs every flow at every campaign seed (`--quick`: first
+//! the shard and worker counts. `pack` parses a pack document, runs
+//! every flow at every campaign seed (`--quick`: first
 //! seed only; `--workers N`: N runs in flight at once), diffs the
 //! measured metrics against the pack's stored goldens and exits nonzero
 //! on drift. `--record` re-runs everything and rewrites the file
@@ -27,20 +28,20 @@
 //! across the worker pool and reassembled in plan order — the output is
 //! byte-identical for any `--workers` count, and ends with a
 //! `report_hash=` line (a `"report_hash"` field with `--json`): the
-//! FNV-1a over the canonical report rows. All simulation output is
-//! deterministic: no wall clock, no host entropy.
+//! FNV-1a over the canonical report rows. `witnesses` checks (`--record`:
+//! rewrites) the repository's `WITNESSES` manifest. All simulation output
+//! is deterministic: no wall clock, no host entropy.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use umtslab::fleet::FleetConfig;
 use umtslab::umtslab_traffic::{fmt_secs, report_hash, Trace};
-use umtslab_pack::canon::fmt_float;
 use umtslab_pack::{
-    diff, load_catalog, load_trace, plan, record, render_diff_table, render_json, render_table,
-    run_one, serialize, ExecutedPack, Pack,
+    diff, load_catalog, load_trace, plan, record, render_diff_json, render_diff_table, render_json,
+    render_table, run_one, serialize, ExecutedPack, Pack,
 };
-use umtslab_runner::{run_fleet_parallel, run_jobs, run_traffic_grid, MetricsRegistry};
+use umtslab_runner::{run_fleet_parallel, run_jobs, run_traffic_grid, witnesses, MetricsRegistry};
 use umtslab_sim::json;
 
 fn usage() -> ExitCode {
@@ -50,7 +51,8 @@ fn usage() -> ExitCode {
          runner pack <file> [--quick] [--json] [--record] [--check] [--workers N]\n  \
          runner packs --list [--dir DIR] [--json]\n  \
          runner traffic [--seed N] [--reps N] [--seconds N] [--trace FILE]\n    \
-         [--workers N] [--json]"
+         [--workers N] [--json]\n  \
+         runner witnesses [--record]"
     );
     ExitCode::from(2)
 }
@@ -62,6 +64,7 @@ fn main() -> ExitCode {
         Some("pack") => cmd_pack(&args[1..]),
         Some("packs") => cmd_packs(&args[1..]),
         Some("traffic") => cmd_traffic(&args[1..]),
+        Some("witnesses") => cmd_witnesses(&args[1..]),
         _ => usage(),
     }
 }
@@ -275,7 +278,7 @@ fn cmd_pack(args: &[String]) -> ExitCode {
     let run_failures = executed.failures().count();
     let pass = d.pass() && run_failures == 0;
     if json {
-        print!("{}", diff_json(&pack, &file, run_quick, &executed, &d, pass));
+        print!("{}", render_diff_json(&pack, &file, run_quick, &executed, &d));
     } else {
         print!("{}", render_diff_table(&d));
         for (flow, seed, err) in executed.failures() {
@@ -287,42 +290,6 @@ fn cmd_pack(args: &[String]) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// Renders a golden diff as deterministic JSON.
-fn diff_json(
-    pack: &Pack,
-    file: &Path,
-    quick: bool,
-    executed: &ExecutedPack,
-    d: &umtslab_pack::GoldenDiff,
-    pass: bool,
-) -> String {
-    json::document(|o| {
-        o.str("pack", &pack.meta.name)
-            .str("file", &file.display().to_string())
-            .value("quick", quick);
-        o.array("runs", &executed.runs, |o, r| {
-            o.str("flow", &r.flow).value("seed", r.seed);
-            match &r.outcome {
-                Ok(_) => o.str("status", "ok"),
-                Err(e) => o.str("status", &format!("failed: {e}")),
-            };
-        });
-        o.array("goldens", &d.rows, |o, row| {
-            let g = &row.golden;
-            o.str("flow", &g.flow)
-                .value("seed", g.seed)
-                .str("metric", &g.metric.to_string())
-                .value("expected", fmt_float(g.value));
-            match row.actual {
-                Some(v) => o.value("actual", fmt_float(v)),
-                None => o.null("actual"),
-            };
-            o.value("tolerance", fmt_float(g.tolerance)).value("pass", row.pass);
-        });
-        o.value("skipped", d.skipped).value("pass", pass);
-    })
 }
 
 fn cmd_traffic(args: &[String]) -> ExitCode {
@@ -468,5 +435,38 @@ fn cmd_packs(args: &[String]) -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::from(2)
         }
+    }
+}
+
+fn cmd_witnesses(args: &[String]) -> ExitCode {
+    let mut do_record = false;
+    if !parse_args(args, |a, _| (a == "--record").then(|| do_record = true)) {
+        return usage();
+    }
+    let file = witnesses::FILE;
+    let pinned = match std::fs::read_to_string(file) {
+        Ok(text) => witnesses::parse(&text),
+        Err(e) => Err(format!("cannot read {file}: {e}")),
+    };
+    // Every failed computation, or (checking) every differing entry.
+    let problems = pinned.map_err(|e| vec![e]).and_then(|pinned| {
+        let expected = witnesses::expected(&pinned, witnesses::compute_all().map_err(|e| vec![e])?);
+        let text = witnesses::render(&expected);
+        print!("{text}");
+        if do_record {
+            std::fs::write(file, text).map_err(|e| vec![format!("cannot write {file}: {e}")])?;
+            println!("recorded {} witness(es) into {file}", expected.len());
+            return Ok(Vec::new());
+        }
+        Ok(witnesses::differences(&pinned, &expected))
+    });
+    let problems = problems.unwrap_or_else(|errors| errors);
+    for p in &problems {
+        eprintln!("error: {p}");
+    }
+    if problems.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

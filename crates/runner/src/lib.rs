@@ -21,7 +21,9 @@
 //!   ([`run_traffic_grid`]);
 //! * [`fleet`] — the other axis of parallelism: one *coupled* topology
 //!   partitioned across shards ([`umtslab::Testbed::sharded`]), each
-//!   window fanned across the pool via [`run_jobs_mut`].
+//!   window fanned across the pool via [`run_jobs_mut`];
+//! * [`witnesses`] — the `WITNESSES` manifest: every pinned output of
+//!   the workspace, computed by one function each.
 //!
 //! Determinism is seed-based, not scheduling-based: each job's seed is
 //! fixed *before* the pool starts (the campaign helpers reuse the serial
@@ -52,6 +54,7 @@ pub mod metrics;
 pub mod paper;
 pub mod pool;
 pub mod traffic;
+pub mod witnesses;
 
 pub use fleet::run_fleet_parallel;
 pub use metrics::{Availability, JobRow, MetricsRegistry, MetricsTotals};

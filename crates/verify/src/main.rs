@@ -3,17 +3,16 @@
 //! ```text
 //! umtslab-verify --all-scenarios [--json]   verify every canned scenario
 //! umtslab-verify --scenario NAME [--json]   verify one scenario
-//! umtslab-verify --determinism              run-twice campaign hash gate
 //! umtslab-verify --chaos                    supervised chaos campaign gate
-//! umtslab-verify --chaos-determinism        run-twice chaos hash gate
 //! umtslab-verify --list                     list scenario names
 //! ```
 //!
 //! Exit status is 0 when every scenario meets its expectation (correct
 //! nodes clean, seeded bugs detected with exactly the expected invariant
 //! kinds) *and* every replayed witness agrees with the live simulator;
-//! 1 otherwise. `--determinism` exits 0 iff two full campaign runs hash
-//! identically.
+//! 1 otherwise. The run-twice hashes of the scenario campaign and the
+//! chaos campaign are the `verify.*` entries of the `WITNESSES` manifest,
+//! checked by `runner witnesses`.
 
 use std::process::ExitCode;
 
@@ -21,71 +20,14 @@ use umtslab_verify::differential::replay_witnesses;
 use umtslab_verify::invariants::analyze;
 use umtslab_verify::report::{render_json, render_table};
 use umtslab_verify::scenarios::{self, Scenario, SCENARIO_NAMES};
-use umtslab_verify::{chaos, determinism, Analysis};
-
-struct Options {
-    all: bool,
-    scenario: Option<String>,
-    json: bool,
-    determinism: bool,
-    chaos: bool,
-    chaos_determinism: bool,
-    list: bool,
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        all: false,
-        scenario: None,
-        json: false,
-        determinism: false,
-        chaos: false,
-        chaos_determinism: false,
-        list: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--all-scenarios" => opts.all = true,
-            "--scenario" => {
-                i += 1;
-                let name = args.get(i).ok_or("--scenario requires a name")?;
-                opts.scenario = Some(name.clone());
-            }
-            "--json" => opts.json = true,
-            "--determinism" => opts.determinism = true,
-            "--chaos" => opts.chaos = true,
-            "--chaos-determinism" => opts.chaos_determinism = true,
-            "--list" => opts.list = true,
-            "--help" | "-h" => {
-                print_help();
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
-        i += 1;
-    }
-    if !opts.all
-        && opts.scenario.is_none()
-        && !opts.determinism
-        && !opts.chaos
-        && !opts.chaos_determinism
-        && !opts.list
-    {
-        return Err("nothing to do: pass --all-scenarios, --scenario NAME, \
-                    --determinism, --chaos, --chaos-determinism or --list"
-            .to_string());
-    }
-    Ok(opts)
-}
+use umtslab_verify::{chaos, Analysis};
 
 fn print_help() {
     println!(
         "umtslab-verify — static slice-isolation verifier\n\n\
          USAGE:\n  umtslab-verify --all-scenarios [--json]\n  \
          umtslab-verify --scenario NAME [--json]\n  \
-         umtslab-verify --determinism\n  umtslab-verify --chaos\n  \
-         umtslab-verify --chaos-determinism\n  umtslab-verify --list\n\n\
+         umtslab-verify --chaos\n  umtslab-verify --list\n\n\
          Scenarios: {}",
         SCENARIO_NAMES.join(", ")
     );
@@ -124,80 +66,66 @@ fn verify_scenario(mut scenario: Scenario) -> (Analysis, bool) {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("error: {msg}");
+    let json = args.iter().any(|a| a == "--json");
+    let action: Vec<&str> = args.iter().map(String::as_str).filter(|&a| a != "--json").collect();
+    match action[..] {
+        ["--all-scenarios"] => verify(&SCENARIO_NAMES, json),
+        ["--scenario", name] => verify(&[name], json),
+        ["--chaos"] => chaos_gate(),
+        ["--list"] => {
+            SCENARIO_NAMES.iter().for_each(|name| println!("{name}"));
+            ExitCode::SUCCESS
+        }
+        ["--help" | "-h"] => {
             print_help();
-            return ExitCode::FAILURE;
+            ExitCode::SUCCESS
         }
-    };
-
-    if opts.list {
-        for name in SCENARIO_NAMES {
-            println!("{name}");
+        _ => {
+            eprintln!("error: pass one of --all-scenarios, --scenario NAME, --chaos or --list");
+            print_help();
+            ExitCode::FAILURE
         }
-        return ExitCode::SUCCESS;
     }
+}
 
-    if opts.determinism {
-        let check = determinism::check();
-        println!(
-            "determinism: run1={:016x} run2={:016x} -> {}",
-            check.first,
-            check.second,
-            if check.deterministic() { "identical" } else { "DIVERGED" }
-        );
-        return if check.deterministic() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+/// The seeded session-fault campaign with the isolation audit at every
+/// checkpoint.
+fn chaos_gate() -> ExitCode {
+    let check = chaos::run(chaos::DEFAULT_SEED);
+    let a = check.report.availability;
+    println!(
+        "chaos: faults={} established={} drops={} redials={} \
+         uptime={:.1}% checkpoints={} -> {}",
+        a.faults_injected,
+        a.sessions_established,
+        a.session_drops,
+        a.redials,
+        a.uptime_fraction().unwrap_or(0.0) * 100.0,
+        check.checkpoints,
+        if check.passed() { "pass" } else { "FAIL" }
+    );
+    for v in &check.violations {
+        eprintln!("chaos violation: {v}");
     }
-
-    if opts.chaos {
-        let check = chaos::run(chaos::DEFAULT_SEED);
-        let a = check.report.availability;
-        println!(
-            "chaos: faults={} established={} drops={} redials={} \
-             uptime={:.1}% checkpoints={} -> {}",
-            a.faults_injected,
-            a.sessions_established,
-            a.session_drops,
-            a.redials,
-            a.uptime_fraction().unwrap_or(0.0) * 100.0,
-            check.checkpoints,
-            if check.passed() { "pass" } else { "FAIL" }
-        );
-        for v in &check.violations {
-            eprintln!("chaos violation: {v}");
-        }
-        return if check.passed() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
-
-    if opts.chaos_determinism {
-        let check = chaos::check(chaos::DEFAULT_SEED);
-        println!(
-            "chaos-determinism: run1={:016x} run2={:016x} -> {}",
-            check.first,
-            check.second,
-            if check.deterministic() { "identical" } else { "DIVERGED" }
-        );
-        return if check.deterministic() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
-
-    let names: Vec<&str> = if opts.all {
-        SCENARIO_NAMES.to_vec()
+    if check.passed() {
+        ExitCode::SUCCESS
     } else {
-        vec![opts.scenario.as_deref().unwrap_or_default()]
-    };
+        ExitCode::FAILURE
+    }
+}
 
+/// Verifies the named scenarios, as tables or as one JSON document.
+fn verify(names: &[&str], json: bool) -> ExitCode {
     let mut analyses = Vec::new();
     let mut ok = true;
-    for name in names {
+    for &name in names {
         let Some(scenario) = scenarios::build(name) else {
             eprintln!("error: unknown scenario '{name}' (try --list)");
             return ExitCode::FAILURE;
         };
         let expect_clean = scenario.expected.is_empty();
         let (analysis, passed) = verify_scenario(scenario);
-        if !opts.json {
+        if !json {
             println!(
                 "scenario {name} ({}): {}",
                 if expect_clean { "expected clean" } else { "seeded bug" },
@@ -208,7 +136,7 @@ fn main() -> ExitCode {
         analyses.push(analysis);
         ok &= passed;
     }
-    if opts.json {
+    if json {
         print!("{}", render_json(&analyses));
     }
     if ok {

@@ -217,37 +217,6 @@ fn connect_time_is_deterministic() {
     assert!(t1.is_some());
 }
 
-// --- pinned absolute digests ------------------------------------------
-//
-// Run-twice and shard-count comparisons cannot see a change that moves
-// both sides alike (a reordered event, an extra RNG draw); an absolute
-// digest does.
-
-#[test]
-fn serial_paper_campaign_digest_is_pinned() {
-    let run = umtslab::run_paper(21, Some(Duration::from_secs(8))).unwrap();
-    let mut h = umtslab::umtslab_sim::Fnv1a::new();
-    for r in [&run.voip.ethernet, &run.voip.umts, &run.cbr.ethernet, &run.cbr.umts] {
-        h.update(umtslab::summary_row(r).as_bytes());
-        h.update(b"\n");
-    }
-    assert_eq!(h.digest(), 0xee40_8bca_e75c_46c8, "paper campaign digest");
-}
-
-#[test]
-fn supervised_chaos_campaign_digest_is_pinned() {
-    use umtslab::chaos::{run_chaos_campaign, ChaosConfig};
-
-    let report = run_chaos_campaign(&ChaosConfig::paper(7), |_, _, _| {});
-    let mut h = umtslab::umtslab_sim::Fnv1a::new();
-    for (at, kind) in &report.lifecycle {
-        h.update_u64(*at);
-        h.update(kind.as_bytes());
-    }
-    h.update(format!("{:?}", report.availability).as_bytes());
-    assert_eq!(h.digest(), 0x92fa_63bd_6a8f_dd93, "chaos campaign digest");
-}
-
 // --- one engine, any partition ------------------------------------------
 //
 // The serial testbed and every shard run the same engine, so closed-loop
