@@ -23,8 +23,8 @@
 //! per-flow log, the drop counters and the metrics JSON (written by the
 //! shared [`umtslab_sim::json`] writer) into one FNV-1a value: two runs
 //! agree on the hash iff they agree on every observable.
-//! The determinism suite and the CI shard gate compare it across shard
-//! counts {1, 2, 4, 8}.
+//! The determinism suite compares it across shard counts {1, 2, 4, 8};
+//! the `fleet.small` and `run.small` witnesses pin it.
 
 use umtslab_ditg::FlowSpec;
 use umtslab_net::link::LinkConfig;
@@ -80,6 +80,32 @@ impl FleetConfig {
     /// Total probe flows (`nodes * flows_per_node`).
     pub fn flows(&self) -> usize {
         self.nodes * self.flows_per_node
+    }
+
+    /// Checks the knobs against what one fleet can address: member
+    /// addresses, sink addresses, the per-member and per-sink UDP port
+    /// ranges, and at least one node per shard.
+    pub fn check(&self) -> Result<(), String> {
+        let (nodes, sinks, per) = (self.nodes, self.sinks, self.flows_per_node);
+        if !(1..=12_000).contains(&nodes) {
+            return Err(format!("nodes must be 1..=12000, got {nodes}"));
+        }
+        if !(1..60_000).contains(&sinks) {
+            return Err(format!("sinks must be 1..=59999, got {sinks}"));
+        }
+        if !(1..=50_000).contains(&per) {
+            return Err(format!("flows per node must be 1..=50000 (member port range), got {per}"));
+        }
+        if self.flows() / sinks + usize::from(SINK_PORT_BASE) >= 65_535 {
+            return Err(format!(
+                "{} flows over {sinks} sink(s) exhaust the sink port range; add sinks",
+                self.flows()
+            ));
+        }
+        if !(1..=nodes + sinks).contains(&self.shards) {
+            return Err(format!("shards must be 1..={}, got {}", nodes + sinks, self.shards));
+        }
+        Ok(())
     }
 }
 
@@ -142,14 +168,10 @@ struct Fleet {
 
 /// Builds the topology and dials every member (no traffic yet).
 fn build(cfg: &FleetConfig) -> Fleet {
-    assert!(cfg.nodes >= 1 && cfg.nodes <= 12_000, "1..=12000 member nodes");
-    assert!(cfg.sinks >= 1 && cfg.sinks < 60_000, "at least one sink");
-    assert!(cfg.flows_per_node >= 1 && cfg.flows_per_node <= 50_000, "member port range");
-    assert!(
-        cfg.flows() / cfg.sinks + (SINK_PORT_BASE as usize) < 65_535,
-        "sink port range exhausted; add sinks"
-    );
-    let mut tb = Testbed::sharded(cfg.shards.max(1), cfg.seed);
+    if let Err(e) = cfg.check() {
+        panic!("invalid fleet: {e}");
+    }
+    let mut tb = Testbed::sharded(cfg.shards, cfg.seed);
     let access = LinkConfig::wired(100_000_000, Duration::from_millis(6));
 
     // Sinks first is tempting but member global indices are the paper's

@@ -15,11 +15,12 @@
 //! deterministic schedulers, drives it on a worker pool, and prints the
 //! metrics summary plus a `trace_hash=` line (in `--json` mode the hash
 //! is a field of the JSON object instead); the hash is invariant under
-//! the shard and worker counts. `pack` parses a pack document, runs
-//! every flow at every campaign seed (`--quick`: first
-//! seed only; `--workers N`: N runs in flight at once), diffs the
-//! measured metrics against the pack's stored goldens and exits nonzero
-//! on drift. `--record` re-runs everything and rewrites the file
+//! the shard and worker counts. Knobs one fleet cannot address, and a
+//! `--seconds` past one day (here and for `traffic`), exit 2 with an
+//! error. `pack` parses a pack document, runs every flow at every
+//! campaign seed (`--quick`: first seed only; `--workers N`: N runs in
+//! flight at once), diffs the measured metrics against the pack's
+//! stored goldens and exits nonzero on drift. `--record` re-runs everything and rewrites the file
 //! canonically with freshly measured goldens; `--check` only verifies
 //! the round-trip byte-identity guarantee without running anything.
 //! `traffic` runs the INRIA cross-layer scenario: a congestion-controlled
@@ -37,6 +38,7 @@ use std::process::ExitCode;
 
 use umtslab::fleet::FleetConfig;
 use umtslab::umtslab_traffic::{fmt_secs, report_hash, Trace};
+use umtslab_pack::schema::MAX_SECONDS;
 use umtslab_pack::{
     diff, load_catalog, load_trace, plan, record, render_diff_json, render_diff_table, render_json,
     render_table, run_one, serialize, ExecutedPack, Pack,
@@ -96,6 +98,15 @@ fn positive(it: &mut Args<'_>) -> Option<usize> {
     number(it).filter(|&n| n >= 1)
 }
 
+/// `--seconds` is bounded like a pack's `*_s` keys, to one day.
+fn within_a_day(seconds: u64) -> Result<(), String> {
+    if seconds as f64 <= MAX_SECONDS {
+        Ok(())
+    } else {
+        Err(format!("--seconds must be at most {MAX_SECONDS} (one day), got {seconds}"))
+    }
+}
+
 fn cmd_run(args: &[String]) -> ExitCode {
     let mut cfg = FleetConfig::demo();
     let mut json = false;
@@ -117,8 +128,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if !parsed {
         return usage();
     }
-    if cfg.shards > cfg.nodes + cfg.sinks {
-        eprintln!("error: --shards must not exceed the node count");
+    if let Err(e) = within_a_day(cfg.seconds).and_then(|()| cfg.check()) {
+        eprintln!("error: {e}");
         return ExitCode::from(2);
     }
     let workers = workers.unwrap_or_else(|| umtslab_runner::default_workers(cfg.shards));
@@ -133,7 +144,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if json {
         // The trace hash rides inside the JSON object (a bare stdout
         // line would corrupt piped-to-parser output); table mode keeps
-        // the greppable trailing line, which CI's shard gate matches.
+        // the greppable trailing line.
         let trace_hash = format!("0x{:016x}", report.trace_hash);
         print!("{}", json::document(|o| registry.write_json(o.str("trace_hash", &trace_hash))));
     } else {
@@ -313,6 +324,10 @@ fn cmd_traffic(args: &[String]) -> ExitCode {
     });
     if !parsed {
         return usage();
+    }
+    if let Err(e) = within_a_day(seconds) {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
     }
     let trace = match &trace_file {
         None => None,

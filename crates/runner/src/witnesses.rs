@@ -194,4 +194,59 @@ mod tests {
         let differences = differences(&pinned, &expected);
         assert!(differences.is_empty(), "{FILE} disagrees:\n{}", differences.join("\n"));
     }
+
+    #[test]
+    fn recording_the_committed_values_rewrites_the_committed_bytes() {
+        assert!(WITNESSES.windows(2).all(|w| w[0].0 < w[1].0), "WITNESSES is in manifest order");
+        let pinned = parse(COMMITTED).unwrap();
+        let computed: Manifest =
+            WITNESSES.iter().map(|&(n, _)| (n.to_string(), pinned[n])).collect();
+        assert_eq!(render(&expected(&pinned, computed)), COMMITTED, "perfbench.* entries are kept");
+    }
+
+    #[test]
+    fn malformed_manifests_name_the_line() {
+        let value = "0x0123456789abcdef";
+        assert!(parse(&format!("a = {value}\nb = {value}\n")).is_ok());
+        for (text, error) in [
+            (format!("a {value}\n"), "WITNESSES:1: expected `name = 0x<16 hex digits>`"),
+            (format!(" = {value}\n"), "WITNESSES:1: expected"),
+            ("\n".to_string(), "WITNESSES:1: expected"),
+            (format!("a = {value}\nb = 0x0123\n"), "WITNESSES:2: `b` = `0x0123` is not"),
+            ("a = 0x0123456789ABCDEF\n".to_string(), "WITNESSES:1: `a`"),
+            ("a = 0x0123456789abcdeg\n".to_string(), "WITNESSES:1: `a`"),
+            ("a = 0123456789abcdef00\n".to_string(), "WITNESSES:1: `a`"),
+            (format!("b = {value}\nb = {value}\n"), "WITNESSES:2: duplicate entry `b`"),
+            (format!("b = {value}\na = {value}\n"), "WITNESSES:2: entry `a` is out of order"),
+        ] {
+            let e = parse(&text).expect_err(&text);
+            assert!(e.starts_with(error), "{text:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn unknown_missing_and_changed_entries_are_named() {
+        let pinned = parse(COMMITTED).unwrap();
+        assert!(differences(&pinned, &pinned).is_empty());
+        let mut unknown = pinned.clone();
+        unknown.insert("traffic.bogus".to_string(), 1);
+        assert_eq!(differences(&unknown, &pinned), ["traffic.bogus: unknown entry"]);
+        let mut missing = pinned.clone();
+        let run_small = missing.remove("run.small").unwrap();
+        let computed = format!("run.small: missing entry (computed 0x{run_small:016x})");
+        assert_eq!(differences(&missing, &pinned), [computed]);
+        // One changed digit of any in-workspace line is a mismatch naming
+        // that entry, with both values.
+        for (name, _) in WITNESSES {
+            let line = COMMITTED.lines().find(|l| l.starts_with(&format!("{name} = "))).unwrap();
+            let digit = if line.ends_with('0') { "1" } else { "0" };
+            let edited = COMMITTED.replace(line, &(line[..line.len() - 1].to_string() + digit));
+            let changed = parse(&edited).unwrap();
+            let mismatch = format!(
+                "{name}: pinned 0x{:016x}, computed 0x{:016x}",
+                changed[name], pinned[name]
+            );
+            assert_eq!(differences(&changed, &pinned), [mismatch]);
+        }
+    }
 }
