@@ -49,4 +49,11 @@ mod tests {
         let parallel = run_traffic_grid(2008, 3, 10, None, 4).unwrap();
         assert_eq!(report_hash(&serial), report_hash(&parallel));
     }
+
+    // `runner traffic --seconds 10 --trace traces/umts_drive.csv`
+    #[test]
+    fn traced_grid_hash_is_pinned() {
+        let committed = include_str!("../../../WITNESSES");
+        crate::witnesses::check(committed, "traffic.traced").unwrap();
+    }
 }

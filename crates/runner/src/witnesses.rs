@@ -118,6 +118,21 @@ pub fn differences(pinned: &Manifest, expected: &Manifest) -> Vec<String> {
     names.into_iter().filter_map(entry).collect()
 }
 
+/// Computes the in-workspace witness `name` and compares it with its
+/// entry of the manifest text `text`: `Ok`, or what [`differences`] says.
+pub fn check(text: &str, name: &str) -> Result<(), String> {
+    let (_, witness) = WITNESSES
+        .iter()
+        .find(|(n, _)| *n == name)
+        .ok_or_else(|| format!("{name}: not an in-workspace witness"))?;
+    let pinned: Manifest = parse(text)?.into_iter().filter(|(n, _)| n == name).collect();
+    let computed = witness().map_err(|e| format!("{name}: {e}"))?;
+    match differences(&pinned, &Manifest::from([(name.to_string(), computed)]))[..] {
+        [] => Ok(()),
+        ref found => Err(found.join("\n")),
+    }
+}
+
 /// The one value several runs agree on, or the first disagreement.
 fn agreed(runs: &[(impl std::fmt::Display, u64)]) -> Result<u64, String> {
     let (k0, h0) = &runs[0];

@@ -217,6 +217,24 @@ fn connect_time_is_deterministic() {
     assert!(t1.is_some());
 }
 
+// --- pinned absolute digests ------------------------------------------
+//
+// Run-twice and shard-count comparisons cannot see a change that moves
+// both sides alike (a reordered event, an extra RNG draw); an absolute
+// digest does. The pins are entries of the committed `WITNESSES` file.
+
+const WITNESSES: &str = include_str!("../WITNESSES");
+
+#[test]
+fn serial_paper_campaign_digest_is_pinned() {
+    umtslab_runner::witnesses::check(WITNESSES, "paper.digest").unwrap();
+}
+
+#[test]
+fn supervised_chaos_campaign_digest_is_pinned() {
+    umtslab_runner::witnesses::check(WITNESSES, "chaos.digest").unwrap();
+}
+
 // --- one engine, any partition ------------------------------------------
 //
 // The serial testbed and every shard run the same engine, so closed-loop
