@@ -23,7 +23,6 @@ use umtslab_net::route::{FlowKey, Route, TableId};
 use umtslab_net::trace::TraceKind;
 use umtslab_net::wire::Ipv4Address;
 use umtslab_planetlab::node::PPP0;
-use umtslab_planetlab::umtscmd::UmtsPhase;
 
 use crate::classes::{PacketClass, Sender};
 use crate::model::{ChainModel, NodeModel};
@@ -483,7 +482,7 @@ pub fn evaluate(
                 chain,
             };
         }
-        if model.umts_phase == UmtsPhase::Up {
+        if model.umts_connected {
             chain.push("queued on the UMTS uplink bearer".to_string());
             return Evaluation {
                 verdict: StaticVerdict::Umts,

@@ -79,6 +79,10 @@ pub struct NodeModel {
     pub has_umts: bool,
     /// UMTS connection phase at snapshot time.
     pub umts_phase: UmtsPhase,
+    /// Whether the attachment's data plane is connected (the uplink takes
+    /// packets). It lags the phase: an operator detach drops the data
+    /// call at once, the phase only when the node next polls.
+    pub umts_connected: bool,
     /// Slice holding the UMTS lock, if any.
     pub umts_owner: Option<SliceId>,
     /// Destinations registered for UMTS routing.
@@ -123,6 +127,9 @@ impl NodeModel {
             bound_ports: node.bound_ports(),
             has_umts: node.has_umts(),
             umts_phase: status.phase,
+            umts_connected: node
+                .umts_attachment()
+                .is_some_and(umtslab_umts::UmtsAttachment::is_connected),
             umts_owner: status.owner,
             umts_destinations: status.destinations,
             umts_acl: node.umts_acl().to_vec(),
