@@ -240,7 +240,7 @@ pub struct BufferPool {
 }
 
 /// Cap on pooled buffers; beyond this, retired buffers are dropped.
-const POOL_CAP: usize = 64;
+pub const POOL_CAP: usize = 64;
 
 impl BufferPool {
     /// Creates an empty pool.
@@ -277,6 +277,11 @@ impl BufferPool {
         if let Ok(buf) = bytes.try_reclaim() {
             self.recycle(buf);
         }
+    }
+
+    /// Buffers on the free list, never more than [`POOL_CAP`].
+    pub fn pooled(&self) -> usize {
+        self.free.len()
     }
 
     /// `(reuses, fresh allocations)` served by [`BufferPool::take`].

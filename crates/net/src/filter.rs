@@ -16,7 +16,7 @@
 
 use crate::iface::IfaceId;
 use crate::packet::{Mark, Packet};
-use crate::wire::{Ipv4Cidr, Protocol};
+use crate::wire::{Ipv4Address, Ipv4Cidr, Protocol};
 
 /// Rule action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +63,8 @@ impl FilterMatch {
         FilterMatch::default()
     }
 
-    fn matches(&self, packet: &Packet, ctx: &HookContext) -> bool {
+    /// True if every present condition holds for `key` at hook `ctx`.
+    pub fn matches(&self, key: &FilterKey, ctx: &HookContext) -> bool {
         if let Some(dev) = self.out_dev {
             if ctx.out_dev != Some(dev) {
                 return false;
@@ -75,31 +76,57 @@ impl FilterMatch {
             }
         }
         if let Some(m) = self.mark {
-            if packet.mark != m {
+            if key.mark != m {
                 return false;
             }
         }
         if let Some(m) = self.not_mark {
-            if packet.mark == m {
+            if key.mark == m {
                 return false;
             }
         }
         if let Some(src) = self.src {
-            if !src.contains(packet.src.addr) {
+            if !src.contains(key.src) {
                 return false;
             }
         }
         if let Some(dst) = self.dst {
-            if !dst.contains(packet.dst.addr) {
+            if !dst.contains(key.dst) {
                 return false;
             }
         }
         if let Some(p) = self.proto {
-            if packet.protocol != p {
+            if key.protocol != p {
                 return false;
             }
         }
         true
+    }
+}
+
+/// The header fields filter rules match on, and the mark a
+/// [`Target::SetMark`] rule rewrites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FilterKey {
+    /// Source address.
+    pub src: Ipv4Address,
+    /// Destination address.
+    pub dst: Ipv4Address,
+    /// Transport protocol.
+    pub protocol: Protocol,
+    /// Firewall mark.
+    pub mark: Mark,
+}
+
+impl FilterKey {
+    /// The key of a packet as it stands.
+    pub fn of(packet: &Packet) -> FilterKey {
+        FilterKey {
+            src: packet.src.addr,
+            dst: packet.dst.addr,
+            protocol: packet.protocol,
+            mark: packet.mark,
+        }
     }
 }
 
@@ -112,8 +139,8 @@ pub struct HookContext {
     pub out_dev: Option<IfaceId>,
 }
 
-/// One rule: a match plus a target, with a hit counter and a comment for
-/// introspection (mirroring `iptables -m comment`).
+/// One rule: a match plus a target, with a comment for introspection
+/// (mirroring `iptables -m comment`).
 #[derive(Debug, Clone)]
 pub struct FilterRule {
     /// Match condition.
@@ -122,14 +149,12 @@ pub struct FilterRule {
     pub target: Target,
     /// Free-form annotation (shown by `status`-style introspection).
     pub comment: String,
-    /// Packets that matched this rule.
-    pub hits: u64,
 }
 
 impl FilterRule {
     /// Creates a rule.
     pub fn new(matcher: FilterMatch, target: Target, comment: impl Into<String>) -> FilterRule {
-        FilterRule { matcher, target, comment: comment.into(), hits: 0 }
+        FilterRule { matcher, target, comment: comment.into() }
     }
 }
 
@@ -177,23 +202,46 @@ impl Chain {
     }
 
     /// Runs the packet through the chain, possibly restamping its mark.
-    pub fn evaluate(&mut self, packet: &mut Packet, ctx: &HookContext) -> FilterVerdict {
-        for rule in &mut self.rules {
-            if !rule.matcher.matches(packet, ctx) {
+    pub fn evaluate(&self, packet: &mut Packet, ctx: &HookContext) -> FilterVerdict {
+        let mut key = FilterKey::of(packet);
+        let verdict = self.evaluate_with(&mut key, ctx, |_| {});
+        packet.mark = key.mark;
+        verdict
+    }
+
+    /// Runs a key through the chain, possibly restamping its mark, and
+    /// reports the index of every rule that matched, in order.
+    pub fn evaluate_with(
+        &self,
+        key: &mut FilterKey,
+        ctx: &HookContext,
+        mut fired: impl FnMut(usize),
+    ) -> FilterVerdict {
+        for (i, rule) in self.rules.iter().enumerate() {
+            if !rule.matcher.matches(key, ctx) {
                 continue;
             }
-            rule.hits += 1;
+            fired(i);
             match rule.target {
                 Target::Accept => return FilterVerdict::Accept,
                 Target::Drop => return FilterVerdict::Drop,
                 Target::SetMark(m) => {
-                    packet.mark = m;
+                    key.mark = m;
                     // MARK continues traversal.
                 }
             }
         }
         self.policy
     }
+}
+
+/// Names one of the two chains of a [`Firewall`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChainId {
+    /// [`Firewall::mangle_output`].
+    MangleOutput,
+    /// [`Firewall::egress`].
+    Egress,
 }
 
 /// The standard pair of chains a node carries: mark stamping at OUTPUT
@@ -221,13 +269,29 @@ impl Firewall {
         }
     }
 
-    /// Runs the full local-output path: mangle, then egress filter.
-    pub fn process_output(&mut self, packet: &mut Packet, out_dev: IfaceId) -> FilterVerdict {
+    /// The chain `id` names.
+    pub fn chain(&self, id: ChainId) -> &Chain {
+        match id {
+            ChainId::MangleOutput => &self.mangle_output,
+            ChainId::Egress => &self.egress,
+        }
+    }
+
+    /// Runs the full local-output path, mangle then egress filter, and
+    /// reports every rule that matched, in order.
+    pub fn process_output(
+        &self,
+        key: &mut FilterKey,
+        out_dev: IfaceId,
+        mut fired: impl FnMut(ChainId, usize),
+    ) -> FilterVerdict {
         let ctx = HookContext { in_dev: None, out_dev: Some(out_dev) };
-        if self.mangle_output.evaluate(packet, &ctx) == FilterVerdict::Drop {
+        let mangle =
+            self.mangle_output.evaluate_with(key, &ctx, |i| fired(ChainId::MangleOutput, i));
+        if mangle == FilterVerdict::Drop {
             return FilterVerdict::Drop;
         }
-        self.egress.evaluate(packet, &ctx)
+        self.egress.evaluate_with(key, &ctx, |i| fired(ChainId::Egress, i))
     }
 }
 
@@ -235,7 +299,7 @@ impl Firewall {
 mod tests {
     use super::*;
     use crate::packet::PacketId;
-    use crate::wire::{Endpoint, Ipv4Address};
+    use crate::wire::Endpoint;
     use umtslab_sim::time::Instant;
 
     const ETH0: IfaceId = IfaceId(0);
@@ -271,8 +335,13 @@ mod tests {
         c.append(FilterRule::new(FilterMatch::any(), Target::Accept, "first"));
         c.append(FilterRule::new(FilterMatch::any(), Target::Drop, "second"));
         assert_eq!(c.evaluate(&mut pkt(0), &out_ctx(ETH0)), FilterVerdict::Accept);
-        assert_eq!(c.rules()[0].hits, 1);
-        assert_eq!(c.rules()[1].hits, 0);
+        let mut fired = Vec::new();
+        let mut key = FilterKey::of(&pkt(0));
+        assert_eq!(
+            c.evaluate_with(&mut key, &out_ctx(ETH0), |i| fired.push(i)),
+            FilterVerdict::Accept
+        );
+        assert_eq!(fired, [0]);
     }
 
     #[test]
@@ -408,12 +477,22 @@ mod tests {
             Target::Drop,
             "umts-isolation",
         ));
-        let mut p = pkt(0);
-        assert_eq!(fw.process_output(&mut p, PPP0), FilterVerdict::Accept);
-        assert_eq!(p.mark, umts_mark);
+        let mut key = FilterKey::of(&pkt(0));
+        let mut fired = Vec::new();
+        assert_eq!(
+            fw.process_output(&mut key, PPP0, |chain, i| fired.push((chain, i))),
+            FilterVerdict::Accept
+        );
+        assert_eq!(key.mark, umts_mark);
+        assert_eq!(fired, [(ChainId::MangleOutput, 0)]);
 
-        let mut p = pkt(0);
-        p.dst.addr = Ipv4Address::new(9, 9, 9, 9); // not stamped
-        assert_eq!(fw.process_output(&mut p, PPP0), FilterVerdict::Drop);
+        let mut key = FilterKey::of(&pkt(0));
+        key.dst = Ipv4Address::new(9, 9, 9, 9); // not stamped
+        fired.clear();
+        assert_eq!(
+            fw.process_output(&mut key, PPP0, |chain, i| fired.push((chain, i))),
+            FilterVerdict::Drop
+        );
+        assert_eq!(fired, [(ChainId::Egress, 0)]);
     }
 }

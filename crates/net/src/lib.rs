@@ -68,7 +68,10 @@ pub mod wire;
 
 pub use bytes::{copy_counters, BufferPool, Bytes, CopyCounters};
 pub use fault::{FaultConfig, FaultInjector, LossModel};
-pub use filter::{Chain, FilterMatch, FilterRule, FilterVerdict, Firewall, HookContext, Target};
+pub use filter::{
+    Chain, ChainId, FilterKey, FilterMatch, FilterRule, FilterVerdict, Firewall, HookContext,
+    Target,
+};
 pub use iface::{Iface, IfaceId, IfaceKind};
 pub use label::Label;
 pub use link::{

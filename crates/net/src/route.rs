@@ -101,13 +101,24 @@ impl RoutingTable {
     /// Longest-prefix-match lookup; ties broken by lowest metric, then by
     /// insertion order.
     pub fn lookup(&self, dst: Ipv4Address) -> Option<&Route> {
-        self.routes.iter().filter(|r| r.dest.contains(dst)).max_by(|a, b| {
-            a.dest
-                .prefix_len()
-                .cmp(&b.dest.prefix_len())
-                // lower metric should win: invert for max_by
-                .then_with(|| b.metric.cmp(&a.metric))
-        })
+        self.lookup_index(dst).map(|i| &self.routes[i])
+    }
+
+    /// [`RoutingTable::lookup`], returning the winning route's index in
+    /// [`RoutingTable::routes`].
+    pub fn lookup_index(&self, dst: Ipv4Address) -> Option<usize> {
+        self.routes
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.dest.contains(dst))
+            .max_by(|(_, a), (_, b)| {
+                a.dest
+                    .prefix_len()
+                    .cmp(&b.dest.prefix_len())
+                    // lower metric should win: invert for max_by
+                    .then_with(|| b.metric.cmp(&a.metric))
+            })
+            .map(|(i, _)| i)
     }
 
     /// All routes, in insertion order.
@@ -196,10 +207,10 @@ pub struct RouteDecision {
     pub via: Option<Ipv4Address>,
     /// Preferred source address, if the route specifies one.
     pub prefsrc: Option<Ipv4Address>,
-    /// The table that provided the route.
-    pub table: TableId,
-    /// The priority of the rule that matched.
-    pub rule_priority: u32,
+    /// The matching rule's index in [`Rib::rules`].
+    pub rule: usize,
+    /// The route's index in its table's [`RoutingTable::routes`].
+    pub route: usize,
 }
 
 /// The node's complete routing state: tables plus policy rules.
@@ -283,20 +294,21 @@ impl Rib {
     /// Resolves a flow: scans rules in priority order, looks up matching
     /// tables, and returns the first route found.
     pub fn resolve(&self, key: &FlowKey) -> Option<RouteDecision> {
-        for rule in &self.rules {
+        for (i, rule) in self.rules.iter().enumerate() {
             if !rule.selector.matches(key) {
                 continue;
             }
             let Some(table) = self.tables.get(&rule.table) else {
                 continue;
             };
-            if let Some(route) = table.lookup(key.dst) {
+            if let Some(index) = table.lookup_index(key.dst) {
+                let route = &table.routes[index];
                 return Some(RouteDecision {
                     dev: route.dev,
                     via: route.via,
                     prefsrc: route.prefsrc,
-                    table: rule.table,
-                    rule_priority: rule.priority,
+                    rule: i,
+                    route: index,
                 });
             }
         }
@@ -375,8 +387,8 @@ mod tests {
         rib.table_mut(TableId::MAIN).add(Route::default_via(a("192.168.0.1"), ETH0));
         let d = rib.resolve(&key("192.168.0.2", "8.8.8.8", 0)).unwrap();
         assert_eq!(d.dev, ETH0);
-        assert_eq!(d.table, TableId::MAIN);
-        assert_eq!(d.rule_priority, 32_766);
+        assert_eq!(rib.rules()[d.rule].table, TableId::MAIN);
+        assert_eq!(rib.rules()[d.rule].priority, 32_766);
     }
 
     #[test]
@@ -397,7 +409,7 @@ mod tests {
         // Marked packet goes out ppp0.
         let d = rib.resolve(&key("192.168.0.2", "8.8.8.8", 7)).unwrap();
         assert_eq!(d.dev, PPP0);
-        assert_eq!(d.table, umts_table);
+        assert_eq!(rib.rules()[d.rule].table, umts_table);
         // Unmarked packet falls through to main.
         let d = rib.resolve(&key("192.168.0.2", "8.8.8.8", 0)).unwrap();
         assert_eq!(d.dev, ETH0);
@@ -469,7 +481,7 @@ mod tests {
         rib.add_rule(PolicyRule { priority: 100, selector: RuleSelector::any(), table: t1 });
         let d = rib.resolve(&key("1.1.1.1", "8.8.8.8", 0)).unwrap();
         assert_eq!(d.dev, ETH0);
-        assert_eq!(d.rule_priority, 100);
+        assert_eq!(rib.rules()[d.rule].priority, 100);
     }
 
     #[test]

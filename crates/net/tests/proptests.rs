@@ -216,10 +216,11 @@ fn policy_rules_scan_by_priority() {
         };
         let decision = rib.resolve(&key).unwrap();
         let min_prio = *priorities.iter().min().unwrap();
-        assert_eq!(decision.rule_priority, min_prio);
+        assert_eq!(rib.rules()[decision.rule].priority, min_prio);
         // Unmarked traffic always falls through to main.
         let unmarked = FlowKey { mark: Mark(0), ..key };
-        assert_eq!(rib.resolve(&unmarked).unwrap().table, TableId::MAIN);
+        let fallback = rib.resolve(&unmarked).unwrap();
+        assert_eq!(rib.rules()[fallback.rule].table, TableId::MAIN);
     }
 }
 

@@ -37,6 +37,10 @@ pub struct PackMeta {
 /// run's end (`flow start + duration + drain`) far inside simulated time.
 pub const MAX_SECONDS: f64 = 86_400.0;
 
+/// The most repetitions a campaign may run: a pack's `[seeds] reps`, and
+/// `runner traffic --reps`.
+pub const MAX_REPS: u32 = 1_000;
+
 /// The most faults a `[fault_plan]` may expect to draw:
 /// `(horizon_s - start_s) / mean_gap_s`. It bounds the seeded schedule's
 /// memory.
@@ -773,8 +777,8 @@ pub fn decode(doc: &Document) -> Result<Pack, ParseError> {
         reps: {
             let e = f.require("reps")?;
             let v = expect_u64(e)?;
-            if v == 0 || v > 1_000 {
-                return Err(ParseError::new(e.span, "reps must be in 1..=1000"));
+            if v == 0 || v > u64::from(MAX_REPS) {
+                return Err(ParseError::new(e.span, format!("reps must be in 1..={MAX_REPS}")));
             }
             v as u32
         },

@@ -195,3 +195,15 @@ fn fault_plans_expecting_too_many_faults_are_rejected() {
     );
     Pack::parse(&plan("10.0", "0.001")).expect("exactly 10000 expected faults is allowed");
 }
+
+#[test]
+fn reps_past_the_campaign_bound_are_rejected_with_their_span() {
+    for reps in ["0", "1001"] {
+        let text = valid().replace("reps = 1\n", &format!("reps = {reps}\n"));
+        let err = Pack::parse(&text).expect_err("out-of-range reps");
+        assert_eq!(err.message, "reps must be in 1..=1000");
+        assert_eq!(err.span.line, 27, "{}", err.span);
+    }
+    let text = valid().replace("reps = 1\n", "reps = 1000\n");
+    Pack::parse(&text).expect("the bound itself is allowed");
+}

@@ -9,11 +9,11 @@
 //! [`Node::ingress`] (a packet arrives on an interface); the control-plane
 //! entry point is [`Node::vsys_submit`] processed by [`Node::poll`].
 
-use umtslab_net::filter::{FilterVerdict, Firewall};
+use umtslab_net::filter::{ChainId, FilterKey, FilterVerdict, Firewall};
 use umtslab_net::icmp;
 use umtslab_net::iface::{Iface, IfaceId};
 use umtslab_net::label::Label;
-use umtslab_net::packet::Packet;
+use umtslab_net::packet::{Mark, Packet};
 use umtslab_net::route::{FlowKey, Rib, Route, TableId};
 use umtslab_net::trace::{TraceKind, TraceLog};
 use umtslab_net::wire::{Ipv4Address, Ipv4Cidr};
@@ -52,6 +52,64 @@ pub enum EgressAction {
     Local,
     /// Dropped; the reason was recorded in the trace log.
     Dropped(TraceKind),
+}
+
+/// Where a node's egress policy sends one marked, locally originated
+/// packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EgressFate {
+    /// The destination is one of the node's addresses: delivered to the
+    /// slice bound on the destination port, or dropped when none is.
+    Local(Option<SliceId>),
+    /// No policy rule yielded a route.
+    NoRoute,
+    /// The route's interface is down.
+    IfaceDown(IfaceId),
+    /// The mangle or the egress chain dropped the packet.
+    Filtered,
+    /// Transmitted on a wired interface.
+    Wire(IfaceId),
+    /// Routed to `ppp0` on a node without a 3G card.
+    NoUmts,
+    /// Routed to `ppp0` while the attachment's data call is down.
+    BearerDown,
+    /// Handed to the UMTS uplink bearer.
+    Uplink,
+}
+
+/// The egress decision for one packet: its fate, and the source address
+/// and mark the output path leaves on it (source selection and the
+/// mangle chain rewrite them).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EgressVerdict {
+    /// Where the packet goes; carries the routed interface where one
+    /// decided the fate.
+    pub fate: EgressFate,
+    /// Source address, after source selection once routing found a route.
+    pub src: Ipv4Address,
+    /// Mark, after whatever part of the mangle and egress chains ran.
+    pub mark: Mark,
+}
+
+/// One policy entry that fired while [`Node::egress_decision`] decided a
+/// packet, reported in firing order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EgressStep {
+    /// Policy rule `rule` (an index into `Rib::rules`) selected route
+    /// `route` (an index into its table's `routes`).
+    Route {
+        /// Index of the selecting rule.
+        rule: usize,
+        /// Index of the route in the rule's table.
+        route: usize,
+    },
+    /// Rule `rule` of firewall chain `chain` matched.
+    Filter {
+        /// The chain.
+        chain: ChainId,
+        /// Index of the rule in the chain.
+        rule: usize,
+    },
 }
 
 /// A packet delivered to a bound socket.
@@ -310,65 +368,110 @@ impl Node {
     }
 
     /// The output path every locally originated packet takes once it is
-    /// marked: local delivery, policy routing, source-address selection,
-    /// the interface check, the egress firewall and the hand-off to the
-    /// wire or the UMTS uplink. Every drop leaves a trace record.
+    /// marked: [`Node::egress_decision`] decides, and this executes the
+    /// verdict — it writes the source and mark onto the packet, leaves a
+    /// trace record for every drop and for every packet that reaches its
+    /// interface, and hands the packet to the wire, a local socket or the
+    /// UMTS uplink.
     fn egress(&mut self, now: Instant, mut packet: Packet) -> EgressAction {
-        // Local destination? Deliver without touching the wire.
-        if self.is_local_addr(packet.dst.addr) {
-            return self.deliver_local(now, LO, packet);
-        }
-
-        // Policy routing.
-        let key = FlowKey { src: packet.src.addr, dst: packet.dst.addr, mark: packet.mark };
-        let Some(decision) = self.rib.resolve(&key) else {
-            self.trace.record(now, TraceKind::DropNoRoute, &packet, self.places.node);
-            return EgressAction::Dropped(TraceKind::DropNoRoute);
-        };
-        // Source-address selection, as the kernel does for unbound sockets.
-        if packet.src.addr.is_unspecified() {
-            let chosen = decision.prefsrc.unwrap_or_else(|| self.iface(decision.dev).addr);
-            packet.src.addr = chosen;
-        }
-        // Egress interface must be up.
-        if !self.iface(decision.dev).up {
-            self.trace.record(now, TraceKind::DropNoRoute, &packet, self.places.iface_down);
-            return EgressAction::Dropped(TraceKind::DropNoRoute);
-        }
-
-        // Netfilter output path (mangle + the isolation drop rule).
-        if self.firewall.process_output(&mut packet, decision.dev) == FilterVerdict::Drop {
-            self.trace.record(now, TraceKind::DropFilter, &packet, self.places.node);
-            return EgressAction::Dropped(TraceKind::DropFilter);
-        }
-
-        self.trace.record(
-            now,
-            TraceKind::Egress,
-            &packet,
-            self.places.ifaces[decision.dev.0 as usize],
-        );
-        if decision.dev == PPP0 {
-            let Some(att) = self.umts.as_mut() else {
-                self.trace.record(now, TraceKind::DropNoRoute, &packet, self.places.no_umts);
-                return EgressAction::Dropped(TraceKind::DropNoRoute);
-            };
-            // The clone shares the payload allocation: the uplink keeps a
-            // header-struct copy plus a refcount on the same bytes.
-            match att.send_uplink(now, packet.clone()) {
-                UplinkOutcome::Queued => EgressAction::Umts,
-                UplinkOutcome::DroppedOverflow => {
-                    self.trace.record(now, TraceKind::DropQueue, &packet, self.places.ppp0);
-                    EgressAction::Dropped(TraceKind::DropQueue)
-                }
-                UplinkOutcome::NotConnected => {
-                    self.trace.record(now, TraceKind::DropNoRoute, &packet, self.places.ppp0_down);
-                    EgressAction::Dropped(TraceKind::DropNoRoute)
+        let verdict = self.egress_decision(&packet, |_| {});
+        packet.src.addr = verdict.src;
+        packet.mark = verdict.mark;
+        let out = |dev: IfaceId| self.places.ifaces[dev.0 as usize];
+        let (kind, place) = match verdict.fate {
+            EgressFate::Local(owner) => return self.deliver_local(now, LO, owner, packet),
+            EgressFate::NoRoute => (TraceKind::DropNoRoute, self.places.node),
+            EgressFate::IfaceDown(_) => (TraceKind::DropNoRoute, self.places.iface_down),
+            EgressFate::Filtered => (TraceKind::DropFilter, self.places.node),
+            EgressFate::Wire(iface) => {
+                self.trace.record(now, TraceKind::Egress, &packet, out(iface));
+                return EgressAction::Wire { iface, packet };
+            }
+            EgressFate::NoUmts => {
+                self.trace.record(now, TraceKind::Egress, &packet, out(PPP0));
+                (TraceKind::DropNoRoute, self.places.no_umts)
+            }
+            EgressFate::BearerDown => {
+                self.trace.record(now, TraceKind::Egress, &packet, out(PPP0));
+                (TraceKind::DropNoRoute, self.places.ppp0_down)
+            }
+            EgressFate::Uplink => {
+                self.trace.record(now, TraceKind::Egress, &packet, out(PPP0));
+                // The clone shares the payload allocation: the uplink keeps a
+                // header-struct copy plus a refcount on the same bytes.
+                match self.umts.as_mut().map(|att| att.send_uplink(now, packet.clone())) {
+                    Some(UplinkOutcome::Queued) => return EgressAction::Umts,
+                    Some(UplinkOutcome::DroppedOverflow) => {
+                        (TraceKind::DropQueue, self.places.ppp0)
+                    }
+                    Some(UplinkOutcome::NotConnected) | None => {
+                        (TraceKind::DropNoRoute, self.places.ppp0_down)
+                    }
                 }
             }
-        } else {
-            EgressAction::Wire { iface: decision.dev, packet }
+        };
+        self.trace.record(now, kind, &packet, place);
+        EgressAction::Dropped(kind)
+    }
+
+    /// The egress decision for a marked, locally originated packet over
+    /// the node's current policy: local delivery, the policy-rule scan and
+    /// table lookup, source-address selection for unbound sockets, the
+    /// interface check, the mangle and egress chains, and the `ppp0`
+    /// hand-off. `observe` sees the selecting rule and route and every
+    /// chain rule that matched, in order. [`Node::send_from_slice`]
+    /// executes the verdict, and the `umtslab-verify` analyzer calls this
+    /// same function for every packet class it sweeps.
+    pub fn egress_decision(
+        &self,
+        packet: &Packet,
+        mut observe: impl FnMut(EgressStep),
+    ) -> EgressVerdict {
+        let mut verdict =
+            EgressVerdict { fate: EgressFate::NoRoute, src: packet.src.addr, mark: packet.mark };
+        // Local destination? Deliver without touching the wire.
+        if self.is_local_addr(packet.dst.addr) {
+            verdict.fate = EgressFate::Local(self.sockets.get(&packet.dst.port).copied());
+            return verdict;
         }
+        // Policy routing.
+        let key = FlowKey { src: packet.src.addr, dst: packet.dst.addr, mark: packet.mark };
+        let Some(route) = self.rib.resolve(&key) else {
+            return verdict;
+        };
+        observe(EgressStep::Route { rule: route.rule, route: route.route });
+        // A route may name an interface the node does not have: it has no
+        // address and is never up.
+        let iface = self.ifaces.get(route.dev.0 as usize);
+        // Source-address selection, as the kernel does for unbound sockets.
+        if verdict.src.is_unspecified() {
+            verdict.src =
+                route.prefsrc.or(iface.map(|i| i.addr)).unwrap_or(Ipv4Address::UNSPECIFIED);
+        }
+        // Egress interface must be up.
+        if !iface.is_some_and(|i| i.up) {
+            verdict.fate = EgressFate::IfaceDown(route.dev);
+            return verdict;
+        }
+        // Netfilter output path (mangle + the isolation drop rule).
+        let mut filter_key = FilterKey {
+            src: verdict.src,
+            dst: packet.dst.addr,
+            protocol: packet.protocol,
+            mark: packet.mark,
+        };
+        let filtered = self.firewall.process_output(&mut filter_key, route.dev, |chain, rule| {
+            observe(EgressStep::Filter { chain, rule });
+        });
+        verdict.mark = filter_key.mark;
+        verdict.fate = match (filtered, route.dev, &self.umts) {
+            (FilterVerdict::Drop, _, _) => EgressFate::Filtered,
+            (FilterVerdict::Accept, PPP0, None) => EgressFate::NoUmts,
+            (FilterVerdict::Accept, PPP0, Some(att)) if att.is_connected() => EgressFate::Uplink,
+            (FilterVerdict::Accept, PPP0, Some(_)) => EgressFate::BearerDown,
+            (FilterVerdict::Accept, dev, _) => EgressFate::Wire(dev),
+        };
+        verdict
     }
 
     /// A packet arrives on an interface.
@@ -402,14 +505,23 @@ impl Node {
             self.trace.record(now, TraceKind::DropCorrupt, &packet, self.places.node);
             return None;
         }
-        match self.deliver_local(now, iface, packet) {
+        let owner = self.sockets.get(&packet.dst.port).copied();
+        match self.deliver_local(now, iface, owner, packet) {
             EgressAction::Local => self.delivered.last().cloned(),
             _ => None,
         }
     }
 
-    fn deliver_local(&mut self, now: Instant, iface: IfaceId, packet: Packet) -> EgressAction {
-        let Some(&slice) = self.sockets.get(&packet.dst.port) else {
+    /// Hands a packet to the slice owning its destination port, or drops
+    /// it when no slice does.
+    fn deliver_local(
+        &mut self,
+        now: Instant,
+        iface: IfaceId,
+        owner: Option<SliceId>,
+        packet: Packet,
+    ) -> EgressAction {
+        let Some(slice) = owner else {
             self.trace.record(now, TraceKind::DropNoSocket, &packet, self.places.node);
             return EgressAction::Dropped(TraceKind::DropNoSocket);
         };
@@ -796,6 +908,26 @@ mod tests {
         let s = n.slices.create("x");
         let mut alloc = PacketIdAllocator::new();
         let p = udp(&mut alloc, a("8.8.8.8"), 1, Instant::ZERO);
+        assert!(matches!(
+            n.send_from_slice(Instant::ZERO, s, p),
+            EgressAction::Dropped(TraceKind::DropNoRoute)
+        ));
+    }
+
+    #[test]
+    fn route_to_an_unknown_interface_drops_as_interface_down() {
+        // Regression: the route's device indexed the interface table and
+        // panicked ("index out of bounds: the len is 3 but the index is 7").
+        let mut n = Node::new("bare");
+        let s = n.slices.create("x");
+        n.rib
+            .table_mut(TableId::MAIN)
+            .add(Route::onlink("10.0.0.0/8".parse().unwrap(), IfaceId(7)));
+        let mut alloc = PacketIdAllocator::new();
+        let p = udp(&mut alloc, a("10.0.0.1"), 1, Instant::ZERO);
+        let verdict = n.egress_decision(&p, |_| {});
+        assert_eq!(verdict.fate, EgressFate::IfaceDown(IfaceId(7)));
+        assert_eq!(verdict.src, Ipv4Address::UNSPECIFIED);
         assert!(matches!(
             n.send_from_slice(Instant::ZERO, s, p),
             EgressAction::Dropped(TraceKind::DropNoRoute)

@@ -38,7 +38,7 @@ use std::process::ExitCode;
 
 use umtslab::fleet::FleetConfig;
 use umtslab::umtslab_traffic::{fmt_secs, report_hash, Trace};
-use umtslab_pack::schema::MAX_SECONDS;
+use umtslab_pack::schema::{MAX_REPS, MAX_SECONDS};
 use umtslab_pack::{
     diff, load_catalog, load_trace, plan, record, render_diff_json, render_diff_table, render_json,
     render_table, run_one, serialize, ExecutedPack, Pack,
@@ -327,6 +327,10 @@ fn cmd_traffic(args: &[String]) -> ExitCode {
     }
     if let Err(e) = within_a_day(seconds) {
         eprintln!("error: {e}");
+        return ExitCode::from(2);
+    }
+    if reps > MAX_REPS as usize {
+        eprintln!("error: --reps must be at most {MAX_REPS}, got {reps}");
         return ExitCode::from(2);
     }
     let trace = match &trace_file {

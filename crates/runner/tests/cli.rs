@@ -46,3 +46,11 @@ fn run_refuses_a_span_beyond_one_day() {
 fn traffic_refuses_a_span_beyond_one_day() {
     refuses(&["traffic", "--seconds", "18446744073709"], "--seconds");
 }
+
+#[test]
+fn traffic_refuses_more_reps_than_a_pack_allows() {
+    // One past a pack's `[seeds] reps` bound. The refusal comes before any
+    // job is built; the default single worker runs jobs on the calling
+    // thread, so even a missing bound would start no thread.
+    refuses(&["traffic", "--reps", "1001", "--seconds", "1"], "--reps");
+}

@@ -17,9 +17,8 @@
 //! bound/unbound destination ports.
 
 use umtslab_net::wire::{Ipv4Address, Ipv4Cidr};
+use umtslab_planetlab::node::Node;
 use umtslab_planetlab::slice::SliceId;
-
-use crate::model::NodeModel;
 
 /// The sender side of a packet class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +68,7 @@ fn representatives(out: &mut Vec<Ipv4Address>, cidr: Ipv4Cidr) {
 }
 
 /// Every prefix the node's policy mentions anywhere.
-fn policy_prefixes(model: &NodeModel) -> Vec<Ipv4Cidr> {
+fn policy_prefixes(node: &Node) -> Vec<Ipv4Cidr> {
     let mut prefixes = Vec::new();
     let mut add = |c: Option<Ipv4Cidr>| {
         if let Some(c) = c {
@@ -78,23 +77,23 @@ fn policy_prefixes(model: &NodeModel) -> Vec<Ipv4Cidr> {
             }
         }
     };
-    for rule in &model.rules {
+    for rule in node.rib.rules() {
         add(rule.selector.src);
         add(rule.selector.dst);
     }
-    for (_, routes) in &model.tables {
-        for route in routes {
+    for (_, table) in node.rib.tables() {
+        for route in table.routes() {
             add(Some(route.dest));
         }
     }
-    for chain in [&model.mangle, &model.egress] {
-        for rule in &chain.rules {
+    for chain in [&node.firewall.mangle_output, &node.firewall.egress] {
+        for rule in chain.rules() {
             add(rule.matcher.src);
             add(rule.matcher.dst);
         }
     }
-    for dest in &model.umts_destinations {
-        add(Some(*dest));
+    for dest in node.umts_status().destinations {
+        add(Some(dest));
     }
     prefixes
 }
@@ -103,12 +102,12 @@ fn policy_prefixes(model: &NodeModel) -> Vec<Ipv4Cidr> {
 /// representatives of every policy prefix, every interface address and
 /// peer, and the canonical far-outside destination. Sorted numerically so
 /// the sweep order — and therefore every report — is deterministic.
-pub fn destination_candidates(model: &NodeModel) -> Vec<Ipv4Address> {
+pub fn destination_candidates(node: &Node) -> Vec<Ipv4Address> {
     let mut out = Vec::new();
-    for cidr in policy_prefixes(model) {
+    for cidr in policy_prefixes(node) {
         representatives(&mut out, cidr);
     }
-    for iface in &model.ifaces {
+    for iface in node.ifaces() {
         if !iface.addr.is_unspecified() {
             push_unique(&mut out, iface.addr);
         }
@@ -125,9 +124,9 @@ pub fn destination_candidates(model: &NodeModel) -> Vec<Ipv4Address> {
 /// socket, the common case) plus every configured interface address — the
 /// latter models a slice explicitly binding an address, including the
 /// paper's special case of a foreign slice binding the UMTS address.
-pub fn source_candidates(model: &NodeModel) -> Vec<Ipv4Address> {
+pub fn source_candidates(node: &Node) -> Vec<Ipv4Address> {
     let mut out = vec![Ipv4Address::UNSPECIFIED];
-    for iface in &model.ifaces {
+    for iface in node.ifaces() {
         if iface.up && !iface.addr.is_unspecified() {
             push_unique(&mut out, iface.addr);
         }
@@ -138,10 +137,11 @@ pub fn source_candidates(model: &NodeModel) -> Vec<Ipv4Address> {
 /// The destination ports worth distinguishing: one bound port per owning
 /// slice (local delivery succeeds) and one guaranteed-unbound port (local
 /// delivery fails with no-socket).
-pub fn port_candidates(model: &NodeModel) -> Vec<u16> {
-    let mut out: Vec<u16> = model.bound_ports.iter().map(|(p, _)| *p).collect();
+pub fn port_candidates(node: &Node) -> Vec<u16> {
+    let bound = node.bound_ports();
+    let mut out: Vec<u16> = bound.iter().map(|(p, _)| *p).collect();
     let mut unbound = 40_000u16;
-    while model.bound_ports.iter().any(|(p, _)| *p == unbound) {
+    while bound.iter().any(|(p, _)| *p == unbound) {
         unbound += 1;
     }
     out.push(unbound);
@@ -149,11 +149,11 @@ pub fn port_candidates(model: &NodeModel) -> Vec<u16> {
 }
 
 /// Enumerates the full packet-class sweep for a node.
-pub fn enumerate(model: &NodeModel) -> Vec<PacketClass> {
-    let dsts = destination_candidates(model);
-    let srcs = source_candidates(model);
-    let ports = port_candidates(model);
-    let mut senders: Vec<Sender> = model.slices.iter().map(|s| Sender::Slice(s.id)).collect();
+pub fn enumerate(node: &Node) -> Vec<PacketClass> {
+    let dsts = destination_candidates(node);
+    let srcs = source_candidates(node);
+    let ports = port_candidates(node);
+    let mut senders: Vec<Sender> = node.slices.iter().map(|s| Sender::Slice(s.id)).collect();
     senders.push(Sender::Kernel);
 
     let mut classes = Vec::with_capacity(senders.len() * srcs.len() * dsts.len() * ports.len());

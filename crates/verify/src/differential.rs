@@ -1,10 +1,11 @@
 //! Differential harness: replay analyzer witnesses through the live node.
 //!
-//! The static evaluator is only trustworthy if it agrees with the
-//! simulator it models. For every replayable witness the harness builds
-//! the concrete packet and pushes it through `Node::send_from_slice` —
-//! the same code path live traffic takes — then compares the live
-//! [`EgressAction`] against the static verdict. The single tolerated
+//! The evaluator decides a class with `Node::egress_decision`; live
+//! traffic goes through `Node::send_from_slice`, which executes that
+//! decision. For every replayable witness the harness builds the concrete
+//! packet, sends it, and compares the live [`EgressAction`] against the
+//! evaluator's verdict, so it checks both the executor and the
+//! evaluator's reading of the decision. The single tolerated
 //! divergence is queue pressure: a statically `umts` packet may come back
 //! `drop(queue)` live when the uplink bearer buffer happens to be full,
 //! which no static analysis can (or should) predict.
@@ -67,8 +68,8 @@ fn verdicts_agree(static_v: StaticVerdict, live: StaticVerdict) -> bool {
 
 /// Replays every replayable witness of `analysis` through `node`.
 ///
-/// The node is the *same* configured node the analysis snapshotted;
-/// replaying mutates only its counters and trace, not its policy.
+/// The node is the *same* configured node the analysis read; replaying
+/// mutates only its counters and trace, not its policy.
 pub fn replay_witnesses(node: &mut Node, now: Instant, analysis: &Analysis) -> DifferentialResult {
     let mut alloc = PacketIdAllocator::new();
     let mut result = DifferentialResult::default();
@@ -107,9 +108,8 @@ pub fn replay_witnesses(node: &mut Node, now: Instant, analysis: &Analysis) -> D
 /// Used by the differential tests; more expensive than
 /// [`replay_witnesses`] but exhaustive.
 pub fn replay_sweep(node: &mut Node, now: Instant) -> DifferentialResult {
-    let model = crate::model::NodeModel::capture(node);
-    let classes = crate::classes::enumerate(&model);
-    let mut counters = crate::eval::SweepCounters::for_model(&model);
+    let classes = crate::classes::enumerate(node);
+    let mut counters = crate::eval::SweepCounters::for_node(node);
     let mut alloc = PacketIdAllocator::new();
     let mut result = DifferentialResult::default();
     for class in &classes {
@@ -117,7 +117,7 @@ pub fn replay_sweep(node: &mut Node, now: Instant) -> DifferentialResult {
             result.skipped += 1;
             continue;
         };
-        let eval = crate::eval::evaluate(&model, &mut counters, class);
+        let eval = crate::eval::evaluate(node, &mut counters, class);
         let packet = Packet::udp(
             alloc.allocate(),
             Endpoint::new(class.src, 9_000),

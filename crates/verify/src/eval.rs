@@ -1,35 +1,34 @@
-//! The static packet evaluator.
+//! The packet-class evaluator.
 //!
-//! [`evaluate`] walks one [`PacketClass`] through the same decision
-//! sequence `Node::send_from_slice` applies to a live packet — VNET+ mark
-//! stamping, the local-delivery test, policy-rule scan with
-//! longest-prefix-match table lookup, kernel source-address selection, the
-//! interface-up check, the mangle and egress firewall chains, and finally
-//! the bearer hand-off — without simulating any traffic. Along the way it
-//! records the *admitting chain*: every rule and route that decided the
-//! packet's fate, in the order they fired.
+//! [`evaluate`] pushes one [`PacketClass`] through the node's own egress
+//! decision, [`Node::egress_decision`] — the function
+//! `Node::send_from_slice` executes for every live packet — without
+//! simulating any traffic. It renders what the decision observed as the
+//! *admitting chain*: every rule and route that decided the packet's
+//! fate, in the order they fired.
 //!
 //! The evaluator also feeds [`SweepCounters`]: for every policy rule,
 //! route and filter rule it tracks how often the entity actually decided
 //! a packet versus how often it *would have matched* had an earlier entry
 //! not captured the packet first. An entity with would-match hits but no
 //! real hits across a whole sweep is shadowed — dead policy the operator
-//! probably believes is active.
+//! probably believes is active. The would-match scans ask the net crate's
+//! own `RuleSelector::matches`, `RoutingTable::lookup_index` and
+//! `FilterMatch::matches`.
 
-use umtslab_net::filter::{FilterVerdict, Target};
+use umtslab_net::filter::{Chain, ChainId, FilterKey, HookContext, Target};
 use umtslab_net::iface::IfaceId;
-use umtslab_net::packet::Mark;
-use umtslab_net::route::{FlowKey, Route, TableId};
+use umtslab_net::packet::{Mark, Packet, PacketId};
+use umtslab_net::route::{FlowKey, PolicyRule, Route, TableId};
 use umtslab_net::trace::TraceKind;
-use umtslab_net::wire::Ipv4Address;
-use umtslab_planetlab::node::PPP0;
+use umtslab_net::wire::{Endpoint, Ipv4Address, Protocol};
+use umtslab_planetlab::node::{EgressFate, EgressStep, Node};
+use umtslab_sim::time::Instant;
 
 use crate::classes::{PacketClass, Sender};
-use crate::model::{ChainModel, NodeModel};
 
-/// The statically predicted fate of a packet class. Mirrors
-/// `EgressAction` so the differential harness can compare verdicts
-/// one-to-one.
+/// The predicted fate of a packet class. Mirrors `EgressAction` so the
+/// differential harness can compare verdicts one-to-one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StaticVerdict {
     /// Transmitted on a wired interface.
@@ -63,8 +62,6 @@ pub struct Evaluation {
     pub src: Ipv4Address,
     /// Mark after stamping and mangle.
     pub mark: Mark,
-    /// Egress interface chosen by routing, if routing was reached.
-    pub egress_dev: Option<IfaceId>,
     /// The admitting chain: each rule/route/filter that decided the fate.
     pub chain: Vec<String>,
 }
@@ -93,8 +90,8 @@ impl HitCounter {
     }
 }
 
-/// Counters for every rule, route and filter entry in a node model. The
-/// vectors are parallel to the model's own ordering.
+/// Counters for every rule, route and filter entry of a node. The vectors
+/// are parallel to the node's own ordering.
 #[derive(Debug, Clone, Default)]
 pub struct SweepCounters {
     /// One counter per policy rule, in scan order.
@@ -108,17 +105,19 @@ pub struct SweepCounters {
 }
 
 impl SweepCounters {
-    /// Creates counters shaped after a model.
-    pub fn for_model(model: &NodeModel) -> SweepCounters {
+    /// Creates counters shaped after a node's policy.
+    pub fn for_node(node: &Node) -> SweepCounters {
         SweepCounters {
-            rules: vec![HitCounter::default(); model.rules.len()],
-            routes: model
-                .tables
-                .iter()
-                .flat_map(|(id, routes)| (0..routes.len()).map(|i| (*id, i, HitCounter::default())))
+            rules: vec![HitCounter::default(); node.rib.rules().len()],
+            routes: node
+                .rib
+                .tables()
+                .flat_map(|(id, t)| {
+                    (0..t.routes().len()).map(move |i| (id, i, HitCounter::default()))
+                })
                 .collect(),
-            mangle: vec![HitCounter::default(); model.mangle.rules.len()],
-            egress: vec![HitCounter::default(); model.egress.rules.len()],
+            mangle: vec![HitCounter::default(); node.firewall.mangle_output.rules().len()],
+            egress: vec![HitCounter::default(); node.firewall.egress.rules().len()],
         }
     }
 
@@ -127,99 +126,19 @@ impl SweepCounters {
             .routes
             .iter_mut()
             .find(|(t, i, _)| *t == table && *i == index)
-            .expect("counter exists for every model route");
+            .expect("counter exists for every route");
         &mut entry.2
     }
-}
 
-/// Longest-prefix-match over a route list, mirroring
-/// `RoutingTable::lookup` (ties by lowest metric, then insertion order).
-/// Returns the winning route's index.
-fn lookup(routes: &[Route], dst: Ipv4Address) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for (i, route) in routes.iter().enumerate() {
-        if !route.dest.contains(dst) {
-            continue;
-        }
-        match best {
-            None => best = Some(i),
-            Some(b) => {
-                let cur = &routes[b];
-                // `max_by` keeps the *later* element on ties, and orders by
-                // (prefix_len asc, metric desc) — so a candidate wins when
-                // its prefix is longer, or equal-length with metric <=.
-                if route.dest.prefix_len() > cur.dest.prefix_len()
-                    || (route.dest.prefix_len() == cur.dest.prefix_len()
-                        && route.metric <= cur.metric)
-                {
-                    best = Some(i);
-                }
-            }
+    fn filter_counters(&mut self, chain: ChainId) -> &mut [HitCounter] {
+        match chain {
+            ChainId::MangleOutput => &mut self.mangle,
+            ChainId::Egress => &mut self.egress,
         }
     }
-    best
 }
 
-struct RibOutcome {
-    dev: IfaceId,
-    prefsrc: Option<Ipv4Address>,
-    rule_priority: u32,
-    table: TableId,
-    chain: Vec<String>,
-}
-
-/// Scans the policy rules as `Rib::resolve` does, recording counters: the
-/// selecting rule and route get real hits, every later rule/route that
-/// would also have resolved the flow gets a shadow mark.
-fn resolve(
-    model: &NodeModel,
-    counters: &mut SweepCounters,
-    class: &PacketClass,
-    key: &FlowKey,
-) -> Option<RibOutcome> {
-    let mut selected: Option<RibOutcome> = None;
-    let mut captured_by: Option<String> = None;
-    for (ri, rule) in model.rules.iter().enumerate() {
-        if !rule.selector.matches(key) {
-            continue;
-        }
-        let Some(routes) = model.table(rule.table) else {
-            continue;
-        };
-        let Some(route_idx) = lookup(routes, key.dst) else {
-            // A matching rule whose table has no route continues the scan
-            // (Linux semantics); it neither decides nor shadows.
-            continue;
-        };
-        let route = &routes[route_idx];
-        let rule_desc = format!(
-            "ip rule pref {} {} lookup table {}",
-            rule.priority,
-            selector_desc(rule),
-            rule.table.0
-        );
-        let route_desc = format!("table {}: {} dev {}", rule.table.0, route.dest, route.dev);
-        if let Some(by) = &captured_by {
-            let by = by.clone();
-            counters.rules[ri].record_shadow(class, &by);
-            counters.route_counter(rule.table, route_idx).record_shadow(class, &by);
-        } else {
-            counters.rules[ri].hits += 1;
-            counters.route_counter(rule.table, route_idx).hits += 1;
-            selected = Some(RibOutcome {
-                dev: route.dev,
-                prefsrc: route.prefsrc,
-                rule_priority: rule.priority,
-                table: rule.table,
-                chain: vec![rule_desc.clone(), route_desc],
-            });
-            captured_by = Some(rule_desc);
-        }
-    }
-    selected
-}
-
-fn selector_desc(rule: &umtslab_net::route::PolicyRule) -> String {
+fn rule_desc(rule: &PolicyRule) -> String {
     let mut parts = Vec::new();
     if let Some(m) = rule.selector.fwmark {
         parts.push(format!("fwmark {}", m.0));
@@ -233,280 +152,157 @@ fn selector_desc(rule: &umtslab_net::route::PolicyRule) -> String {
     if parts.is_empty() {
         parts.push("from all".to_string());
     }
-    parts.join(" ")
+    format!("ip rule pref {} {} lookup table {}", rule.priority, parts.join(" "), rule.table.0)
 }
 
-struct ChainOutcome {
-    verdict: FilterVerdict,
-    mark: Mark,
-    chain: Vec<String>,
+fn filter_desc(chain: &Chain, index: usize) -> String {
+    let rule = &chain.rules()[index];
+    let comment = if rule.comment.is_empty() { "uncommented" } else { &rule.comment };
+    format!("{} #{} {:?} ({comment})", chain.name, index + 1, rule.target)
 }
 
-/// Walks a firewall chain as `Chain::evaluate` does, but keeps walking
-/// *virtually* past the first terminal rule so later rules that would have
-/// matched are recorded as shadowed. `SetMark` targets keep mutating the
-/// virtual packet state even in the shadowed region, mirroring what the
-/// chain would do were the terminal rule removed.
-fn run_chain(
-    chain_model: &ChainModel,
-    counters: &mut [HitCounter],
-    class: &PacketClass,
-    src: Ipv4Address,
-    mark: Mark,
-    out_dev: IfaceId,
-) -> ChainOutcome {
-    let mut live_mark = mark;
-    let mut virtual_mark = mark;
-    let mut verdict: Option<FilterVerdict> = None;
-    let mut decided_by: Option<String> = None;
-    let mut admitted = Vec::new();
-    for (i, rule) in chain_model.rules.iter().enumerate() {
-        let probe_mark = if verdict.is_none() { live_mark } else { virtual_mark };
-        if !matches_static(rule, src, class.dst, probe_mark, out_dev) {
-            continue;
-        }
-        let desc = format!(
-            "{} #{} {:?} ({})",
-            chain_model.name,
-            i + 1,
-            rule.target,
-            if rule.comment.is_empty() { "uncommented" } else { &rule.comment }
-        );
-        if let Some(by) = &decided_by {
-            let by = by.clone();
-            counters[i].record_shadow(class, &by);
-            if let Target::SetMark(m) = rule.target {
-                virtual_mark = m;
-            }
-            continue;
-        }
-        counters[i].hits += 1;
-        match rule.target {
-            Target::Accept => {
-                verdict = Some(FilterVerdict::Accept);
-                decided_by = Some(desc.clone());
-                admitted.push(desc);
-                virtual_mark = live_mark;
-            }
-            Target::Drop => {
-                verdict = Some(FilterVerdict::Drop);
-                decided_by = Some(desc.clone());
-                admitted.push(desc);
-                virtual_mark = live_mark;
-            }
-            Target::SetMark(m) => {
-                live_mark = m;
-                virtual_mark = m;
-                admitted.push(desc);
-            }
-        }
-    }
-    ChainOutcome {
-        verdict: verdict.unwrap_or(chain_model.policy),
-        mark: live_mark,
-        chain: admitted,
-    }
-}
-
-/// Static version of `FilterMatch::matches` for the local-output path
-/// (no ingress interface, UDP protocol).
-fn matches_static(
-    rule: &umtslab_net::filter::FilterRule,
-    src: Ipv4Address,
-    dst: Ipv4Address,
-    mark: Mark,
-    out_dev: IfaceId,
-) -> bool {
-    let m = &rule.matcher;
-    if let Some(dev) = m.out_dev {
-        if dev != out_dev {
-            return false;
-        }
-    }
-    if m.in_dev.is_some() {
-        // Locally generated packets have no ingress interface.
-        return false;
-    }
-    if let Some(want) = m.mark {
-        if mark != want {
-            return false;
-        }
-    }
-    if let Some(not) = m.not_mark {
-        if mark == not {
-            return false;
-        }
-    }
-    if let Some(prefix) = m.src {
-        if !prefix.contains(src) {
-            return false;
-        }
-    }
-    if let Some(prefix) = m.dst {
-        if !prefix.contains(dst) {
-            return false;
-        }
-    }
-    if let Some(proto) = m.proto {
-        if proto != umtslab_net::wire::Protocol::Udp {
-            return false;
-        }
-    }
-    true
-}
-
-/// Evaluates one packet class against the model, updating sweep counters.
-pub fn evaluate(
-    model: &NodeModel,
+/// Records the selecting rule and route as hits, and every later rule
+/// whose table would also have yielded a route as shadowed by it. Returns
+/// the selecting rule's text and its route.
+fn count_route<'n>(
+    node: &'n Node,
     counters: &mut SweepCounters,
     class: &PacketClass,
-) -> Evaluation {
-    let mut chain = Vec::new();
+    key: &FlowKey,
+    selected: usize,
+    route: usize,
+) -> (String, &'n Route) {
+    let rules = node.rib.rules();
+    let table = rules[selected].table;
+    let chosen = &node.rib.table(table).expect("the selecting table exists").routes()[route];
+    let by = rule_desc(&rules[selected]);
+    counters.rules[selected].hits += 1;
+    counters.route_counter(table, route).hits += 1;
+    for (i, rule) in rules.iter().enumerate().skip(selected + 1) {
+        if !rule.selector.matches(key) {
+            continue;
+        }
+        let Some(index) = node.rib.table(rule.table).and_then(|t| t.lookup_index(key.dst)) else {
+            continue;
+        };
+        counters.rules[i].record_shadow(class, &by);
+        counters.route_counter(rule.table, index).record_shadow(class, &by);
+    }
+    (by, chosen)
+}
 
-    // 1. VNET+ mark stamping (or the kernel's unmarked path).
+/// Records every rule after a chain's terminal rule that would have
+/// matched as shadowed by it. `SetMark` rules in the shadowed region keep
+/// rewriting the virtual mark, as they would were the terminal rule
+/// removed.
+fn count_chain_shadow(
+    chain: &Chain,
+    counters: &mut [HitCounter],
+    class: &PacketClass,
+    terminal: usize,
+    mut key: FilterKey,
+    ctx: &HookContext,
+) {
+    let by = filter_desc(chain, terminal);
+    for (i, rule) in chain.rules().iter().enumerate().skip(terminal + 1) {
+        if !rule.matcher.matches(&key, ctx) {
+            continue;
+        }
+        counters[i].record_shadow(class, &by);
+        if let Target::SetMark(m) = rule.target {
+            key.mark = m;
+        }
+    }
+}
+
+/// Evaluates one packet class with the node's egress decision, updating
+/// sweep counters.
+pub fn evaluate(node: &Node, counters: &mut SweepCounters, class: &PacketClass) -> Evaluation {
+    // VNET+ mark stamping (or the kernel's unmarked path).
     let mark = match class.sender {
-        Sender::Slice(slice) => match model.mark_of(slice) {
+        Sender::Slice(slice) => match node.slices.mark_of(slice) {
             Some(m) => m,
             None => {
                 return Evaluation {
                     verdict: StaticVerdict::Drop(TraceKind::DropFilter),
                     src: class.src,
                     mark: Mark::NONE,
-                    egress_dev: None,
                     chain: vec!["no such slice".to_string()],
                 };
             }
         },
         Sender::Kernel => Mark::NONE,
     };
-    chain.push(format!("vnet+ stamps mark {}", mark.0));
+    let mut packet = Packet::udp(
+        PacketId(0),
+        Endpoint::new(class.src, 9_000),
+        Endpoint::new(class.dst, class.dport),
+        Vec::new(),
+        Instant::ZERO,
+    );
+    packet.mark = mark;
+    let mut steps = Vec::new();
+    let decided = node.egress_decision(&packet, |step| steps.push(step));
 
-    // 2. Local destination: delivered without touching the wire.
-    if model.is_local_addr(class.dst) {
-        return if model.port_owner(class.dport).is_some() {
-            chain.push(format!("local delivery to bound port {}", class.dport));
-            Evaluation {
-                verdict: StaticVerdict::Local,
-                src: class.src,
-                mark,
-                egress_dev: None,
-                chain,
+    let mut chain = vec![format!("vnet+ stamps mark {}", mark.0)];
+    let mut key = FilterKey { src: decided.src, dst: class.dst, protocol: Protocol::Udp, mark };
+    let mut ctx = HookContext::default();
+    for step in steps {
+        match step {
+            EgressStep::Route { rule, route } => {
+                let flow = FlowKey { src: class.src, dst: class.dst, mark };
+                let (rule_text, chosen) = count_route(node, counters, class, &flow, rule, route);
+                let table = node.rib.rules()[rule].table.0;
+                chain.push(rule_text);
+                chain.push(format!("table {table}: {} dev {}", chosen.dest, chosen.dev));
+                if class.src.is_unspecified() {
+                    chain.push(format!("src selected: {}", decided.src));
+                }
+                ctx.out_dev = Some(chosen.dev);
             }
-        } else {
-            chain.push(format!("local destination, port {} unbound", class.dport));
-            Evaluation {
-                verdict: StaticVerdict::Drop(TraceKind::DropNoSocket),
-                src: class.src,
-                mark,
-                egress_dev: None,
-                chain,
+            EgressStep::Filter { chain: id, rule } => {
+                let filter = node.firewall.chain(id);
+                chain.push(filter_desc(filter, rule));
+                let filter_counters = counters.filter_counters(id);
+                filter_counters[rule].hits += 1;
+                match filter.rules()[rule].target {
+                    Target::SetMark(m) => key.mark = m,
+                    Target::Accept | Target::Drop => {
+                        count_chain_shadow(filter, filter_counters, class, rule, key, &ctx);
+                    }
+                }
             }
-        };
-    }
-
-    // 3. Policy routing.
-    let key = FlowKey { src: class.src, dst: class.dst, mark };
-    let Some(outcome) = resolve(model, counters, class, &key) else {
-        chain.push("no rule yielded a route".to_string());
-        return Evaluation {
-            verdict: StaticVerdict::Drop(TraceKind::DropNoRoute),
-            src: class.src,
-            mark,
-            egress_dev: None,
-            chain,
-        };
-    };
-    chain.extend(outcome.chain.iter().cloned());
-    let _ = outcome.rule_priority;
-    let _ = outcome.table;
-
-    // 4. Kernel source-address selection for unbound sockets.
-    let src = if class.src.is_unspecified() {
-        let chosen = outcome
-            .prefsrc
-            .or_else(|| model.iface(outcome.dev).map(|i| i.addr))
-            .unwrap_or(Ipv4Address::UNSPECIFIED);
-        chain.push(format!("src selected: {chosen}"));
-        chosen
-    } else {
-        class.src
-    };
-
-    // 5. Egress interface must be up.
-    let iface_up = model.iface(outcome.dev).is_some_and(|i| i.up);
-    if !iface_up {
-        chain.push(format!("egress {} is down", outcome.dev));
-        return Evaluation {
-            verdict: StaticVerdict::Drop(TraceKind::DropNoRoute),
-            src,
-            mark,
-            egress_dev: Some(outcome.dev),
-            chain,
-        };
-    }
-
-    // 6. Netfilter output path: mangle, then the egress filter.
-    let mangle = run_chain(&model.mangle, &mut counters.mangle, class, src, mark, outcome.dev);
-    chain.extend(mangle.chain.iter().cloned());
-    if mangle.verdict == FilterVerdict::Drop {
-        return Evaluation {
-            verdict: StaticVerdict::Drop(TraceKind::DropFilter),
-            src,
-            mark: mangle.mark,
-            egress_dev: Some(outcome.dev),
-            chain,
-        };
-    }
-    let egress =
-        run_chain(&model.egress, &mut counters.egress, class, src, mangle.mark, outcome.dev);
-    chain.extend(egress.chain.iter().cloned());
-    if egress.verdict == FilterVerdict::Drop {
-        return Evaluation {
-            verdict: StaticVerdict::Drop(TraceKind::DropFilter),
-            src,
-            mark: egress.mark,
-            egress_dev: Some(outcome.dev),
-            chain,
-        };
-    }
-
-    // 7. Bearer hand-off or wired transmission.
-    if outcome.dev == PPP0 {
-        if !model.has_umts {
-            chain.push("no 3G card installed".to_string());
-            return Evaluation {
-                verdict: StaticVerdict::Drop(TraceKind::DropNoRoute),
-                src,
-                mark: egress.mark,
-                egress_dev: Some(outcome.dev),
-                chain,
-            };
         }
-        if model.umts_connected {
-            chain.push("queued on the UMTS uplink bearer".to_string());
-            return Evaluation {
-                verdict: StaticVerdict::Umts,
-                src,
-                mark: egress.mark,
-                egress_dev: Some(outcome.dev),
-                chain,
-            };
+    }
+
+    let (verdict, last) = match decided.fate {
+        EgressFate::Local(Some(_)) => {
+            (StaticVerdict::Local, Some(format!("local delivery to bound port {}", class.dport)))
         }
-        chain.push("ppp0 chosen but the bearer is not up".to_string());
-        return Evaluation {
-            verdict: StaticVerdict::Drop(TraceKind::DropNoRoute),
-            src,
-            mark: egress.mark,
-            egress_dev: Some(outcome.dev),
-            chain,
-        };
-    }
-    chain.push(format!("transmitted on {}", outcome.dev));
-    Evaluation {
-        verdict: StaticVerdict::Wire(outcome.dev),
-        src,
-        mark: egress.mark,
-        egress_dev: Some(outcome.dev),
-        chain,
-    }
+        EgressFate::Local(None) => (
+            StaticVerdict::Drop(TraceKind::DropNoSocket),
+            Some(format!("local destination, port {} unbound", class.dport)),
+        ),
+        EgressFate::NoRoute => (
+            StaticVerdict::Drop(TraceKind::DropNoRoute),
+            Some("no rule yielded a route".to_string()),
+        ),
+        EgressFate::IfaceDown(dev) => {
+            (StaticVerdict::Drop(TraceKind::DropNoRoute), Some(format!("egress {dev} is down")))
+        }
+        EgressFate::Filtered => (StaticVerdict::Drop(TraceKind::DropFilter), None),
+        EgressFate::NoUmts => {
+            (StaticVerdict::Drop(TraceKind::DropNoRoute), Some("no 3G card installed".to_string()))
+        }
+        EgressFate::BearerDown => (
+            StaticVerdict::Drop(TraceKind::DropNoRoute),
+            Some("ppp0 chosen but the bearer is not up".to_string()),
+        ),
+        EgressFate::Uplink => {
+            (StaticVerdict::Umts, Some("queued on the UMTS uplink bearer".to_string()))
+        }
+        EgressFate::Wire(dev) => (StaticVerdict::Wire(dev), Some(format!("transmitted on {dev}"))),
+    };
+    chain.extend(last);
+    Evaluation { verdict, src: decided.src, mark: decided.mark, chain }
 }

@@ -31,8 +31,7 @@ use umtslab_planetlab::umtscmd::{
 };
 
 use crate::classes::{enumerate, PacketClass, Sender, FAR_DESTINATION};
-use crate::eval::{evaluate, StaticVerdict, SweepCounters};
-use crate::model::NodeModel;
+use crate::eval::{evaluate, HitCounter, StaticVerdict, SweepCounters};
 
 /// The invariant a violation breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,22 +121,19 @@ impl Analysis {
     }
 }
 
-/// Analyzes a live node (snapshot + sweep + invariant checks).
+/// Analyzes a node: sweep every packet class through its egress decision
+/// and check the invariants. Reads the node's policy only.
 pub fn analyze(node: &Node) -> Analysis {
-    analyze_model(&NodeModel::capture(node))
-}
-
-/// Analyzes an already captured model.
-pub fn analyze_model(model: &NodeModel) -> Analysis {
-    let classes = enumerate(model);
-    let mut counters = SweepCounters::for_model(model);
+    let classes = enumerate(node);
+    let mut counters = SweepCounters::for_node(node);
     let mut violations = Vec::new();
+    let owner = node.umts_status().owner;
 
-    check_marks(model, &mut violations);
-    check_stale_state(model, &mut violations);
+    check_marks(node, &mut violations);
+    check_stale_state(node, &mut violations);
 
     for class in &classes {
-        let eval = evaluate(model, &mut counters, class);
+        let eval = evaluate(node, &mut counters, class);
         let witness = |verdict| Witness {
             class: *class,
             verdict,
@@ -147,7 +143,7 @@ pub fn analyze_model(model: &NodeModel) -> Analysis {
         match eval.verdict {
             StaticVerdict::Umts => {
                 let owner_sends = match class.sender {
-                    Sender::Slice(s) => Some(s) == model.umts_owner,
+                    Sender::Slice(s) => Some(s) == owner,
                     Sender::Kernel => false,
                 };
                 if !owner_sends && !eval.mark.is_none() {
@@ -155,7 +151,7 @@ pub fn analyze_model(model: &NodeModel) -> Analysis {
                         kind: InvariantKind::CrossSliceEgress,
                         summary: format!(
                             "{:?} (mark {}) reaches the UMTS bearer owned by {:?}",
-                            class.sender, eval.mark.0, model.umts_owner
+                            class.sender, eval.mark.0, owner
                         ),
                         witness: Some(witness(eval.verdict)),
                         chain: eval.chain.clone(),
@@ -174,16 +170,13 @@ pub fn analyze_model(model: &NodeModel) -> Analysis {
                 }
             }
             StaticVerdict::Wire(dev) => {
-                if let Some(ppp) = model.ppp_addr() {
+                if let Some(ppp) = node.ppp_addr() {
                     if eval.src == ppp {
                         violations.push(Violation {
                             kind: InvariantKind::MartianWiredEgress,
                             summary: format!(
-                                "packet leaves {} ({}) carrying the UMTS source address {ppp}",
-                                dev,
-                                model
-                                    .iface(dev)
-                                    .map_or_else(|| "?".to_string(), |i| i.name.clone()),
+                                "packet leaves {dev} ({}) carrying the UMTS source address {ppp}",
+                                node.iface(dev).name,
                             ),
                             witness: Some(witness(eval.verdict)),
                             chain: eval.chain.clone(),
@@ -215,14 +208,15 @@ pub fn analyze_model(model: &NodeModel) -> Analysis {
         }
     }
 
-    check_shadowing(model, &counters, &mut violations);
+    check_shadowing(node, &counters, &mut violations);
 
-    Analysis { node: model.name.clone(), classes: classes.len(), violations }
+    Analysis { node: node.name.to_string(), classes: classes.len(), violations }
 }
 
 /// VNET+ classification must be injective and never zero.
-fn check_marks(model: &NodeModel, violations: &mut Vec<Violation>) {
-    for (i, a) in model.slices.iter().enumerate() {
+fn check_marks(node: &Node, violations: &mut Vec<Violation>) {
+    let slices: Vec<_> = node.slices.iter().collect();
+    for (i, a) in slices.iter().enumerate() {
         if a.mark.is_none() {
             violations.push(Violation {
                 kind: InvariantKind::MarkCollision,
@@ -231,7 +225,7 @@ fn check_marks(model: &NodeModel, violations: &mut Vec<Violation>) {
                 chain: Vec::new(),
             });
         }
-        for b in &model.slices[i + 1..] {
+        for b in &slices[i + 1..] {
             if a.mark == b.mark {
                 violations.push(Violation {
                     kind: InvariantKind::MarkCollision,
@@ -248,8 +242,8 @@ fn check_marks(model: &NodeModel, violations: &mut Vec<Violation>) {
 }
 
 /// A bearer that is down must leave no policy residue behind.
-fn check_stale_state(model: &NodeModel, violations: &mut Vec<Violation>) {
-    if model.umts_phase != UmtsPhase::Down {
+fn check_stale_state(node: &Node, violations: &mut Vec<Violation>) {
+    if node.umts_status().phase != UmtsPhase::Down {
         return;
     }
     let mut stale = |what: &str| {
@@ -260,25 +254,26 @@ fn check_stale_state(model: &NodeModel, violations: &mut Vec<Violation>) {
             chain: Vec::new(),
         });
     };
-    if model.table(UMTS_TABLE).is_some_and(|t| !t.is_empty()) {
+    if node.rib.table(UMTS_TABLE).is_some_and(|t| !t.is_empty()) {
         stale("UMTS routing table");
     }
-    if model.rules.iter().any(|r| r.priority == RULE_PRIO_DEST || r.priority == RULE_PRIO_SRC) {
+    if node.rib.rules().iter().any(|r| r.priority == RULE_PRIO_DEST || r.priority == RULE_PRIO_SRC)
+    {
         stale("UMTS policy rules");
     }
-    if model.egress.rules.iter().any(|r| r.comment == ISOLATION_COMMENT) {
+    if node.firewall.egress.rules().iter().any(|r| r.comment == ISOLATION_COMMENT) {
         stale("isolation filter rule");
     }
 }
 
 /// Entries that would match some class but never actually fire are dead
 /// policy: either a misordering bug or residue the operator forgot.
-fn check_shadowing(model: &NodeModel, counters: &SweepCounters, violations: &mut Vec<Violation>) {
+fn check_shadowing(node: &Node, counters: &SweepCounters, violations: &mut Vec<Violation>) {
     for (i, counter) in counters.rules.iter().enumerate() {
         if counter.hits == 0 && counter.shadowed > 0 {
-            let rule = &model.rules[i];
+            let rule = &node.rib.rules()[i];
             push_shadow(
-                model,
+                node,
                 violations,
                 counter,
                 format!("policy rule pref {} (table {}) is shadowed", rule.priority, rule.table.0),
@@ -287,9 +282,13 @@ fn check_shadowing(model: &NodeModel, counters: &SweepCounters, violations: &mut
     }
     for (table, idx, counter) in &counters.routes {
         if counter.hits == 0 && counter.shadowed > 0 {
-            let dest = model.table(*table).and_then(|r| r.get(*idx)).map(|r| r.dest.to_string());
+            let dest = node
+                .rib
+                .table(*table)
+                .and_then(|t| t.routes().get(*idx))
+                .map(|r| r.dest.to_string());
             push_shadow(
-                model,
+                node,
                 violations,
                 counter,
                 format!(
@@ -300,14 +299,15 @@ fn check_shadowing(model: &NodeModel, counters: &SweepCounters, violations: &mut
             );
         }
     }
-    for (chain, chain_counters) in
-        [(&model.mangle, &counters.mangle), (&model.egress, &counters.egress)]
-    {
+    for (chain, chain_counters) in [
+        (&node.firewall.mangle_output, &counters.mangle),
+        (&node.firewall.egress, &counters.egress),
+    ] {
         for (i, counter) in chain_counters.iter().enumerate() {
             if counter.hits == 0 && counter.shadowed > 0 {
-                let rule = &chain.rules[i];
+                let rule = &chain.rules()[i];
                 push_shadow(
-                    model,
+                    node,
                     violations,
                     counter,
                     format!(
@@ -323,9 +323,9 @@ fn check_shadowing(model: &NodeModel, counters: &SweepCounters, violations: &mut
 }
 
 fn push_shadow(
-    model: &NodeModel,
+    node: &Node,
     violations: &mut Vec<Violation>,
-    counter: &crate::eval::HitCounter,
+    counter: &HitCounter,
     summary: String,
 ) {
     let chain = counter
@@ -336,8 +336,8 @@ fn push_shadow(
     // Re-evaluate the witness class with scratch counters to report the
     // fate the shadowed packet actually meets.
     let witness = counter.shadow_witness.map(|class| {
-        let mut scratch = SweepCounters::for_model(model);
-        let eval = evaluate(model, &mut scratch, &class);
+        let mut scratch = SweepCounters::for_node(node);
+        let eval = evaluate(node, &mut scratch, &class);
         Witness {
             class,
             verdict: eval.verdict,

@@ -9,14 +9,15 @@
 //! lives entirely in configuration — marks, rules, routes and filters —
 //! so it can be checked *statically*, before any packet flows.
 //!
-//! This crate snapshots a configured [`Node`](umtslab_planetlab::node::Node)
-//! ([`model`]), symbolically enumerates the packet equivalence classes its
-//! policy distinguishes ([`classes`]), pushes each class through a static
-//! mirror of the node's egress decision sequence ([`eval`]), and checks
-//! the isolation invariants over the sweep ([`invariants`]). Violations
-//! come with a concrete witness packet and the admitting rule chain, and a
-//! differential harness ([`differential`]) replays every witness through
-//! the live simulator to confirm the static verdict. A run-twice
+//! This crate reads a configured [`Node`](umtslab_planetlab::node::Node)'s
+//! policy, symbolically enumerates the packet equivalence classes it
+//! distinguishes ([`classes`]), decides each class with the node's own
+//! egress decision, `Node::egress_decision`, without sending a packet
+//! ([`eval`]), and checks the isolation invariants over the sweep
+//! ([`invariants`]). Violations come with a concrete witness packet and
+//! the admitting rule chain, and a differential harness ([`differential`])
+//! replays witnesses through `Node::send_from_slice`, the executor of that
+//! same decision, to confirm the verdict. A run-twice
 //! determinism gate ([`determinism`]) hashes the full campaign event
 //! stream. [`report`] renders everything as a human table or JSON.
 //!
@@ -28,7 +29,6 @@ pub mod determinism;
 pub mod differential;
 pub mod eval;
 pub mod invariants;
-pub mod model;
 pub mod report;
 pub mod scenarios;
 
@@ -38,7 +38,6 @@ pub use invariants::{analyze as verify_node, Analysis, InvariantKind, Violation,
 mod tests {
     use crate::eval::{evaluate, SweepCounters};
     use crate::invariants::{analyze, InvariantKind};
-    use crate::model::NodeModel;
     use crate::report::{render_json, render_table};
     use crate::scenarios;
 
@@ -102,11 +101,10 @@ mod tests {
     #[test]
     fn evaluation_records_an_admitting_chain() {
         let scenario = scenarios::two_slice_correct();
-        let model = NodeModel::capture(&scenario.node);
-        let classes = crate::classes::enumerate(&model);
-        let mut counters = SweepCounters::for_model(&model);
+        let classes = crate::classes::enumerate(&scenario.node);
+        let mut counters = SweepCounters::for_node(&scenario.node);
         let class = classes.first().expect("enumeration is non-empty");
-        let eval = evaluate(&model, &mut counters, class);
+        let eval = evaluate(&scenario.node, &mut counters, class);
         assert!(!eval.chain.is_empty(), "every evaluation explains itself");
     }
 

@@ -12,13 +12,22 @@
 //! node, `replay_sweep` evaluates each slice class with the verifier and
 //! pushes the same packet through `Node::send_from_slice`; the two must
 //! agree on every class.
+//!
+//! The verifier and the live node run one decision,
+//! `Node::egress_decision`, so their agreement checks the executor and the
+//! verifier's reading of the verdict, not the decision itself.
+//! [`decision_fault`] checks the decision on every class, kernel classes
+//! included: its verdict must follow from the steps it reports, read with
+//! the net crate's own `RuleSelector::matches`,
+//! `RoutingTable::lookup_index` and `FilterMatch::matches`.
 
-use umtslab_net::filter::{FilterMatch, FilterRule, FilterVerdict, Target};
-use umtslab_net::packet::Mark;
-use umtslab_net::route::{PolicyRule, Route, RuleSelector, TableId};
+use umtslab_net::filter::{FilterKey, FilterMatch, FilterRule, FilterVerdict, HookContext, Target};
+use umtslab_net::iface::IfaceId;
+use umtslab_net::packet::{Mark, Packet, PacketId};
+use umtslab_net::route::{FlowKey, PolicyRule, Route, RuleSelector, TableId};
 use umtslab_net::trace::TraceKind;
-use umtslab_net::wire::{Ipv4Address, Ipv4Cidr, Protocol};
-use umtslab_planetlab::node::{Node, ETH0, LO, PPP0};
+use umtslab_net::wire::{Endpoint, Ipv4Address, Ipv4Cidr, Protocol};
+use umtslab_planetlab::node::{EgressFate, EgressStep, Node, ETH0, LO, PPP0};
 use umtslab_planetlab::slice::SliceId;
 use umtslab_planetlab::umtscmd::{UmtsPhase, UmtsRequest, UMTS_TABLE};
 use umtslab_sim::rng::SimRng;
@@ -27,6 +36,7 @@ use umtslab_umts::at::DeviceProfile;
 use umtslab_umts::attachment::{SessionFault, UmtsAttachment};
 use umtslab_umts::operator::OperatorProfile;
 use umtslab_umts::ppp::Credentials;
+use umtslab_verify::classes::{enumerate, PacketClass, Sender};
 use umtslab_verify::differential::{replay_sweep, DifferentialResult};
 use umtslab_verify::eval::StaticVerdict;
 
@@ -145,7 +155,8 @@ fn random_routing(rng: &mut SimRng, node: &mut Node) {
         let route = Route {
             dest: pick(rng, &prefixes),
             via: maybe(rng, 0.3, |_| addr("143.225.229.1")),
-            dev: pick(rng, &[LO, ETH0, ETH0, PPP0]),
+            // `IfaceId(3)` is an interface the node does not have.
+            dev: pick(rng, &[LO, ETH0, ETH0, PPP0, IfaceId(3)]),
             metric: rng.uniform_u64(0, 2) as u32,
             prefsrc: maybe(rng, 0.4, |r| pick(r, &sources)),
         };
@@ -274,6 +285,102 @@ fn random_node(rng: &mut SimRng, index: u64) -> (Node, Instant, Bearer) {
     (node, now, bearer)
 }
 
+/// The first rule whose selector matches `key` and whose table yields a
+/// route, with that route's index.
+fn first_route(node: &Node, key: &FlowKey) -> Option<(usize, usize)> {
+    node.rib.rules().iter().enumerate().find_map(|(i, rule)| {
+        let table = node.rib.table(rule.table).filter(|_| rule.selector.matches(key))?;
+        table.lookup_index(key.dst).map(|route| (i, route))
+    })
+}
+
+/// Checks the egress decision for one class against the steps it
+/// reports: the selecting rule is the first that yields a route, the
+/// source is the selected one, a packet handed to an interface leaves an
+/// up one, every reported chain rule matches, and the final mark is the
+/// last one a `SetMark` rule wrote. Returns the first fault found.
+fn decision_fault(node: &Node, class: &PacketClass) -> Option<String> {
+    let mark = match class.sender {
+        Sender::Slice(slice) => node.slices.mark_of(slice)?,
+        Sender::Kernel => Mark::NONE,
+    };
+    let mut packet = Packet::udp(
+        PacketId(0),
+        Endpoint::new(class.src, 9_000),
+        Endpoint::new(class.dst, class.dport),
+        Vec::new(),
+        Instant::ZERO,
+    );
+    packet.mark = mark;
+    let mut steps = Vec::new();
+    let verdict = node.egress_decision(&packet, |step| steps.push(step));
+    let fault = |what: &str| Some(format!("{what}: {verdict:?} after {steps:?}"));
+
+    let local = node.ifaces().any(|i| i.up && i.addr == class.dst);
+    if let EgressFate::Local(owner) = verdict.fate {
+        let bound = node.bound_ports().into_iter().find(|&(p, _)| p == class.dport);
+        let consistent = local && owner == bound.map(|(_, s)| s) && steps.is_empty();
+        return if consistent { None } else { fault("local delivery") };
+    }
+    if local {
+        return fault("a packet to a local address left the node");
+    }
+    let key = FlowKey { src: class.src, dst: class.dst, mark };
+    let Some(&EgressStep::Route { rule, route }) = steps.first() else {
+        let consistent = verdict.fate == EgressFate::NoRoute && first_route(node, &key).is_none();
+        return if consistent { None } else { fault("no route step") };
+    };
+    if first_route(node, &key) != Some((rule, route)) {
+        return fault("the selecting rule is not the first that yields a route");
+    }
+    let chosen = &node.rib.table(node.rib.rules()[rule].table)?.routes()[route];
+    let dev = chosen.dev;
+    let iface = node.ifaces().find(|i| i.id == dev);
+    let src = if class.src.is_unspecified() {
+        chosen.prefsrc.or(iface.map(|i| i.addr)).unwrap_or(Ipv4Address::UNSPECIFIED)
+    } else {
+        class.src
+    };
+    if verdict.src != src {
+        return fault("source selection");
+    }
+    let up = iface.is_some_and(|i| i.up);
+    let connected = node.umts_attachment().map(umtslab_umts::UmtsAttachment::is_connected);
+    let handed_to = match verdict.fate {
+        EgressFate::IfaceDown(d) => {
+            let consistent = d == dev && !up && steps.len() == 1 && verdict.mark == mark;
+            return if consistent { None } else { fault("interface down") };
+        }
+        EgressFate::Wire(d) => d == dev && dev != PPP0,
+        EgressFate::Uplink => dev == PPP0 && connected == Some(true),
+        EgressFate::BearerDown => dev == PPP0 && connected == Some(false),
+        EgressFate::NoUmts => dev == PPP0 && connected.is_none(),
+        EgressFate::Filtered => true,
+        EgressFate::Local(_) | EgressFate::NoRoute => false,
+    };
+    if !handed_to || !up {
+        return fault("handed to the wrong interface or a down one");
+    }
+    let mut filter_key = FilterKey { src, dst: class.dst, protocol: Protocol::Udp, mark };
+    let ctx = HookContext { in_dev: None, out_dev: Some(dev) };
+    for step in &steps[1..] {
+        let &EgressStep::Filter { chain, rule } = step else {
+            return fault("a second route step");
+        };
+        let fired = &node.firewall.chain(chain).rules()[rule];
+        if !fired.matcher.matches(&filter_key, &ctx) {
+            return fault("a reported chain rule does not match");
+        }
+        if let Target::SetMark(m) = fired.target {
+            filter_key.mark = m;
+        }
+    }
+    if verdict.mark != filter_key.mark {
+        return fault("the final mark is not the last one SetMark wrote");
+    }
+    None
+}
+
 fn disagreements(result: &DifferentialResult) -> String {
     result
         .replays
@@ -304,6 +411,11 @@ fn generated_nodes_agree_with_the_live_node_on_every_slice_class() {
         let mut rng = SimRng::seed_from_u64(meta.next_u64());
         let (mut node, now, bearer) = random_node(&mut rng, index);
         bearers[bearer as usize] += 1;
+        for class in enumerate(&node) {
+            if let Some(fault) = decision_fault(&node, &class) {
+                panic!("node {index} ({bearer:?}), {class:?}: {fault}");
+            }
+        }
         let result = replay_sweep(&mut node, now);
         assert!(
             result.all_agree(),
