@@ -6,7 +6,7 @@
 //! private testbed. Prints the windowed series each figure plots (200 ms
 //! windows, exactly the paper's methodology), the summary rows, the
 //! shape-check table comparing this reproduction's qualitative results
-//! against the paper's claims, and the runner's metrics registry.
+//! against the paper's claims, and the per-job counter table.
 //!
 //! ```sh
 //! cargo run --release -p umtslab-bench --bin figures -- \
@@ -17,7 +17,7 @@
 //! * `seed`  — base seed; default 2008.
 //! * `--series` — also dump the full per-window series for every figure.
 //! * `--workers N` — worker threads; default: available parallelism.
-//! * `--json PATH` — write the metrics registry as JSON to `PATH`.
+//! * `--json PATH` — write the per-job counters and totals as JSON to `PATH`.
 //! * `--bursty` — instead of the paper figures, run the bursty-UMTS
 //!   campaign: the VoIP flow over a path degraded by the Gilbert–Elliott
 //!   `FaultConfig::bursty_umts()` preset, against a Bernoulli process
@@ -27,8 +27,9 @@ use umtslab::experiment::{run_experiment, ExperimentConfig, PathKind};
 use umtslab::paper::{metric_points, shape_checks, summary_row, Metric, PaperRun, FIGURES};
 use umtslab::prelude::*;
 use umtslab::umtslab_net::fault::{FaultConfig, LossModel};
+use umtslab::umtslab_sim::json;
 use umtslab::ExperimentResult;
-use umtslab_runner::{default_workers, run_jobs, run_reps_parallel, MetricsRegistry};
+use umtslab_runner::{default_workers, run_jobs, run_reps_parallel, summary_table, write_json};
 
 fn mean_std(values: &[f64]) -> (f64, f64) {
     let n = values.len().max(1) as f64;
@@ -208,11 +209,9 @@ fn main() {
     );
     println!("(the paper executed each measurement 20 times; pass `20` to match)\n");
 
-    let registry = MetricsRegistry::new();
     eprintln!("running {jobs} job(s) on {workers} worker(s) ...");
-    let runs: Vec<PaperRun> = match run_reps_parallel(cli.seed, cli.reps, None, workers, &registry)
-    {
-        Ok(runs) => runs,
+    let (runs, rows) = match run_reps_parallel(cli.seed, cli.reps, None, workers) {
+        Ok(done) => done,
         Err(e) => {
             eprintln!("campaign failed: {e}");
             std::process::exit(1);
@@ -266,11 +265,11 @@ fn main() {
         println!("[{status}] {:<22} paper: {:<62} measured: {}", c.name, c.expectation, c.measured);
     }
 
-    // The runner's metrics registry (per-job gauges + campaign totals).
+    // The per-job counters and their campaign totals.
     println!("\n== metrics registry ==");
-    print!("{}", registry.summary_table());
+    print!("{}", summary_table(&rows));
     if let Some(path) = &cli.json_path {
-        if let Err(e) = std::fs::write(path, registry.to_json()) {
+        if let Err(e) = std::fs::write(path, json::document(|o| write_json(o, &rows))) {
             eprintln!("could not write {path}: {e}");
             std::process::exit(1);
         }

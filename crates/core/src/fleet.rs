@@ -128,10 +128,9 @@ pub struct FleetReport {
     pub rtt_count: u64,
     /// Full cross-layer counter snapshot.
     pub metrics: TestbedMetrics,
-    /// Deterministic JSON rendering of `metrics` (byte-comparable).
-    pub metrics_json: String,
-    /// FNV-1a over every per-flow log, the drop counters, `metrics_json`
-    /// and the traced nodes' dumps: the shard-invariance witness.
+    /// FNV-1a over every per-flow log, the drop counters, the
+    /// [`render_metrics_json`] rendering of `metrics` and the traced
+    /// nodes' dumps: the shard-invariance witness.
     pub trace_hash: u64,
 }
 
@@ -316,8 +315,7 @@ fn report(cfg: &FleetConfig, fleet: &mut Fleet) -> FleetReport {
         }
     }
     let metrics = tb.metrics();
-    let metrics_json = render_metrics_json(&metrics);
-    hash.update(metrics_json.as_bytes());
+    hash.update(render_metrics_json(&metrics).as_bytes());
     for &id in fleet.members.iter().take(TRACE_NODES) {
         hash.update(tb.node(id).trace.dump().as_bytes());
     }
@@ -330,7 +328,6 @@ fn report(cfg: &FleetConfig, fleet: &mut Fleet) -> FleetReport {
         received,
         rtt_count,
         metrics,
-        metrics_json,
         trace_hash: hash.digest(),
     }
 }
@@ -348,7 +345,7 @@ pub fn render_metrics_json(m: &TestbedMetrics) -> String {
 
 /// Writes the members of [`render_metrics_json`]'s object except `events`
 /// into `o`, for documents that embed the counters in an object of their
-/// own (the runner's per-job registry rows, which place `events` first).
+/// own (the runner's per-job rows, which place `events` first).
 pub fn metrics_members(o: &mut json::Object<'_>, m: &TestbedMetrics) {
     let bearer = |o: &mut json::Object<'_>, b: &BearerStats| {
         o.value("offered", b.offered)
@@ -415,7 +412,6 @@ mod tests {
         assert!(report.received > 0, "probes reached the sinks");
         assert!(report.rtt_count > 0, "echoes came back over the downlink");
         assert!(report.metrics.uplink.served > 0, "probes rode the radio uplink");
-        assert!(report.metrics_json.contains("\"uplink\""));
     }
 
     #[test]
@@ -424,7 +420,7 @@ mod tests {
         let a = run_fleet(&cfg);
         let b = run_fleet(&cfg);
         assert_eq!(a.trace_hash, b.trace_hash);
-        assert_eq!(a.metrics_json, b.metrics_json);
+        assert_eq!(a.metrics, b.metrics);
         // A shard count outside {1, 2, 4, 8} regroups the nodes; same
         // hash. Its absolute value is the `fleet.small` witness.
         let three = run_fleet(&FleetConfig { shards: 3, ..cfg });

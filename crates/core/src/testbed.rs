@@ -78,8 +78,8 @@ impl TestbedDrops {
 
 /// A point-in-time snapshot of every counter the testbed's layers expose.
 ///
-/// This is what one experiment publishes into the runner's metrics
-/// registry; see `docs/METRICS.md` for the meaning, unit and emitting
+/// This is what one experiment reports in its runner `JobRow`; see
+/// `docs/METRICS.md` for the meaning, unit and emitting
 /// layer of every field.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TestbedMetrics {
@@ -102,7 +102,7 @@ pub struct TestbedMetrics {
 
 impl TestbedMetrics {
     /// Adds `other`'s counters into these: the one fold that sums shards
-    /// into a topology total and jobs into a registry total.
+    /// into a topology total and jobs into a campaign total.
     pub fn absorb(&mut self, other: &TestbedMetrics) {
         self.access.absorb(other.access);
         self.uplink.absorb(other.uplink);

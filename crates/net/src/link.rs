@@ -259,7 +259,7 @@ pub struct LinkStats {
 impl LinkStats {
     /// Folds another counter set into this one, field by field.
     ///
-    /// Used by the metrics registry to aggregate the forward and reverse
+    /// Used by the testbed metrics to aggregate the forward and reverse
     /// pipes of every access link into a single per-experiment total.
     pub fn absorb(&mut self, other: LinkStats) {
         self.pushed += other.pushed;

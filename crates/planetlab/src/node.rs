@@ -22,7 +22,7 @@ use umtslab_umts::attachment::{
     DialError, DownlinkOutcome, SessionFault, UmtsAttachment, UmtsData, UmtsEvent, UplinkOutcome,
 };
 
-use crate::slice::{SliceId, SliceTable};
+use crate::slice::{Slice, SliceId, SliceTable};
 use crate::umtscmd::{
     destination_rule, isolation_rule, source_rule, UmtsCmdError, UmtsPhase, UmtsRequest,
     UmtsResponse, UmtsStatus, ISOLATION_COMMENT, RULE_PRIO_DEST, RULE_PRIO_SRC, UMTS_TABLE,
@@ -136,6 +136,23 @@ pub struct NodePoll {
     /// Kernel-originated packets (ICMP echo replies) leaving on the wired
     /// interface; the caller owns the wire.
     pub wire_tx: Vec<Packet>,
+}
+
+/// One broken structural invariant, as found by [`Node::audit`].
+#[derive(Debug, Clone)]
+pub enum AuditFinding {
+    /// A slice carries the reserved zero mark.
+    ZeroMark(Slice),
+    /// Two slices share one mark.
+    SharedMark(Slice, Slice),
+    /// The egress chain holds this many (more than one) isolation rules.
+    DuplicateIsolationRules(usize),
+    /// The bearer is down but the UMTS routing table still has routes.
+    StaleUmtsTable,
+    /// The bearer is down but UMTS policy rules remain.
+    StaleUmtsRules,
+    /// The bearer is down but the isolation rule remains on egress.
+    StaleIsolationRule,
 }
 
 /// Interned trace places of one node, precomputed at construction so the
@@ -261,11 +278,6 @@ impl Node {
         self.umts = Some(attachment);
     }
 
-    /// True if a 3G card is installed.
-    pub fn has_umts(&self) -> bool {
-        self.umts.is_some()
-    }
-
     /// Read access to an interface.
     pub fn iface(&self, id: IfaceId) -> &Iface {
         &self.ifaces[id.0 as usize]
@@ -274,11 +286,6 @@ impl Node {
     /// All interfaces, in id order (read-only; used by static analyzers).
     pub fn ifaces(&self) -> impl Iterator<Item = &Iface> {
         self.ifaces.iter()
-    }
-
-    /// The slices allowed to invoke the `umts` vsys script.
-    pub fn umts_acl(&self) -> &[SliceId] {
-        self.umts_vsys.granted()
     }
 
     /// The currently bound UDP ports and their owning slices, in port
@@ -737,38 +744,35 @@ impl Node {
 
     /// Cheap structural audit of the node's isolation state.
     ///
-    /// Returns one human-readable finding per broken basic invariant:
-    /// duplicate or zero slice marks (VNET+ classification must be
-    /// injective), duplicated isolation rules, and stale UMTS policy
-    /// state left behind while the bearer is down. This is the
-    /// `debug_assert!` hook the testbed runs; the full packet-space
-    /// analysis lives in the `umtslab-verify` crate.
-    pub fn audit(&self) -> Vec<String> {
+    /// Returns one finding per broken basic invariant: duplicate or zero
+    /// slice marks (VNET+ classification must be injective), duplicated
+    /// isolation rules, and stale UMTS policy state left behind while the
+    /// bearer is down. This is the `debug_assert!` hook the testbed runs;
+    /// `umtslab-verify` reports the same findings beside its packet-space
+    /// analysis.
+    pub fn audit(&self) -> Vec<AuditFinding> {
         let mut findings = Vec::new();
         let slices: Vec<_> = self.slices.iter().collect();
         for (i, a) in slices.iter().enumerate() {
             if a.mark.is_none() {
-                findings.push(format!("slice {} ({}) has the reserved zero mark", a.id, a.name));
+                findings.push(AuditFinding::ZeroMark((*a).clone()));
             }
             for b in &slices[i + 1..] {
                 if a.mark == b.mark {
-                    findings.push(format!(
-                        "mark collision: slices {} ({}) and {} ({}) share mark {}",
-                        a.id, a.name, b.id, b.name, a.mark.0
-                    ));
+                    findings.push(AuditFinding::SharedMark((*a).clone(), (*b).clone()));
                 }
             }
         }
         let isolation_rules =
             self.firewall.egress.rules().iter().filter(|r| r.comment == ISOLATION_COMMENT).count();
         if isolation_rules > 1 {
-            findings.push(format!("{isolation_rules} duplicate isolation rules on egress"));
+            findings.push(AuditFinding::DuplicateIsolationRules(isolation_rules));
         }
         // While `Stopping` the connection is still up and its state is
         // legitimately installed; only a fully `Down` node must be clean.
         if self.umts_phase == UmtsPhase::Down {
             if self.rib.table(UMTS_TABLE).is_some_and(|t| !t.is_empty()) {
-                findings.push("stale UMTS routing table while the bearer is down".into());
+                findings.push(AuditFinding::StaleUmtsTable);
             }
             if self
                 .rib
@@ -776,10 +780,10 @@ impl Node {
                 .iter()
                 .any(|r| r.priority == RULE_PRIO_DEST || r.priority == RULE_PRIO_SRC)
             {
-                findings.push("stale UMTS policy rules while the bearer is down".into());
+                findings.push(AuditFinding::StaleUmtsRules);
             }
             if isolation_rules > 0 {
-                findings.push("stale isolation rule while the bearer is down".into());
+                findings.push(AuditFinding::StaleIsolationRule);
             }
         }
         findings

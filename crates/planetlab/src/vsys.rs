@@ -63,11 +63,6 @@ impl<Req, Resp> VsysChannel<Req, Resp> {
         self.acl.contains(&slice)
     }
 
-    /// The ACL: every slice granted access, in grant order (read-only).
-    pub fn granted(&self) -> &[SliceId] {
-        &self.acl
-    }
-
     /// Front-end: a slice submits a request.
     pub fn submit(&mut self, slice: SliceId, request: Req) -> Result<(), VsysError> {
         if !self.is_authorized(slice) {

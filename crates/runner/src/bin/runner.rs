@@ -43,7 +43,9 @@ use umtslab_pack::{
     diff, load_catalog, load_trace, plan, record, render_diff_json, render_diff_table, render_json,
     render_table, run_one, serialize, ExecutedPack, Pack,
 };
-use umtslab_runner::{run_fleet_parallel, run_jobs, run_traffic_grid, witnesses, MetricsRegistry};
+use umtslab_runner::{
+    run_fleet_parallel, run_jobs, run_traffic_grid, summary_table, witnesses, write_json, JobRow,
+};
 use umtslab_sim::json;
 
 fn usage() -> ExitCode {
@@ -137,18 +139,19 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let wall_start = std::time::Instant::now();
     let report = run_fleet_parallel(&cfg, workers);
     let wall = wall_start.elapsed();
-    let registry = MetricsRegistry::new();
     let label = format!("fleet/{}n-{}f", cfg.nodes, cfg.flows());
-    registry.record(0, label, cfg.seed, report.metrics, wall);
-    registry.set_shards(0, cfg.shards as u32);
+    let rows = [JobRow {
+        shards: cfg.shards as u32,
+        ..JobRow::new(label, cfg.seed, report.metrics, wall)
+    }];
     if json {
         // The trace hash rides inside the JSON object (a bare stdout
         // line would corrupt piped-to-parser output); table mode keeps
         // the greppable trailing line.
         let trace_hash = format!("0x{:016x}", report.trace_hash);
-        print!("{}", json::document(|o| registry.write_json(o.str("trace_hash", &trace_hash))));
+        print!("{}", json::document(|o| write_json(o.str("trace_hash", &trace_hash), &rows)));
     } else {
-        print!("{}", registry.summary_table());
+        print!("{}", summary_table(&rows));
         println!(
             "fleet: {} nodes, {} sinks, {} flows, {} ppp up, sent {} received {} rtts {}",
             report.nodes,

@@ -40,7 +40,7 @@ mod tests {
         for workers in [1, 2, 4] {
             let parallel = run_fleet_parallel(&cfg, workers);
             assert_eq!(parallel.trace_hash, serial.trace_hash, "workers={workers}");
-            assert_eq!(parallel.metrics_json, serial.metrics_json, "workers={workers}");
+            assert_eq!(parallel.metrics, serial.metrics, "workers={workers}");
             assert_eq!(parallel.sent, serial.sent);
             assert_eq!(parallel.received, serial.received);
         }

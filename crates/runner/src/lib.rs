@@ -11,12 +11,12 @@
 //! * [`pool`] — a scoped worker pool ([`run_jobs`]) that executes jobs in
 //!   any order but collects results *by job index*, so the caller sees
 //!   the same ordering regardless of thread scheduling;
-//! * [`metrics`] — a registry ([`MetricsRegistry`]) workers publish into:
-//!   one row per job under a mutex, with cross-job totals folded from
-//!   the rows, rendered as a summary table or machine-readable JSON;
-//! * [`paper`] — the paper campaign expressed as shardable jobs
-//!   ([`run_paper_parallel`], [`run_campaign_parallel`]) reassembled in
-//!   the exact order of [`umtslab::paper::paper_jobs`];
+//! * [`metrics`] — per-job results as plain [`JobRow`] values in job
+//!   order, rendered with cross-job totals by [`summary_table`] or into
+//!   a JSON document by [`write_json`];
+//! * [`paper`] — the paper campaign over any number of repetitions as
+//!   shardable jobs ([`run_reps_parallel`]), reassembled in the exact
+//!   order of [`umtslab::paper::paper_jobs`];
 //! * [`traffic`] — the INRIA switching-policy grid as shardable jobs
 //!   ([`run_traffic_grid`]);
 //! * [`fleet`] — the other axis of parallelism: one *coupled* topology
@@ -34,16 +34,16 @@
 //! ## Quickstart
 //!
 //! ```
-//! use umtslab_runner::{run_paper_parallel, MetricsRegistry};
+//! use umtslab_runner::{run_reps_parallel, summary_table};
 //! use umtslab_sim::time::Duration;
 //!
-//! let registry = MetricsRegistry::new();
-//! // A shortened campaign (2 s flows) across 2 workers.
-//! let run = run_paper_parallel(42, Some(Duration::from_secs(2)), 2, &registry).unwrap();
-//! assert_eq!(run.voip.umts.label, "voip-g711-72kbps");
-//! assert_eq!(registry.jobs_completed(), 4);
-//! // Totals aggregated across all four jobs:
-//! assert!(registry.totals().packets_delivered > 0);
+//! // One shortened campaign (2 s flows) across 2 workers.
+//! let (runs, rows) = run_reps_parallel(42, 1, Some(Duration::from_secs(2)), 2).unwrap();
+//! assert_eq!(runs[0].voip.umts.label, "voip-g711-72kbps");
+//! // One row per job, in job order, and a table with their totals:
+//! assert_eq!(rows.len(), 4);
+//! assert!(rows.iter().all(|r| r.metrics.access.delivered > 0));
+//! assert!(summary_table(&rows).contains("totals: 4 job(s)"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,7 +57,7 @@ pub mod traffic;
 pub mod witnesses;
 
 pub use fleet::run_fleet_parallel;
-pub use metrics::{Availability, JobRow, MetricsRegistry, MetricsTotals};
-pub use paper::{run_campaign_parallel, run_paper_parallel, run_reps_parallel};
+pub use metrics::{summary_table, write_json, JobRow};
+pub use paper::run_reps_parallel;
 pub use pool::{default_workers, run_jobs, run_jobs_mut};
 pub use traffic::run_traffic_grid;

@@ -88,7 +88,7 @@ pub struct BearerStats {
 impl BearerStats {
     /// Folds another counter set into this one, field by field.
     ///
-    /// Used by the metrics registry to aggregate the uplink and downlink
+    /// Used by the testbed metrics to aggregate the uplink and downlink
     /// bearers of every attachment into a per-experiment total.
     pub fn absorb(&mut self, other: BearerStats) {
         self.offered += other.offered;

@@ -94,20 +94,10 @@ enum Side {
     Server,
 }
 
-/// Keepalive configuration.
-#[derive(Debug, Clone)]
-pub struct KeepaliveConfig {
-    /// Interval between LCP Echo-Requests when the session is open.
-    pub interval: Duration,
-    /// Unanswered echoes before the link is declared dead.
-    pub max_missed: u32,
-}
-
-impl Default for KeepaliveConfig {
-    fn default() -> Self {
-        KeepaliveConfig { interval: Duration::from_secs(10), max_missed: 3 }
-    }
-}
+/// Interval between LCP Echo-Requests when the session is open.
+const KEEPALIVE_INTERVAL: Duration = Duration::from_secs(10);
+/// Unanswered echoes before the link is declared dead.
+const KEEPALIVE_MAX_MISSED: u32 = 3;
 
 /// One end of a PPP session.
 pub struct PppEndpoint {
@@ -117,7 +107,6 @@ pub struct PppEndpoint {
     pap: Option<PapMachine>,
     ipcp: CpFsm<IpcpHandler>,
     deframer: Deframer,
-    keepalive: KeepaliveConfig,
     next_echo: Option<Instant>,
     missed_echoes: u32,
     was_open: bool,
@@ -135,7 +124,6 @@ impl PppEndpoint {
             pap: None,
             ipcp: CpFsm::new(IpcpHandler::client(request_dns), FsmConfig::default()),
             deframer: Deframer::new(),
-            keepalive: KeepaliveConfig::default(),
             next_echo: None,
             missed_echoes: 0,
             was_open: false,
@@ -160,17 +148,11 @@ impl PppEndpoint {
                 FsmConfig::default(),
             ),
             deframer: Deframer::new(),
-            keepalive: KeepaliveConfig::default(),
             next_echo: None,
             missed_echoes: 0,
             was_open: false,
             transitions: 0,
         }
-    }
-
-    /// Overrides the keepalive parameters.
-    pub fn set_keepalive(&mut self, cfg: KeepaliveConfig) {
-        self.keepalive = cfg;
     }
 
     /// Current phase.
@@ -348,7 +330,7 @@ impl PppEndpoint {
         }
         if let Some(echo_at) = self.next_echo {
             if now >= echo_at && self.phase == PppPhase::Open {
-                if self.missed_echoes >= self.keepalive.max_missed {
+                if self.missed_echoes >= KEEPALIVE_MAX_MISSED {
                     // Link is dead: behave like carrier loss.
                     let down = self.carrier_lost(now);
                     r.merge(down);
@@ -357,7 +339,7 @@ impl PppEndpoint {
                     let magic = self.lcp.handler().own_magic();
                     let echo = CpPacket::new(CpCode::EchoRequest, 0, echo_payload(magic));
                     r.tx.extend(encode_frame(frame::protocol::LCP, &echo.encode()));
-                    self.next_echo = Some(now + self.keepalive.interval);
+                    self.next_echo = Some(now + KEEPALIVE_INTERVAL);
                 }
             }
         }
@@ -461,7 +443,7 @@ impl PppEndpoint {
                     self.enter_phase(PppPhase::Open);
                     self.was_open = true;
                     self.missed_echoes = 0;
-                    self.next_echo = Some(now + self.keepalive.interval);
+                    self.next_echo = Some(now + KEEPALIVE_INTERVAL);
                     let local = self.ipcp.handler().local_addr();
                     let peer = self.ipcp.handler().peer_addr().unwrap_or(Ipv4Address::UNSPECIFIED);
                     r.events.push(PppEvent::Up { local, peer });
@@ -659,7 +641,6 @@ mod tests {
     #[test]
     fn keepalive_echoes_flow_and_reset_miss_counter() {
         let (mut client, mut server, _, _) = bring_up(false);
-        client.set_keepalive(KeepaliveConfig { interval: Duration::from_secs(10), max_missed: 3 });
         let t = client.next_timeout().expect("echo timer armed");
         let out = client.on_timeout(t);
         assert!(!out.tx.is_empty(), "echo request sent");

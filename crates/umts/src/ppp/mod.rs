@@ -15,7 +15,7 @@ pub mod ipcp;
 pub mod lcp;
 pub mod pap;
 
-pub use endpoint::{KeepaliveConfig, PppEndpoint, PppEvent, PppOutput, PppPhase, PppServerConfig};
+pub use endpoint::{PppEndpoint, PppEvent, PppOutput, PppPhase, PppServerConfig};
 pub use frame::{encode_frame, CpCode, CpOption, CpPacket, Deframer, PppFrame};
 pub use fsm::{CpFsm, FsmConfig, FsmSignal, FsmState};
 pub use pap::Credentials;

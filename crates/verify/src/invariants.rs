@@ -25,10 +25,7 @@
 //!   default route.
 
 use umtslab_net::trace::TraceKind;
-use umtslab_planetlab::node::Node;
-use umtslab_planetlab::umtscmd::{
-    UmtsPhase, ISOLATION_COMMENT, RULE_PRIO_DEST, RULE_PRIO_SRC, UMTS_TABLE,
-};
+use umtslab_planetlab::node::{AuditFinding, Node};
 
 use crate::classes::{enumerate, PacketClass, Sender, FAR_DESTINATION};
 use crate::eval::{evaluate, HitCounter, StaticVerdict, SweepCounters};
@@ -129,8 +126,7 @@ pub fn analyze(node: &Node) -> Analysis {
     let mut violations = Vec::new();
     let owner = node.umts_status().owner;
 
-    check_marks(node, &mut violations);
-    check_stale_state(node, &mut violations);
+    check_audit(node, &mut violations);
 
     for class in &classes {
         let eval = evaluate(node, &mut counters, class);
@@ -213,56 +209,39 @@ pub fn analyze(node: &Node) -> Analysis {
     Analysis { node: node.name.to_string(), classes: classes.len(), violations }
 }
 
-/// VNET+ classification must be injective and never zero.
-fn check_marks(node: &Node, violations: &mut Vec<Violation>) {
-    let slices: Vec<_> = node.slices.iter().collect();
-    for (i, a) in slices.iter().enumerate() {
-        if a.mark.is_none() {
-            violations.push(Violation {
-                kind: InvariantKind::MarkCollision,
-                summary: format!("slice {} ({}) has the reserved zero mark", a.id, a.name),
-                witness: None,
-                chain: Vec::new(),
-            });
-        }
-        for b in &slices[i + 1..] {
-            if a.mark == b.mark {
-                violations.push(Violation {
-                    kind: InvariantKind::MarkCollision,
-                    summary: format!(
-                        "slices {} ({}) and {} ({}) share mark {}",
-                        a.id, a.name, b.id, b.name, a.mark.0
-                    ),
-                    witness: None,
-                    chain: Vec::new(),
-                });
-            }
-        }
-    }
-}
-
-/// A bearer that is down must leave no policy residue behind.
-fn check_stale_state(node: &Node, violations: &mut Vec<Violation>) {
-    if node.umts_status().phase != UmtsPhase::Down {
-        return;
-    }
-    let mut stale = |what: &str| {
-        violations.push(Violation {
-            kind: InvariantKind::StaleUmtsState,
-            summary: format!("{what} present while the bearer is down"),
-            witness: None,
-            chain: Vec::new(),
-        });
-    };
-    if node.rib.table(UMTS_TABLE).is_some_and(|t| !t.is_empty()) {
-        stale("UMTS routing table");
-    }
-    if node.rib.rules().iter().any(|r| r.priority == RULE_PRIO_DEST || r.priority == RULE_PRIO_SRC)
-    {
-        stale("UMTS policy rules");
-    }
-    if node.firewall.egress.rules().iter().any(|r| r.comment == ISOLATION_COMMENT) {
-        stale("isolation filter rule");
+/// The node's structural audit as violations: VNET+ classification must
+/// be injective and never zero, and a bearer that is down must leave no
+/// policy residue behind. A duplicated isolation rule is left to
+/// `shadowed-rule`, which reports it with a witness.
+fn check_audit(node: &Node, violations: &mut Vec<Violation>) {
+    for finding in node.audit() {
+        let (kind, summary) = match finding {
+            AuditFinding::ZeroMark(a) => (
+                InvariantKind::MarkCollision,
+                format!("slice {} ({}) has the reserved zero mark", a.id, a.name),
+            ),
+            AuditFinding::SharedMark(a, b) => (
+                InvariantKind::MarkCollision,
+                format!(
+                    "slices {} ({}) and {} ({}) share mark {}",
+                    a.id, a.name, b.id, b.name, a.mark.0
+                ),
+            ),
+            AuditFinding::DuplicateIsolationRules(_) => continue,
+            AuditFinding::StaleUmtsTable => (
+                InvariantKind::StaleUmtsState,
+                "UMTS routing table present while the bearer is down".to_string(),
+            ),
+            AuditFinding::StaleUmtsRules => (
+                InvariantKind::StaleUmtsState,
+                "UMTS policy rules present while the bearer is down".to_string(),
+            ),
+            AuditFinding::StaleIsolationRule => (
+                InvariantKind::StaleUmtsState,
+                "isolation filter rule present while the bearer is down".to_string(),
+            ),
+        };
+        violations.push(Violation { kind, summary, witness: None, chain: Vec::new() });
     }
 }
 
@@ -345,4 +324,48 @@ fn push_shadow(
         }
     });
     violations.push(Violation { kind: InvariantKind::ShadowedRule, summary, witness, chain });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use umtslab_net::packet::Mark;
+    use umtslab_net::route::Route;
+    use umtslab_planetlab::node::PPP0;
+    use umtslab_planetlab::umtscmd::{isolation_rule, source_rule, UMTS_TABLE};
+
+    #[test]
+    fn audit_findings_map_onto_mark_and_stale_violations() {
+        let mut node = crate::scenarios::bearer_down_correct().node;
+        let owner_mark = node.slices.iter().next().expect("owner slice").mark;
+        node.slices.create_with_mark("mark_thief", owner_mark);
+        node.slices.create_with_mark("unmarked", Mark::NONE);
+        // UMTS residue on a node whose bearer is down, with the isolation
+        // rule installed twice.
+        node.rib.table_mut(UMTS_TABLE).add(Route::default_dev(PPP0));
+        node.rib.add_rule(source_rule("10.0.0.1".parse().expect("address")));
+        node.firewall.egress.append(isolation_rule(PPP0, owner_mark));
+        node.firewall.egress.append(isolation_rule(PPP0, owner_mark));
+        let found: Vec<(&str, String)> = analyze(&node)
+            .violations
+            .into_iter()
+            .filter(|v| {
+                matches!(v.kind, InvariantKind::MarkCollision | InvariantKind::StaleUmtsState)
+            })
+            .map(|v| (v.kind.name(), v.summary))
+            .collect();
+        let expected = [
+            (
+                "mark-collision",
+                "slices slice1000 (unina_umts) and slice1002 (mark_thief) share mark 1000",
+            ),
+            ("mark-collision", "slice slice1003 (unmarked) has the reserved zero mark"),
+            ("stale-umts-state", "UMTS routing table present while the bearer is down"),
+            ("stale-umts-state", "UMTS policy rules present while the bearer is down"),
+            ("stale-umts-state", "isolation filter rule present while the bearer is down"),
+        ];
+        let expected: Vec<(&str, String)> =
+            expected.iter().map(|&(kind, summary)| (kind, summary.to_string())).collect();
+        assert_eq!(found, expected);
+    }
 }

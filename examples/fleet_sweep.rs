@@ -2,8 +2,8 @@
 //!
 //! `runner run` drives one large multi-operator fleet; this example
 //! repeats a compact two-node fleet (one commercial-UMTS node, one GPRS
-//! node, one wired sink) across many seeds in parallel, then aggregates
-//! every run's testbed metrics in a [`umtslab_runner::MetricsRegistry`].
+//! node, one wired sink) across many seeds in parallel, then prints every
+//! run's testbed metrics, one [`umtslab_runner::JobRow`] per seed.
 //! Because every job owns its seed and its private [`umtslab::Testbed`],
 //! the table is identical for any worker count.
 //!
@@ -17,7 +17,7 @@
 
 use umtslab::prelude::*;
 use umtslab::Testbed;
-use umtslab_runner::{default_workers, run_jobs, MetricsRegistry};
+use umtslab_runner::{default_workers, run_jobs, summary_table, JobRow};
 
 /// Per-run outcome: flow stats, the metrics snapshot and the static
 /// isolation verdict over every node in the testbed.
@@ -25,7 +25,6 @@ struct RunOutcome {
     loss: f64,
     mean_rtt_ms: f64,
     metrics: umtslab::TestbedMetrics,
-    verified_ok: bool,
     violations: usize,
 }
 
@@ -106,13 +105,7 @@ fn fleet_run(seed: u64, secs: u64) -> RunOutcome {
     let violations: usize =
         tb.nodes().map(|node| umtslab_verify::verify_node(node).violations.len()).sum();
 
-    RunOutcome {
-        loss,
-        mean_rtt_ms,
-        metrics: tb.metrics(),
-        verified_ok: violations == 0,
-        violations,
-    }
+    RunOutcome { loss, mean_rtt_ms, metrics: tb.metrics(), violations }
 }
 
 fn main() {
@@ -125,27 +118,27 @@ fn main() {
     println!("fleet seed sweep — {reps} run(s) of {secs} s, {workers} worker(s)\n");
 
     let seeds = umtslab::campaign_seeds(2008, reps);
-    let registry = MetricsRegistry::new();
     let started = std::time::Instant::now();
-    let outcomes = run_jobs(seeds.clone(), workers, |idx, seed| {
+    let outcomes = run_jobs(seeds.clone(), workers, |_, seed| {
         let job_started = std::time::Instant::now();
         let run = fleet_run(*seed, secs);
-        registry.record(
-            idx,
-            format!("fleet/seed-{seed}"),
-            *seed,
-            run.metrics,
-            job_started.elapsed(),
-        );
-        registry.set_verified(idx, run.verified_ok, run.violations);
-        (run.loss, run.mean_rtt_ms, run.verified_ok)
+        let label = format!("fleet/seed-{seed}");
+        let verified = match run.violations {
+            0 => "yes".to_string(),
+            n => format!("no ({n} violations)"),
+        };
+        let row = JobRow {
+            verified: Some(verified),
+            ..JobRow::new(label, *seed, run.metrics, job_started.elapsed())
+        };
+        (run.loss, run.mean_rtt_ms, run.violations == 0, row)
     });
 
     println!(
         "{:<8} {:>12} {:>10} {:>14} {:>10}",
         "run", "seed", "loss %", "mean rtt ms", "verified"
     );
-    for (i, (seed, (loss, rtt, ok))) in seeds.iter().zip(&outcomes).enumerate() {
+    for (i, (seed, (loss, rtt, ok, _))) in seeds.iter().zip(&outcomes).enumerate() {
         println!(
             "{:<8} {:>12} {:>9.1}% {:>14.1} {:>10}",
             i,
@@ -157,7 +150,8 @@ fn main() {
     }
 
     println!("\n== metrics registry ==");
-    print!("{}", registry.summary_table());
+    let rows: Vec<JobRow> = outcomes.into_iter().map(|(.., row)| row).collect();
+    print!("{}", summary_table(&rows));
     println!(
         "\nsharded wall time: {:.2} s (results independent of worker count)",
         started.elapsed().as_secs_f64()

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use umtslab::experiment::{run_experiment, ExperimentConfig, PathKind};
 use umtslab::prelude::*;
 use umtslab::umtslab_traffic::{TcpConfig, TcpStats, Trace};
-use umtslab::{render_metrics_json, Testbed};
+use umtslab::{Testbed, TestbedMetrics};
 
 fn fingerprint(cfg: ExperimentConfig) -> Vec<(u64, u64)> {
     let r = run_experiment(cfg).unwrap();
@@ -196,10 +196,7 @@ fn fleet_topology_is_shard_count_invariant() {
         cfg.shards = shards;
         let r = run_fleet(&cfg);
         assert_eq!(r.trace_hash, reference.trace_hash, "trace hash diverged at {shards} shard(s)");
-        assert_eq!(
-            r.metrics_json, reference.metrics_json,
-            "metrics document diverged at {shards} shard(s)"
-        );
+        assert_eq!(r.metrics, reference.metrics, "metrics diverged at {shards} shard(s)");
     }
 
     // And a different seed must actually move the hash — otherwise the
@@ -248,7 +245,7 @@ struct Observed {
     logs: Vec<String>,
     tcp: TcpStats,
     availability: Vec<AvailabilityMetrics>,
-    metrics_json: String,
+    metrics: TestbedMetrics,
 }
 
 /// Three supervised UMTS members dialing through a seeded fault
@@ -337,7 +334,7 @@ fn supervised_tcp_topology(nshards: usize) -> Observed {
         logs,
         tcp: tb.tcp_stats(tcp).expect("agent 0 is the TCP flow"),
         availability: members.iter().map(|&m| tb.availability(m).unwrap()).collect(),
-        metrics_json: render_metrics_json(&tb.metrics()),
+        metrics: tb.metrics(),
     }
 }
 
@@ -354,6 +351,6 @@ fn supervised_tcp_trace_topology_is_shard_count_invariant() {
         assert_eq!(observed.logs, reference.logs, "{n} shard(s): logs");
         assert_eq!(observed.tcp, reference.tcp, "{n} shard(s): TcpStats");
         assert_eq!(observed.availability, reference.availability, "{n} shard(s)");
-        assert_eq!(observed.metrics_json, reference.metrics_json, "{n} shard(s)");
+        assert_eq!(observed.metrics, reference.metrics, "{n} shard(s)");
     }
 }
