@@ -10,8 +10,10 @@
 //! only in host noise, and the one with the median wall time is kept: it
 //! strips slow outliers (preemption) and fast ones (turbo bursts) alike.
 //! The run appends one entry, one row per configuration, to
-//! `BENCH_<name>.json` in the [`umtslab_bench`] schema. `--quick` shrinks
-//! the sizes for CI smoke use.
+//! `BENCH_<name>.json` in the [`umtslab_bench`] schema. The file is the
+//! one in the current directory, which must be the repository root: a
+//! run started anywhere else exits 2 before it measures. `--quick`
+//! shrinks the sizes for CI smoke use.
 //!
 //! Two gates fail a run. The **invariant gate**: every repetition must do
 //! some work and give the bench's witness, a value its design promises
@@ -78,6 +80,13 @@ fn main() {
         eprintln!("usage: bench <dataplane|fleet|traffic> [--quick] [--no-gate]");
         std::process::exit(2);
     };
+    if !bench.path().is_file() {
+        eprintln!(
+            "error: no {} in the current directory; run bench from the repository root",
+            bench.path().display()
+        );
+        std::process::exit(2);
+    }
     let quick = flags.iter().any(|f| f == "--quick");
     let mode = if quick { "quick" } else { "full" };
     let count = want.is_some();

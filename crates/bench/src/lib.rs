@@ -31,7 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use umtslab::umtslab_sim::json;
 
@@ -102,12 +102,11 @@ impl Entry {
 }
 
 impl Bench {
-    /// The trajectory file at the workspace root, wherever the run
-    /// starts.
+    /// The trajectory file, relative to the current directory: benches
+    /// run from the repository root, as `runner witnesses` does, so a run
+    /// in a copied tree writes the copy's file.
     pub fn path(&self) -> PathBuf {
-        let package = Path::new(env!("CARGO_MANIFEST_DIR"));
-        let root = package.ancestors().nth(2).expect("the package sits at crates/bench");
-        root.join(format!("BENCH_{}.json", self.name))
+        PathBuf::from(format!("BENCH_{}.json", self.name))
     }
 
     /// Renders the whole trajectory document.
@@ -236,6 +235,7 @@ fn git_rev() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn run(quick: bool, rows: &[(&str, f64)]) -> Entry {
         let rows = rows.iter().map(|&(k, t)| Row::new(k, t)).collect();
@@ -280,10 +280,15 @@ mod tests {
         assert_eq!(FLEET.regressions(&prior, &run(false, &[("a", 95.0)])).len(), 1);
     }
 
+    /// Tests run in the package directory, two levels below the root.
+    fn root() -> &'static Path {
+        Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+    }
+
     #[test]
     fn committed_trajectories_use_the_shared_schema() {
         for bench in [DATAPLANE, FLEET, TRAFFIC] {
-            let path = bench.path();
+            let path = root().join(bench.path());
             let text = std::fs::read_to_string(&path).expect("committed trajectory");
             let entries = load(&text);
             let path = path.display();
@@ -293,14 +298,12 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_paths_do_not_depend_on_the_working_directory() {
-        // Tests run in the package directory, not at the workspace root.
+    fn trajectory_paths_follow_the_working_directory() {
         for bench in [DATAPLANE, FLEET, TRAFFIC] {
-            assert!(
-                bench.path().is_file(),
-                "{} is the committed trajectory",
-                bench.path().display()
-            );
+            let path = bench.path();
+            assert!(path.is_relative(), "{}", path.display());
+            assert!(root().join(&path).is_file(), "{} is committed at the root", path.display());
+            assert!(!path.is_file(), "{} resolved outside the current directory", path.display());
         }
     }
 }

@@ -58,6 +58,11 @@ impl Label {
         Label(id)
     }
 
+    /// How many distinct labels the process has interned so far.
+    pub fn interned() -> usize {
+        interner().lock().expect("label interner poisoned").names.len()
+    }
+
     /// Resolves the label back to its text.
     pub fn as_str(self) -> &'static str {
         let table = interner().lock().expect("label interner poisoned");

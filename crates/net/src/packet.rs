@@ -128,18 +128,21 @@ impl Packet {
         }
     }
 
+    /// True if [`Packet::to_wire`] can serialize this packet: it is UDP
+    /// and its datagram fits the IPv4 total-length field.
+    pub fn serializes(&self) -> bool {
+        self.protocol == Protocol::Udp && self.wire_len() <= usize::from(u16::MAX)
+    }
+
     /// Serializes to real IPv4+UDP wire bytes with valid checksums.
     ///
     /// Only UDP packets can be serialized; the simulator's measurement
     /// traffic is UDP, matching the paper's methodology.
     pub fn to_wire(&self) -> Result<Vec<u8>, WireError> {
-        if self.protocol != Protocol::Udp {
+        if !self.serializes() {
             return Err(WireError::Malformed);
         }
-        let total = IPV4_HEADER_LEN + UDP_HEADER_LEN + self.payload.len();
-        if total > u16::MAX as usize {
-            return Err(WireError::Malformed);
-        }
+        let total = self.wire_len();
         let mut buf = vec![0u8; total];
         {
             let mut udp = UdpDatagramView::new_unchecked(&mut buf[IPV4_HEADER_LEN..]);

@@ -42,14 +42,27 @@ impl PacketQueue {
         }
     }
 
+    /// The drop-tail test: true if a packet of `size` wire bytes fits
+    /// under both limits now. [`PacketQueue::enqueue`] decides by this
+    /// alone, so a caller can ask before it builds the packet.
+    pub fn admits(&self, size: usize) -> bool {
+        let over_packets = self.max_packets != 0 && self.items.len() >= self.max_packets;
+        let over_bytes = self.max_bytes != 0 && self.cur_bytes + size > self.max_bytes;
+        !(over_packets || over_bytes)
+    }
+
+    /// Counts a drop for a packet that [`PacketQueue::admits`] refused
+    /// and that the caller therefore never built.
+    pub fn refuse(&mut self) {
+        self.stats.dropped += 1;
+    }
+
     /// Attempts to enqueue; on overflow the packet is returned to the
     /// caller (dropped, in protocol terms) and the drop counter increments.
     pub fn enqueue(&mut self, packet: Packet) -> Result<(), Packet> {
         let size = packet.wire_len();
-        let over_packets = self.max_packets != 0 && self.items.len() >= self.max_packets;
-        let over_bytes = self.max_bytes != 0 && self.cur_bytes + size > self.max_bytes;
-        if over_packets || over_bytes {
-            self.stats.dropped += 1;
+        if !self.admits(size) {
+            self.refuse();
             return Err(packet);
         }
         self.cur_bytes += size;
@@ -159,6 +172,24 @@ mod tests {
             q.enqueue(pkt(i, 100)).unwrap();
         }
         assert_eq!(q.len(), 1000);
+    }
+
+    #[test]
+    fn admits_decides_enqueue_and_refuse_counts_like_it() {
+        let mut q = PacketQueue::new(3, 150);
+        let mut twin = PacketQueue::new(3, 150);
+        for (id, payload) in [20, 100, 20, 0, 10, 0, 0].into_iter().enumerate() {
+            let p = pkt(id as u64, payload);
+            let admitted = q.admits(p.wire_len());
+            if admitted {
+                twin.enqueue(p.clone()).unwrap();
+            } else {
+                twin.refuse();
+            }
+            assert_eq!(q.enqueue(p).is_ok(), admitted);
+            assert_eq!((q.len(), q.bytes(), q.stats()), (twin.len(), twin.bytes(), twin.stats()));
+        }
+        assert_eq!(q.stats().dropped, 4);
     }
 
     #[test]

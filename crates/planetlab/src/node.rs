@@ -404,9 +404,7 @@ impl Node {
             }
             EgressFate::Uplink => {
                 self.trace.record(now, TraceKind::Egress, &packet, out(PPP0));
-                // The clone shares the payload allocation: the uplink keeps a
-                // header-struct copy plus a refcount on the same bytes.
-                match self.umts.as_mut().map(|att| att.send_uplink(now, packet.clone())) {
+                match self.umts.as_mut().map(|att| att.send_uplink(now, &packet)) {
                     Some(UplinkOutcome::Queued) => return EgressAction::Umts,
                     Some(UplinkOutcome::DroppedOverflow) => {
                         (TraceKind::DropQueue, self.places.ppp0)

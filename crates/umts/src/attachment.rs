@@ -15,8 +15,9 @@
 //! over a fixed-latency signaling channel to the GGSN-side PPP server.
 //! Once IPCP completes, the data plane flows through the RRC-granted
 //! bearers with their queueing, jitter and loss — and every data packet
-//! really is serialized to IPv4+UDP bytes, PPP-framed, deframed and
-//! checksum-validated on the far side.
+//! the uplink buffer admits really is serialized to IPv4+UDP bytes,
+//! PPP-framed, deframed and checksum-validated on the far side. A packet
+//! the full buffer drops is refused before any of that byte work.
 
 use std::collections::VecDeque;
 
@@ -28,7 +29,7 @@ use umtslab_sim::time::{Duration, Instant};
 use crate::at::{DeviceProfile, Modem, ModemMode, ModemOutput};
 use crate::bearer::{BearerStats, UmtsBearer};
 use crate::operator::{AddressPool, Conntrack, OperatorProfile};
-use crate::ppp::{Credentials, Deframer, PppEndpoint, PppEvent, PppServerConfig};
+use crate::ppp::{Credentials, Deframer, PppEndpoint, PppEvent, PppPhase, PppServerConfig};
 use crate::rrc::{RrcController, RrcState};
 use crate::serial::{LineAssembler, SerialLine};
 
@@ -495,16 +496,31 @@ impl UmtsAttachment {
     }
 
     /// Offers a node-originated packet to the uplink (`ppp0` egress).
-    pub fn send_uplink(&mut self, now: Instant, packet: Packet) -> UplinkOutcome {
-        if self.dialer != DialerState::Connected {
+    ///
+    /// The bearer's drop-tail test runs before any byte work: a packet
+    /// the full buffer refuses is counted as an overflow drop and never
+    /// serialized. An admitted packet crosses the honest byte path
+    /// (serialize, PPP-frame, deframe, re-validate), and the re-validated
+    /// packet is what the bearer queues.
+    pub fn send_uplink(&mut self, now: Instant, packet: &Packet) -> UplinkOutcome {
+        // Exactly the ways the byte path can fail: a frame the client
+        // encodes itself always deframes and re-validates.
+        let open = self.ppp_client.as_ref().is_some_and(|p| p.phase() == PppPhase::Open);
+        if self.dialer != DialerState::Connected || !open || !packet.serializes() {
             return UplinkOutcome::NotConnected;
         }
-        // Honest byte path: serialize, PPP-frame, deframe, re-validate.
-        let Some(validated) = self.through_ppp_data_path(&packet) else {
+        let size = packet.wire_len();
+        self.rrc.on_traffic(now, self.uplink.backlog_bytes() + size);
+        self.apply_rrc(now);
+        if !self.uplink.admits(size) {
+            self.uplink.refuse(now);
+            return UplinkOutcome::DroppedOverflow;
+        }
+        let validated = self.through_ppp_data_path(packet);
+        debug_assert!(validated.is_some(), "an open session's own frame re-validates");
+        let Some(validated) = validated else {
             return UplinkOutcome::NotConnected;
         };
-        self.rrc.on_traffic(now, self.uplink.backlog_bytes() + validated.wire_len());
-        self.apply_rrc(now);
         match self.uplink.enqueue(now, validated) {
             Ok(()) => UplinkOutcome::Queued,
             Err(_) => UplinkOutcome::DroppedOverflow,
@@ -950,7 +966,7 @@ mod tests {
     use crate::hostile::hostile_stream;
     use crate::serial::MAX_LINE_LEN;
     use umtslab_net::packet::{Mark, PacketId};
-    use umtslab_net::wire::Endpoint;
+    use umtslab_net::wire::{Endpoint, Protocol};
 
     fn attachment() -> UmtsAttachment {
         UmtsAttachment::new(
@@ -1025,7 +1041,7 @@ mod tests {
         let mut att = attachment();
         let t0 = connect(&mut att);
         let pkt = data_pkt(&att, 1, 100);
-        assert_eq!(att.send_uplink(t0, pkt), UplinkOutcome::Queued);
+        assert_eq!(att.send_uplink(t0, &pkt), UplinkOutcome::Queued);
         let (_, _, data) = run_until(&mut att, t0, t0 + Duration::from_secs(10), |_, _| false);
         let to_internet: Vec<_> =
             data.iter().filter(|d| matches!(d, UmtsData::ToInternet(_))).collect();
@@ -1050,7 +1066,7 @@ mod tests {
 
         // Send outbound first, let it traverse the radio, then reply.
         let pkt = data_pkt(&att, 1, 50);
-        att.send_uplink(t0, pkt);
+        att.send_uplink(t0, &pkt);
         let (t1, _, _) = run_until(&mut att, t0, t0 + Duration::from_secs(5), |a, _| {
             a.uplink_stats().served > 0
         });
@@ -1078,7 +1094,7 @@ mod tests {
             vec![],
             Instant::ZERO,
         );
-        assert_eq!(att.send_uplink(Instant::ZERO, p), UplinkOutcome::NotConnected);
+        assert_eq!(att.send_uplink(Instant::ZERO, &p), UplinkOutcome::NotConnected);
     }
 
     #[test]
@@ -1151,12 +1167,170 @@ mod tests {
         // Offer far more than the bearer buffer can hold at once.
         for i in 0..400 {
             let p = data_pkt(&att, i, 1000);
-            if att.send_uplink(t0, p) == UplinkOutcome::DroppedOverflow {
+            if att.send_uplink(t0, &p) == UplinkOutcome::DroppedOverflow {
                 overflowed += 1;
             }
         }
         assert!(overflowed > 0, "deep but finite buffer must eventually drop");
         assert!(att.uplink_backlog() <= att.profile().uplink.queue_bytes);
+    }
+
+    /// The order the uplink used before admission moved ahead of the byte
+    /// path: every offer is serialized, framed, deframed and re-validated,
+    /// and only then does the RRC see it and the bearer decide.
+    fn send_uplink_codec_first(
+        att: &mut UmtsAttachment,
+        now: Instant,
+        packet: &Packet,
+    ) -> UplinkOutcome {
+        if att.dialer != DialerState::Connected {
+            return UplinkOutcome::NotConnected;
+        }
+        let Some(validated) = att.through_ppp_data_path(packet) else {
+            return UplinkOutcome::NotConnected;
+        };
+        att.rrc.on_traffic(now, att.uplink.backlog_bytes() + validated.wire_len());
+        att.apply_rrc(now);
+        match att.uplink.enqueue(now, validated) {
+            Ok(()) => UplinkOutcome::Queued,
+            Err(_) => UplinkOutcome::DroppedOverflow,
+        }
+    }
+
+    /// What an uplink offer can change, as a caller sees it.
+    type UplinkView = (BearerStats, usize, Option<Instant>, RrcState, u64);
+
+    fn uplink_view(att: &UmtsAttachment) -> UplinkView {
+        let stats = att.uplink_stats();
+        (stats, att.uplink_backlog(), att.next_wakeup(), att.rrc_state(), att.rrc_transitions())
+    }
+
+    /// A UDP packet from `src` whose datagram is `payload` + 28 bytes.
+    fn offer_pkt(src: Ipv4Address, id: u64, payload: usize) -> Packet {
+        let to = Endpoint::new(Ipv4Address::new(192, 0, 2, 50), 9001);
+        Packet::udp(PacketId(id), Endpoint::new(src, 9000), to, vec![0; payload], Instant::ZERO)
+    }
+
+    /// Offers `p` to both attachments, the second through the codec-first
+    /// order, and checks they agree on the outcome and on every counter.
+    fn offer_both(
+        att: &mut UmtsAttachment,
+        oracle: &mut UmtsAttachment,
+        now: Instant,
+        p: &Packet,
+    ) -> UplinkOutcome {
+        let got = att.send_uplink(now, p);
+        assert_eq!(got, send_uplink_codec_first(oracle, now, p), "packet {:?} at {now}", p.id);
+        assert_eq!(uplink_view(att), uplink_view(oracle), "packet {:?} at {now}", p.id);
+        got
+    }
+
+    /// Polls both attachments at `now`; they must emit the same packets.
+    fn poll_both(att: &mut UmtsAttachment, oracle: &mut UmtsAttachment, now: Instant) {
+        let view = |out: UmtsPollOutput| -> Vec<(bool, Packet)> {
+            let data = out.data.into_iter();
+            data.map(|d| match d {
+                UmtsData::ToInternet(p) => (true, p),
+                UmtsData::ToHost(p) => (false, p),
+            })
+            .collect()
+        };
+        let (a, b) = (att.poll(now), oracle.poll(now));
+        assert_eq!(a.events, b.events, "events at {now}");
+        assert_eq!(view(a), view(b), "data at {now}");
+        assert_eq!(uplink_view(att), uplink_view(oracle), "after polling at {now}");
+    }
+
+    #[test]
+    fn admitting_before_the_byte_path_matches_the_codec_first_order() {
+        let mut seen = [0usize; 3];
+        for seed in 0..3 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let (mut att, mut oracle) = (attachment(), attachment());
+            let early = offer_pkt(Ipv4Address::new(10, 64, 128, 2), 0, 100);
+            let before = offer_both(&mut att, &mut oracle, Instant::ZERO, &early);
+            assert_eq!(before, UplinkOutcome::NotConnected);
+            let t0 = connect(&mut att);
+            assert_eq!(connect(&mut oracle), t0);
+            let local = att.local_addr().unwrap();
+            let queue_bytes = att.profile().uplink.queue_bytes;
+
+            let mut now = t0;
+            let mut id = 1;
+            let mut offer = |att: &mut UmtsAttachment,
+                             oracle: &mut UmtsAttachment,
+                             now: Instant,
+                             packet: Packet| {
+                let outcome = offer_both(att, oracle, now, &packet);
+                seen[outcome as usize] += 1;
+                outcome
+            };
+            for step in 0..400 {
+                if step == 200 {
+                    // Let the bearer drain and go idle, then offer one
+                    // datagram larger than the whole buffer.
+                    while att.uplink_backlog() > 0 {
+                        now += Duration::from_millis(10);
+                        poll_both(&mut att, &mut oracle, now);
+                    }
+                    now += Duration::from_millis(100);
+                    poll_both(&mut att, &mut oracle, now);
+                    let whole = offer_pkt(local, id, queue_bytes - 27);
+                    let outcome = offer(&mut att, &mut oracle, now, whole);
+                    assert_eq!(outcome, UplinkOutcome::DroppedOverflow);
+                    id += 1;
+                }
+                let burst = if rng.chance(0.1) { 30 } else { 1 };
+                for _ in 0..burst {
+                    let mut p = offer_pkt(local, id, rng.uniform_u64(0, 1_400) as usize);
+                    id += 1;
+                    if rng.chance(0.05) {
+                        p.protocol = Protocol::Icmp;
+                    } else if rng.chance(0.03) {
+                        p = offer_pkt(local, id, 65_535 - 27);
+                    }
+                    offer(&mut att, &mut oracle, now, p);
+                }
+                now += Duration::from_millis(rng.uniform_u64(0, 40));
+                poll_both(&mut att, &mut oracle, now);
+            }
+
+            // Offers while the session terminates and after it is down.
+            att.stop(now);
+            oracle.stop(now);
+            for _ in 0..2 {
+                let late = offer(&mut att, &mut oracle, now, offer_pkt(local, id, 100));
+                assert_eq!(late, UplinkOutcome::NotConnected);
+                id += 1;
+                while att.local_addr().is_some() {
+                    now += Duration::from_millis(50);
+                    poll_both(&mut att, &mut oracle, now);
+                }
+            }
+        }
+        let [queued, dropped, refused] = seen;
+        assert!(queued > 0 && dropped > 0 && refused > 0, "{seen:?}");
+    }
+
+    #[test]
+    fn refused_non_udp_offer_leaves_the_rrc_untouched() {
+        let mut att = attachment();
+        let t0 = connect(&mut att);
+        let local = att.local_addr().unwrap();
+        // Silence demotes the connection all the way to Idle.
+        let later = t0 + Duration::from_secs(45);
+        let (now, _, _) = run_until(&mut att, t0, later, |_, _| false);
+        assert_eq!(att.rrc_state(), RrcState::Idle);
+        let idle = uplink_view(&att);
+
+        let mut icmp = offer_pkt(local, 1, 100);
+        icmp.protocol = Protocol::Icmp;
+        assert_eq!(att.send_uplink(now, &icmp), UplinkOutcome::NotConnected);
+        assert_eq!(uplink_view(&att), idle, "a refused offer must not poke the RRC");
+
+        // The same offer as UDP does poke it: the view above can tell.
+        assert_eq!(att.send_uplink(now, &offer_pkt(local, 2, 100)), UplinkOutcome::Queued);
+        assert_ne!(uplink_view(&att), idle);
     }
 
     #[test]
@@ -1215,7 +1389,7 @@ mod tests {
         let t0 = connect(&mut att);
         // Drive a packet so the RRC is in DCH.
         let p = data_pkt(&att, 1, 100);
-        att.send_uplink(t0, p);
+        att.send_uplink(t0, &p);
         let (t1, _, _) = run_until(&mut att, t0, t0 + Duration::from_secs(2), |a, _| {
             a.uplink_stats().served > 0
         });
@@ -1226,7 +1400,7 @@ mod tests {
         // New traffic brings the channel back (promotion delay applies).
         let t2 = t1 + Duration::from_secs(45);
         let p = data_pkt(&att, 2, 100);
-        assert_eq!(att.send_uplink(t2, p), UplinkOutcome::Queued);
+        assert_eq!(att.send_uplink(t2, &p), UplinkOutcome::Queued);
         let (_, _, data) = run_until(&mut att, t2, t2 + Duration::from_secs(10), |_, _| false);
         assert!(
             data.iter().any(|d| matches!(d, UmtsData::ToInternet(_))),
@@ -1246,7 +1420,7 @@ mod tests {
         let remote = Endpoint::new(Ipv4Address::new(192, 0, 2, 50), 9001);
         // Open the conntrack pinhole.
         let p = data_pkt(&att, 1, 50);
-        att.send_uplink(t0, p);
+        att.send_uplink(t0, &p);
         let (t1, _, _) = run_until(&mut att, t0, t0 + Duration::from_secs(5), |a, _| {
             a.uplink_stats().served > 0
         });
@@ -1283,7 +1457,7 @@ mod tests {
             for _ in 0..2 {
                 let p = data_pkt(&att, id, 996);
                 id += 1;
-                let _ = att.send_uplink(now, p);
+                let _ = att.send_uplink(now, &p);
             }
             let out = att.poll(now);
             for d in out.data {
@@ -1408,7 +1582,7 @@ mod tests {
         let mut att = attachment();
         let t0 = connect(&mut att);
         let p = data_pkt(&att, 1, 100);
-        att.send_uplink(t0, p);
+        att.send_uplink(t0, &p);
         let (t1, _, _) = run_until(&mut att, t0, t0 + Duration::from_secs(2), |a, _| {
             a.uplink_stats().served > 0
         });
@@ -1418,7 +1592,7 @@ mod tests {
         assert!(att.is_connected(), "RRC release does not kill the PPP session");
         // New traffic re-promotes and is eventually served.
         let p = data_pkt(&att, 2, 100);
-        assert_eq!(att.send_uplink(t1, p), UplinkOutcome::Queued);
+        assert_eq!(att.send_uplink(t1, &p), UplinkOutcome::Queued);
         let (_, _, data) = run_until(&mut att, t1, t1 + Duration::from_secs(10), |_, _| false);
         assert!(data.iter().any(|d| matches!(d, UmtsData::ToInternet(_))));
     }
@@ -1429,7 +1603,7 @@ mod tests {
         let t0 = connect(&mut att);
         for i in 0..20 {
             let p = data_pkt(&att, i, 500);
-            let _ = att.send_uplink(t0, p);
+            let _ = att.send_uplink(t0, &p);
         }
         assert!(att.uplink_backlog() > 0);
         att.inject_fault(t0, SessionFault::BearerPreemption);

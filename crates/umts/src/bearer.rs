@@ -171,16 +171,35 @@ impl UmtsBearer {
     /// Offers a packet at `now`. On buffer overflow the packet is
     /// returned.
     pub fn enqueue(&mut self, now: Instant, packet: Packet) -> Result<(), Packet> {
+        self.note_offer(now);
+        self.queue.enqueue(packet).map_err(|p| {
+            self.stats.dropped_overflow += 1;
+            p
+        })
+    }
+
+    /// True if [`UmtsBearer::enqueue`] would accept a packet of `size`
+    /// wire bytes now: the buffer's drop-tail test.
+    pub(crate) fn admits(&self, size: usize) -> bool {
+        self.queue.admits(size)
+    }
+
+    /// Counts an offer at `now` that [`UmtsBearer::admits`] refused,
+    /// exactly as [`UmtsBearer::enqueue`] counts an overflowing packet,
+    /// for a packet the caller never built.
+    pub(crate) fn refuse(&mut self, now: Instant) {
+        self.note_offer(now);
+        self.queue.refuse();
+        self.stats.dropped_overflow += 1;
+    }
+
+    fn note_offer(&mut self, now: Instant) {
         self.stats.offered += 1;
         if self.queue.is_empty() && now > self.last_service {
             // The bearer was idle: service resumes from now — idle time
             // must not be converted into retroactive credit.
             self.last_service = now;
         }
-        self.queue.enqueue(packet).map_err(|p| {
-            self.stats.dropped_overflow += 1;
-            p
-        })
     }
 
     /// Drops everything queued (session teardown).
@@ -414,6 +433,29 @@ mod tests {
             (rate - 400_000.0).abs() < 20_000.0,
             "served rate {rate} should be close to the 400 kbps grant"
         );
+    }
+
+    #[test]
+    fn refuse_counts_and_clocks_like_an_overflowing_enqueue() {
+        let mut cfg = clean_config();
+        cfg.queue_bytes = 1_000;
+        let (mut b, mut twin) = (UmtsBearer::new(cfg.clone()), UmtsBearer::new(cfg));
+        // An idle bearer offered more than its whole buffer, then a full one.
+        for (at, payload) in [(3, 2_000), (3, 500), (4, 500), (5, 500)] {
+            let (now, p) = (Instant::from_secs(at), pkt(at, payload));
+            let admitted = twin.admits(p.wire_len());
+            if admitted {
+                twin.enqueue(now, p.clone()).unwrap();
+            } else {
+                twin.refuse(now);
+            }
+            assert_eq!(b.enqueue(now, p).is_ok(), admitted);
+            assert_eq!(twin.stats(), b.stats());
+            assert_eq!(twin.queue.stats(), b.queue.stats());
+            assert_eq!(twin.last_service, b.last_service);
+        }
+        assert_eq!(b.stats().dropped_overflow, 3);
+        assert_eq!(b.last_service, Instant::from_secs(3), "the refused idle offer reset the clock");
     }
 
     #[test]
