@@ -3,17 +3,21 @@
 //! Runs the full 120 s campaign (both workloads × both paths), sharded
 //! across a worker pool by `umtslab-runner` — results are byte-identical
 //! for any worker count, because every job owns a pre-assigned seed and a
-//! private testbed. Prints the windowed series each figure plots (200 ms
-//! windows, exactly the paper's methodology), the summary rows, the
-//! shape-check table comparing this reproduction's qualitative results
-//! against the paper's claims, and the per-job counter table.
+//! private testbed. Then runs the ablations of the first repetition's
+//! CBR/UMTS job on the same pool. Prints the windowed series each figure
+//! plots (200 ms windows, exactly the paper's methodology), the summary
+//! rows, the shape-check table comparing this reproduction's qualitative
+//! results against the paper's claims, the ablation tables and their
+//! checks, and the per-job counter table of the campaign. Exits 2 if a
+//! shape or ablation check fails, and 1 on bad arguments.
 //!
 //! ```sh
 //! cargo run --release -p umtslab-bench --bin figures -- \
 //!     [reps] [seed] [--series] [--workers N] [--json PATH] [--bursty]
 //! ```
 //!
-//! * `reps`  — repetitions with distinct seeds (the paper used 20); default 1.
+//! * `reps`  — repetitions with distinct seeds (the paper used 20), 1 to
+//!   1000; default 1.
 //! * `seed`  — base seed; default 2008.
 //! * `--series` — also dump the full per-window series for every figure.
 //! * `--workers N` — worker threads; default: available parallelism.
@@ -24,12 +28,20 @@
 //!   matched to the same marginal loss rate, aggregated over `reps`.
 
 use umtslab::experiment::{run_experiment, ExperimentConfig, PathKind};
-use umtslab::paper::{metric_points, shape_checks, summary_row, Metric, PaperRun, FIGURES};
+use umtslab::paper::ablation::{ablation_checks, ablation_configs};
+use umtslab::paper::{
+    metric_points, shape_checks, summary_row, Figure, Metric, PaperRun, PathPair, ShapeCheck,
+    Workload, FIGURES,
+};
 use umtslab::prelude::*;
 use umtslab::umtslab_net::fault::{FaultConfig, LossModel};
 use umtslab::umtslab_sim::json;
 use umtslab::ExperimentResult;
+use umtslab_pack::schema::MAX_REPS;
 use umtslab_runner::{default_workers, run_jobs, run_reps_parallel, summary_table, write_json};
+
+const USAGE: &str =
+    "usage: figures [reps] [seed] [--series] [--workers N] [--json PATH] [--bursty]";
 
 fn mean_std(values: &[f64]) -> (f64, f64) {
     let n = values.len().max(1) as f64;
@@ -38,11 +50,31 @@ fn mean_std(values: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
-fn result_for<'a>(run: &'a PaperRun, fig_id: &str) -> (&'a ExperimentResult, &'a ExperimentResult) {
-    match fig_id {
-        "fig1" | "fig2" | "fig3" => (&run.voip.umts, &run.voip.ethernet),
-        _ => (&run.cbr.umts, &run.cbr.ethernet),
+/// The two paths of the workload `fig` plots.
+fn pair_for<'a>(run: &'a PaperRun, fig: &Figure) -> &'a PathPair {
+    match fig.workload {
+        Workload::VoipG711 => &run.voip,
+        Workload::Cbr1Mbps => &run.cbr,
     }
+}
+
+/// Prints `why` and the usage line to stderr, and exits 1.
+fn usage(why: &str) -> ! {
+    eprintln!("{why}\n{USAGE}");
+    std::process::exit(1);
+}
+
+/// Prints one line per check, with its expectation under `source`, and
+/// returns how many failed.
+fn report(checks: &[ShapeCheck], source: &str) -> usize {
+    for c in checks {
+        let status = if c.pass { "PASS" } else { "FAIL" };
+        println!(
+            "[{status}] {:<22} {source}: {:<62} measured: {}",
+            c.name, c.expectation, c.measured
+        );
+    }
+    checks.iter().filter(|c| !c.pass).count()
 }
 
 struct Cli {
@@ -69,32 +101,29 @@ fn parse_cli() -> Cli {
         match arg.as_str() {
             "--series" => cli.dump_series = true,
             "--bursty" => cli.bursty = true,
-            "--workers" => {
-                cli.workers = args.next().and_then(|v| v.parse().ok());
-                if cli.workers.is_none() {
-                    eprintln!("--workers needs a positive integer");
-                    std::process::exit(1);
-                }
-            }
-            "--json" => {
-                cli.json_path = args.next();
-                if cli.json_path.is_none() {
-                    eprintln!("--json needs a file path");
-                    std::process::exit(1);
-                }
-            }
+            "--workers" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n > 0 => cli.workers = Some(n),
+                _ => usage("--workers needs a positive integer"),
+            },
+            "--json" => match args.next() {
+                Some(path) => cli.json_path = Some(path),
+                None => usage("--json needs a file path"),
+            },
             other if !other.starts_with("--") => {
                 match positional {
-                    0 => cli.reps = other.parse().unwrap_or(cli.reps),
-                    1 => cli.seed = other.parse().unwrap_or(cli.seed),
-                    _ => {}
+                    0 => match other.parse() {
+                        Ok(n) if (1..=MAX_REPS as usize).contains(&n) => cli.reps = n,
+                        _ => usage(&format!("reps must be in 1..={MAX_REPS}, got {other}")),
+                    },
+                    1 => match other.parse() {
+                        Ok(seed) => cli.seed = seed,
+                        Err(_) => usage(&format!("seed must be an unsigned integer, got {other}")),
+                    },
+                    _ => usage(&format!("unexpected argument: {other}")),
                 }
                 positional += 1;
             }
-            other => {
-                eprintln!("unknown flag: {other}");
-                std::process::exit(1);
-            }
+            other => usage(&format!("unknown flag: {other}")),
         }
     }
     cli
@@ -133,7 +162,7 @@ fn run_bursty_campaign(cli: &Cli) {
             jobs.push((*label, fault.clone(), cli.seed.wrapping_add(rep as u64)));
         }
     }
-    let workers = cli.workers.unwrap_or_else(|| default_workers(jobs.len())).max(1);
+    let workers = cli.workers.unwrap_or_else(|| default_workers(jobs.len()));
     println!(
         "bursty-UMTS campaign — {} repetition(s), base seed {}, {workers} worker(s)",
         cli.reps, cli.seed
@@ -201,7 +230,7 @@ fn main() {
         return;
     }
     let jobs = cli.reps * 4;
-    let workers = cli.workers.unwrap_or_else(|| default_workers(jobs)).max(1);
+    let workers = cli.workers.unwrap_or_else(|| default_workers(jobs));
 
     println!(
         "umtslab figure regeneration — {} repetition(s), base seed {}, {workers} worker(s)",
@@ -209,14 +238,16 @@ fn main() {
     );
     println!("(the paper executed each measurement 20 times; pass `20` to match)\n");
 
-    eprintln!("running {jobs} job(s) on {workers} worker(s) ...");
-    let (runs, rows) = match run_reps_parallel(cli.seed, cli.reps, None, workers) {
-        Ok(done) => done,
-        Err(e) => {
-            eprintln!("campaign failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    eprintln!("running {jobs} job(s), then the ablations, on {workers} worker(s) ...");
+    let campaign = run_reps_parallel(cli.seed, cli.reps, None, workers).and_then(|done| {
+        let configs = ablation_configs(cli.seed);
+        let ablations = run_jobs(configs, workers, |_, cfg| run_experiment(cfg.clone()));
+        Ok((done, ablations.into_iter().collect::<Result<Vec<_>, _>>()?))
+    });
+    let ((runs, rows), ablations) = campaign.unwrap_or_else(|e| {
+        eprintln!("campaign failed: {e}");
+        std::process::exit(1);
+    });
 
     // Summary rows (the numbers behind all seven figures).
     println!("== summaries (first repetition) ==");
@@ -228,19 +259,17 @@ fn main() {
     // Per-figure headline numbers aggregated over repetitions.
     println!("\n== per-figure headline values over {} repetition(s) ==", cli.reps);
     for fig in FIGURES {
-        let mut umts_vals = Vec::new();
-        let mut eth_vals = Vec::new();
-        for run in &runs {
-            let (u, e) = result_for(run, fig.id);
-            let headline = |r: &ExperimentResult| match fig.metric {
-                Metric::Bitrate => r.summary.mean_bitrate_bps / 1000.0,
-                Metric::Jitter => r.summary.mean_jitter.map_or(0.0, |d| d.as_secs_f64() * 1000.0),
-                Metric::Loss => r.summary.loss_rate * 100.0,
-                Metric::Rtt => r.summary.mean_rtt.map_or(0.0, |d| d.as_secs_f64() * 1000.0),
-            };
-            umts_vals.push(headline(u));
-            eth_vals.push(headline(e));
-        }
+        let headline = |r: &ExperimentResult| match fig.metric {
+            Metric::Bitrate => r.summary.mean_bitrate_bps / 1000.0,
+            Metric::Jitter => r.summary.mean_jitter.map_or(0.0, |d| d.as_secs_f64() * 1000.0),
+            Metric::Loss => r.summary.loss_rate * 100.0,
+            Metric::Rtt => r.summary.mean_rtt.map_or(0.0, |d| d.as_secs_f64() * 1000.0),
+        };
+        let (umts_vals, eth_vals): (Vec<f64>, Vec<f64>) = runs
+            .iter()
+            .map(|run| pair_for(run, &fig))
+            .map(|pair| (headline(&pair.umts), headline(&pair.ethernet)))
+            .unzip();
         let unit = match fig.metric {
             Metric::Bitrate => "kbps",
             Metric::Jitter | Metric::Rtt => "ms",
@@ -256,14 +285,13 @@ fn main() {
 
     // Shape checks (paper claims vs this run).
     println!("\n== shape checks vs the paper (first repetition) ==");
-    let mut failed = 0;
-    for c in shape_checks(first) {
-        let status = if c.pass { "PASS" } else { "FAIL" };
-        if !c.pass {
-            failed += 1;
-        }
-        println!("[{status}] {:<22} paper: {:<62} measured: {}", c.name, c.expectation, c.measured);
-    }
+    let mut failed = report(&shape_checks(first), "paper");
+
+    // One design choice changed per run, judged like the figures.
+    println!("\n== ablations of the CBR/UMTS job (first repetition) ==\n");
+    let (tables, checks) = ablation_checks(cli.seed, &ablations);
+    println!("{tables}");
+    failed += report(&checks, "claim");
 
     // The per-job counters and their campaign totals.
     println!("\n== metrics registry ==");
@@ -279,21 +307,19 @@ fn main() {
     if cli.dump_series {
         println!("\n== full series (first repetition) ==");
         for fig in FIGURES {
-            let (u, e) = result_for(first, fig.id);
-            println!("\n--- {} ({}) — UMTS-to-Ethernet ---", fig.id, fig.title);
-            for (t, v) in metric_points(u, fig.metric) {
-                println!("{t:.1}\t{v:.6}");
-            }
-            println!("\n--- {} ({}) — Ethernet-to-Ethernet ---", fig.id, fig.title);
-            for (t, v) in metric_points(e, fig.metric) {
-                println!("{t:.1}\t{v:.6}");
+            let pair = pair_for(first, &fig);
+            for r in [&pair.umts, &pair.ethernet] {
+                println!("\n--- {} ({}) — {} ---", fig.id, fig.title, r.path);
+                for (t, v) in metric_points(r, fig.metric) {
+                    println!("{t:.1}\t{v:.6}");
+                }
             }
         }
     }
 
     if failed > 0 {
-        eprintln!("\n{failed} shape check(s) failed");
+        eprintln!("\n{failed} shape or ablation check(s) failed");
         std::process::exit(2);
     }
-    println!("\nall shape checks passed");
+    println!("\nall shape and ablation checks passed");
 }

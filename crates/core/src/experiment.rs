@@ -475,8 +475,8 @@ pub fn run_experiment(cfg: ExperimentConfig) -> Result<ExperimentResult, Experim
     Ok(ExperimentResult { availability, ..result })
 }
 
-/// Decodes logs into a result (shared by the ablation benches, which
-/// drive the testbed directly).
+/// Decodes logs into a result (shared with perfbench's paper campaign,
+/// which drives the testbed directly).
 pub fn collect_result(
     tb: &Testbed,
     cfg: &ExperimentConfig,

@@ -65,8 +65,8 @@ pub use fleet::{
 };
 pub use paper::{
     assemble_paper_run, campaign_seeds, metric_points, paper_jobs, render_series, run_paper,
-    run_workload, shape_checks, summary_row, Figure, Metric, PaperJob, PaperRun, PathPair,
-    ShapeCheck, Workload, FIGURES,
+    shape_checks, summary_row, Figure, Metric, PaperJob, PaperRun, PathPair, ShapeCheck, Workload,
+    FIGURES,
 };
 pub use shard::{GlobalAgentId, GlobalNodeId, Shard, ShardedTestbed};
 pub use testbed::{AgentId, NodeId, Testbed, TestbedDrops, TestbedMetrics};

@@ -19,6 +19,8 @@
 //! the Figure-4 knee falls — without pinning absolute numbers that depend
 //! on the authors' operator.
 
+pub mod ablation;
+
 use umtslab_ditg::FlowSpec;
 use umtslab_sim::time::Duration;
 
@@ -158,18 +160,6 @@ pub struct PaperRun {
     pub cbr: PathPair,
 }
 
-/// Runs one workload on one path.
-pub fn run_workload(
-    workload: Workload,
-    path: PathKind,
-    seed: u64,
-    duration: Option<Duration>,
-) -> Result<ExperimentResult, ExperimentError> {
-    let mut cfg = ExperimentConfig::paper(workload.spec(duration), path, seed);
-    cfg.flow_model = workload.flow_model(duration);
-    run_experiment(cfg)
-}
-
 /// One independent unit of the paper campaign: a workload on a path under
 /// a fixed seed.
 ///
@@ -191,9 +181,18 @@ pub struct PaperJob {
 }
 
 impl PaperJob {
+    /// The job's experiment: the workload on the path under the paper's
+    /// operator, from the job's seed.
+    pub fn config(&self) -> ExperimentConfig {
+        let mut cfg =
+            ExperimentConfig::paper(self.workload.spec(self.duration), self.path, self.seed);
+        cfg.flow_model = self.workload.flow_model(self.duration);
+        cfg
+    }
+
     /// Executes the job to completion on the calling thread.
     pub fn run(&self) -> Result<ExperimentResult, ExperimentError> {
-        run_workload(self.workload, self.path, self.seed, self.duration)
+        run_experiment(self.config())
     }
 
     /// A short human-readable identifier, e.g. `voip/UMTS-to-Ethernet`.
@@ -213,26 +212,13 @@ impl PaperJob {
 /// (both paths of one workload share a seed; the CBR workload perturbs it
 /// with `^ 0x5555`), so results stay byte-identical with older revisions.
 pub fn paper_jobs(seed: u64, duration: Option<Duration>) -> [PaperJob; 4] {
+    let cbr_seed = seed ^ 0x5555;
+    let job = |workload, path, seed| PaperJob { workload, path, seed, duration };
     [
-        PaperJob { workload: Workload::VoipG711, path: PathKind::UmtsToEthernet, seed, duration },
-        PaperJob {
-            workload: Workload::VoipG711,
-            path: PathKind::EthernetToEthernet,
-            seed,
-            duration,
-        },
-        PaperJob {
-            workload: Workload::Cbr1Mbps,
-            path: PathKind::UmtsToEthernet,
-            seed: seed ^ 0x5555,
-            duration,
-        },
-        PaperJob {
-            workload: Workload::Cbr1Mbps,
-            path: PathKind::EthernetToEthernet,
-            seed: seed ^ 0x5555,
-            duration,
-        },
+        job(Workload::VoipG711, PathKind::UmtsToEthernet, seed),
+        job(Workload::VoipG711, PathKind::EthernetToEthernet, seed),
+        job(Workload::Cbr1Mbps, PathKind::UmtsToEthernet, cbr_seed),
+        job(Workload::Cbr1Mbps, PathKind::EthernetToEthernet, cbr_seed),
     ]
 }
 
@@ -309,6 +295,7 @@ fn percentile(result: &ExperimentResult, metric: Metric, p: f64) -> Option<f64> 
     Some(vals[idx])
 }
 
+/// The mean of a figure metric over the windows starting in `[from_s, to_s)`.
 fn mean_over(result: &ExperimentResult, metric: Metric, from_s: f64, to_s: f64) -> Option<f64> {
     let pts = metric_points(result, metric);
     let vals: Vec<f64> =
@@ -318,6 +305,15 @@ fn mean_over(result: &ExperimentResult, metric: Metric, from_s: f64, to_s: f64) 
     } else {
         Some(vals.iter().sum::<f64>() / vals.len() as f64)
     }
+}
+
+/// The Figure-4 knee: the start of the first window whose 10 s trailing
+/// mean bitrate exceeds 250 kbps, in seconds since flow start.
+fn knee(result: &ExperimentResult) -> Option<f64> {
+    metric_points(result, Metric::Bitrate)
+        .into_iter()
+        .map(|(t, _)| t)
+        .find(|&t| mean_over(result, Metric::Bitrate, t, t + 10.0).is_some_and(|m| m > 250.0))
 }
 
 /// Evaluates every shape criterion against a full-length (120 s) run.
@@ -427,21 +423,7 @@ pub fn shape_checks(run: &PaperRun) -> Vec<ShapeCheck> {
         format!("early {early:.0} kbps, late {late:.0} kbps"),
         (100.0..=220.0).contains(&early) && (300.0..=520.0).contains(&late) && late > early * 1.8,
     );
-    // Locate the knee: first window after which a 10 s trailing mean
-    // exceeds 250 kbps.
-    let knee = {
-        let pts = metric_points(cu, Metric::Bitrate);
-        let mut found = None;
-        for (t, _) in &pts {
-            if let Some(m) = mean_over(cu, Metric::Bitrate, *t, *t + 10.0) {
-                if m > 250.0 {
-                    found = Some(*t);
-                    break;
-                }
-            }
-        }
-        found
-    };
+    let knee = knee(cu);
     push(
         &mut checks,
         "fig4.knee-position",
@@ -557,8 +539,14 @@ mod tests {
         jobs[2].path = PathKind::EthernetToEthernet;
         let results = jobs.map(|j| j.run().unwrap());
         let run = assemble_paper_run(results);
-        let direct =
-            run_workload(Workload::VoipG711, PathKind::EthernetToEthernet, 21, short).unwrap();
+        let direct = PaperJob {
+            workload: Workload::VoipG711,
+            path: PathKind::EthernetToEthernet,
+            seed: 21,
+            duration: short,
+        }
+        .run()
+        .unwrap();
         assert_eq!(
             render_series(&run.voip.umts, Metric::Bitrate),
             render_series(&direct, Metric::Bitrate)
@@ -568,12 +556,13 @@ mod tests {
 
     #[test]
     fn metric_points_units() {
-        let r = run_workload(
-            Workload::VoipG711,
-            PathKind::EthernetToEthernet,
-            3,
-            Some(Duration::from_secs(4)),
-        )
+        let r = PaperJob {
+            workload: Workload::VoipG711,
+            path: PathKind::EthernetToEthernet,
+            seed: 3,
+            duration: Some(Duration::from_secs(4)),
+        }
+        .run()
         .unwrap();
         let pts = metric_points(&r, Metric::Bitrate);
         assert!(!pts.is_empty());
@@ -588,12 +577,13 @@ mod tests {
 
     #[test]
     fn render_series_shape() {
-        let r = run_workload(
-            Workload::VoipG711,
-            PathKind::EthernetToEthernet,
-            4,
-            Some(Duration::from_secs(2)),
-        )
+        let r = PaperJob {
+            workload: Workload::VoipG711,
+            path: PathKind::EthernetToEthernet,
+            seed: 4,
+            duration: Some(Duration::from_secs(2)),
+        }
+        .run()
         .unwrap();
         let text = render_series(&r, Metric::Bitrate);
         assert!(text.starts_with("# voip-g711-72kbps — bitrate [kbps]"));

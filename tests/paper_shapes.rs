@@ -7,6 +7,8 @@
 //! qualitative structure — who wins, by what rough factor, where the
 //! Figure-4 knee falls — must match the paper.
 
+use umtslab::experiment::run_experiment;
+use umtslab::paper::ablation::{ablation_checks, ablation_configs};
 use umtslab::paper::{run_paper, shape_checks};
 
 const SEED: u64 = 2008; // the paper's year; any seed must pass
@@ -39,4 +41,26 @@ fn shape_criteria_hold_for_a_second_seed() {
         .map(|c| format!("{}: {}", c.name, c.measured))
         .collect();
     assert!(failures.is_empty(), "failed:\n{}", failures.join("\n"));
+}
+
+/// Each ablation moves the CBR/UMTS job the way its claim says: a deeper
+/// buffer trades loss for delay, the knee follows the upgrade sustain, a
+/// larger grant cuts loss, and only the isolation rule stops a foreign
+/// packet to the PPP peer.
+#[test]
+fn ablation_checks_hold() {
+    for seed in [SEED, 77] {
+        let results: Vec<_> = ablation_configs(seed)
+            .into_iter()
+            .map(|cfg| run_experiment(cfg).expect("ablation run completes"))
+            .collect();
+        let (_, checks) = ablation_checks(seed, &results);
+        assert_eq!(checks.len(), 4);
+        let failures: Vec<String> = checks
+            .iter()
+            .filter(|c| !c.pass)
+            .map(|c| format!("{}: expected {}, measured {}", c.name, c.expectation, c.measured))
+            .collect();
+        assert!(failures.is_empty(), "seed {seed}:\n{}", failures.join("\n"));
+    }
 }
