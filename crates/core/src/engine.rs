@@ -207,6 +207,8 @@ pub(crate) struct Engine {
     supervisors: Vec<Option<SessionSupervisor>>,
     /// Per-node scheduled fault campaign, if any.
     fault_plans: Vec<Option<FaultPlan>>,
+    /// Nodes handed out for mutation since the last [`Engine::prime`].
+    touched: Vec<usize>,
     agents: Vec<AgentSlot>,
     /// Receiver lookup: (node, port) → agent index. Ordered map so that
     /// any future iteration (diagnostics, sharding) is deterministic.
@@ -230,6 +232,7 @@ impl Engine {
             wake_armed: Vec::new(),
             supervisors: Vec::new(),
             fault_plans: Vec::new(),
+            touched: Vec::new(),
             agents: Vec::new(),
             rx_ports: BTreeMap::new(),
             tx_ports: BTreeMap::new(),
@@ -243,6 +246,11 @@ impl Engine {
     /// Current simulated time.
     pub(crate) fn now(&self) -> Instant {
         self.sched.now()
+    }
+
+    /// The instant of the next scheduled event, if any.
+    pub(crate) fn next_event(&mut self) -> Option<Instant> {
+        self.sched.peek_time()
     }
 
     /// Total events processed by the scheduler.
@@ -272,6 +280,12 @@ impl Engine {
 
     pub(crate) fn node(&self, node: usize) -> &Node {
         &self.nodes[node]
+    }
+
+    /// Notes that `node` may change outside the event loop, so the next
+    /// [`Engine::prime`] re-arms it.
+    pub(crate) fn touch(&mut self, node: usize) {
+        self.touched.push(node);
     }
 
     pub(crate) fn node_mut(&mut self, node: usize) -> &mut Node {
@@ -383,17 +397,35 @@ impl Engine {
         }
     }
 
-    /// Arms every node with internal work, after auditing the nodes in
-    /// debug builds: a structurally broken configuration (mark collisions,
-    /// stale UMTS policy state) would silently violate the isolation the
-    /// paper's rule set promises.
+    /// Arms every touched node with internal work, after auditing the
+    /// nodes in debug builds: a structurally broken configuration (mark
+    /// collisions, stale UMTS policy state) would silently violate the
+    /// isolation the paper's rule set promises. Nodes are armed in index
+    /// order, so wakes due at one instant keep their FIFO order.
+    ///
+    /// An untouched node needs no arming: every event that changes a
+    /// node's wake state re-arms that node, so arming it again would find
+    /// an earlier-or-equal wake already scheduled. Debug builds check
+    /// exactly that for every untouched node.
     pub(crate) fn prime(&mut self) {
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.sort_unstable();
+        touched.dedup();
         #[cfg(debug_assertions)]
-        for node in &self.nodes {
+        for (i, node) in self.nodes.iter().enumerate() {
             let findings = node.audit();
             debug_assert!(findings.is_empty(), "{} audit failed: {findings:?}", node.name);
+            if touched.binary_search(&i).is_err() {
+                let due = self.wake_due(i).map(|wake| wake.max(self.now()));
+                let armed = self.wake_armed[i].map(|(at, _)| at);
+                let ok = match due {
+                    None => true,
+                    Some(due) => armed.is_some_and(|armed| armed <= due),
+                };
+                debug_assert!(ok, "untouched {} due at {due:?} but armed at {armed:?}", node.name);
+            }
         }
-        for i in 0..self.nodes.len() {
+        for i in touched {
             self.arm_node(i);
         }
     }
@@ -601,11 +633,16 @@ impl Engine {
         }
     }
 
-    fn arm_node(&mut self, i: usize) {
+    /// The earliest instant node `i`, its supervisor or its fault plan
+    /// wants to run.
+    fn wake_due(&self, i: usize) -> Option<Instant> {
         let sup = self.supervisors[i].as_ref().and_then(SessionSupervisor::next_wakeup);
         let fault = self.fault_plans[i].as_ref().and_then(FaultPlan::next_due);
-        let Some(wake) = [self.nodes[i].next_wakeup(), sup, fault].into_iter().flatten().min()
-        else {
+        [self.nodes[i].next_wakeup(), sup, fault].into_iter().flatten().min()
+    }
+
+    fn arm_node(&mut self, i: usize) {
+        let Some(wake) = self.wake_due(i) else {
             return;
         };
         let wake = wake.max(self.sched.now());

@@ -139,6 +139,10 @@ impl ShardScheduler for Shard {
         self.engine.now()
     }
 
+    fn next_work(&mut self) -> Option<Instant> {
+        [self.engine.next_event(), self.inbox.next_due()].into_iter().flatten().min()
+    }
+
     fn run_window(&mut self, horizon: Instant) {
         // Schedule every staged handoff due before `horizon`, in canonical
         // merge order (the scheduler's FIFO tie-break preserves it).
@@ -221,6 +225,7 @@ mod tests {
     use umtslab_ditg::FlowSpec;
     use umtslab_net::wire::Ipv4Cidr;
     use umtslab_planetlab::umtscmd::{UmtsPhase, UmtsRequest};
+    use umtslab_sim::shard::{run_serial, window_ends};
     use umtslab_sim::time::Duration;
     use umtslab_umts::at::DeviceProfile;
     use umtslab_umts::operator::OperatorProfile;
@@ -269,6 +274,38 @@ mod tests {
             let installed = tb.node(n1).umts_status().destinations;
             assert_eq!(installed, vec![dst], "route late at {n} shard(s)");
         }
+    }
+
+    #[test]
+    fn idle_windows_skip_the_window_runner() {
+        // A dialed-up node with no flow only wakes for keepalives and
+        // timers: `run` sees those windows alone.
+        let (mut tb, n1, _n2) = wired_pair(Some(2), 12);
+        tb.attach_umts(
+            n1,
+            OperatorProfile::commercial_italy(),
+            DeviceProfile::huawei_e620(),
+            Some(Credentials::new("web", "web")),
+        );
+        let s = tb.node_mut(n1).slices.create("umts");
+        tb.node_mut(n1).grant_umts_access(s);
+        tb.node_mut(n1).vsys_submit(s, UmtsRequest::Start).unwrap();
+        tb.run_until(Instant::from_secs(15));
+        assert_eq!(tb.node(n1).umts_status().phase, UmtsPhase::Up);
+
+        let (from, horizon) = (tb.now(), tb.now() + Duration::from_secs(5));
+        let windows = window_ends(from, horizon, tb.lookahead()).count();
+        let mut calls = 0;
+        tb.run_until_with(horizon, |shards, end| {
+            assert!(
+                shards.iter_mut().any(|s| s.next_work().is_some_and(|at| at < end)),
+                "idle window fanned out"
+            );
+            calls += 1;
+            run_serial(shards, end);
+        });
+        assert!(0 < calls && calls < windows, "{calls} of {windows} windows fanned out");
+        assert_eq!(tb.now(), horizon);
     }
 
     #[test]

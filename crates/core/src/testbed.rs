@@ -200,9 +200,13 @@ impl Testbed {
         (&self.shards[node.0 % n].engine, node.0 / n)
     }
 
+    /// The engine owning `node` for mutation, and the node's index there.
+    /// The node counts as touched: the next run re-arms it.
     fn engine_mut(&mut self, node: NodeId) -> (&mut Engine, usize) {
         let n = self.shards.len();
-        (&mut self.shards[node.0 % n].engine, node.0 / n)
+        let (engine, local) = (&mut self.shards[node.0 % n].engine, node.0 / n);
+        engine.touch(local);
+        (engine, local)
     }
 
     /// The engine holding agent `id`, and the agent's index there.
@@ -480,9 +484,11 @@ impl Testbed {
     /// Runs until `horizon`, letting the caller fan each window out over
     /// the shards (`run(shards, end)` must advance every shard to `end`;
     /// order and parallelism are free). Message exchange happens here, on
-    /// the caller's thread, at every boundary. Every call first arms each
-    /// node with internal work, so node state changed between runs (a
-    /// vsys request, say) is picked up.
+    /// the caller's thread, at every boundary. `run` is only called for
+    /// windows in which some shard has work; an idle window just moves
+    /// the clocks. Every call first arms each node handed out for
+    /// mutation since the last run, so node state changed between runs
+    /// (a vsys request, say) is picked up.
     pub fn run_until_with(&mut self, horizon: Instant, run: impl FnMut(&mut [Shard], Instant)) {
         for s in &mut self.shards {
             s.engine.prime();

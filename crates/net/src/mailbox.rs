@@ -132,6 +132,11 @@ impl Inbox {
         due
     }
 
+    /// The due time of the earliest staged handoff, if any.
+    pub fn next_due(&self) -> Option<Instant> {
+        self.staged.iter().map(|h| h.at).min()
+    }
+
     /// Number of handoffs still staged.
     pub fn len(&self) -> usize {
         self.staged.len()
@@ -265,8 +270,10 @@ mod tests {
                 packet: pkt(&mut ids),
             },
         ]);
+        assert_eq!(inbox.next_due(), Some(near));
         let due = inbox.due_before(Instant::from_millis(20));
         assert_eq!(due.len(), 1);
+        assert_eq!(inbox.next_due(), Some(far));
         assert_eq!(due[0].at, near);
         assert_eq!(inbox.len(), 1);
         // A handoff due exactly at the horizon stays staged for the
@@ -275,5 +282,6 @@ mod tests {
         assert!(due.is_empty());
         assert_eq!(inbox.due_before(far + Duration::from_millis(1)).len(), 1);
         assert!(inbox.is_empty());
+        assert_eq!(inbox.next_due(), None);
     }
 }

@@ -36,18 +36,20 @@ where
     slots.into_iter().map(|(_, out)| out.expect("every job ran")).collect()
 }
 
-/// Runs `f` over every job **in place** on a pool of `workers` threads.
+/// Runs `f` over every job **in place** on a pool of `workers` threads,
+/// the caller's thread being one of them.
 ///
-/// Worker threads pull jobs from a shared FIFO queue. The jobs are
-/// borrowed mutably, not consumed — the shape the sharded testbed needs,
-/// where the same shards are driven window after window and must survive
-/// between calls. `f` is called as `f(index, &mut job)`; each job is
-/// visited exactly once per call, by exactly one thread, and a panic in
-/// any job propagates to the caller once the scope joins.
+/// The threads pull jobs from a shared FIFO queue. The jobs are borrowed
+/// mutably, not consumed — the shape the sharded testbed needs, where the
+/// same shards are driven window after window and must survive between
+/// calls. `f` is called as `f(index, &mut job)`; each job is visited
+/// exactly once per call, by exactly one thread, and a panic in any job
+/// propagates to the caller once the scope joins.
 ///
-/// With `workers == 1` no thread is spawned at all: the jobs run as a
-/// plain in-order loop on the caller's thread, so the serial path has
-/// zero synchronization overhead per window.
+/// Only `workers - 1` scoped threads are spawned: the caller runs the
+/// same pull loop instead of idling at the join, so a window of two
+/// shards on two workers spawns one thread. With `workers == 1` nothing
+/// is spawned and the jobs run as a plain in-order loop.
 pub fn run_jobs_mut<J, F>(jobs: &mut [J], workers: usize, f: F)
 where
     J: Send,
@@ -65,15 +67,17 @@ where
         return;
     }
     let queue: Mutex<VecDeque<(usize, &mut J)>> = Mutex::new(jobs.iter_mut().enumerate().collect());
+    let work = || loop {
+        let Some((idx, job)) = queue.lock().expect("queue poisoned").pop_front() else {
+            return;
+        };
+        f(idx, job);
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let Some((idx, job)) = queue.lock().expect("queue poisoned").pop_front() else {
-                    return;
-                };
-                f(idx, job);
-            });
+        for _ in 1..workers {
+            scope.spawn(work);
         }
+        work();
     });
 }
 
@@ -81,6 +85,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn results_keep_input_order_for_any_worker_count() {
@@ -128,6 +133,49 @@ mod tests {
         }
         let mut empty: Vec<u8> = Vec::new();
         run_jobs_mut(&mut empty, 4, |_, _| unreachable!());
+    }
+
+    /// Runs `workers` jobs on `workers` threads, each job held until all
+    /// have started (so no thread can take two), and returns the thread
+    /// id each job ran on.
+    fn thread_of_each_job(workers: usize) -> Vec<std::thread::ThreadId> {
+        let barrier = Barrier::new(workers);
+        let mut jobs = vec![None; workers];
+        run_jobs_mut(&mut jobs, workers, |_, slot| {
+            barrier.wait();
+            *slot = Some(std::thread::current().id());
+        });
+        jobs.into_iter().map(|id| id.expect("every job ran")).collect()
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        let caller = std::thread::current().id();
+        for workers in [2, 3, 4] {
+            let ids = thread_of_each_job(workers);
+            assert!(ids.contains(&caller), "no job ran on the caller at workers={workers}");
+            // The barrier put each job on its own thread.
+            let others = ids.iter().filter(|&&id| id != caller).count();
+            assert_eq!(others, workers - 1, "spawned threads at workers={workers}");
+        }
+    }
+
+    #[test]
+    fn a_panic_on_either_side_reaches_the_caller() {
+        let caller = std::thread::current().id();
+        for on_caller in [true, false] {
+            let barrier = Barrier::new(2);
+            let mut jobs = [0u8; 2];
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_jobs_mut(&mut jobs, 2, |_, _| {
+                    barrier.wait();
+                    if (std::thread::current().id() == caller) == on_caller {
+                        panic!("job failed");
+                    }
+                });
+            }));
+            assert!(run.is_err(), "panic lost (on the caller's thread: {on_caller})");
+        }
     }
 
     #[test]

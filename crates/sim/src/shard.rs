@@ -12,13 +12,15 @@
 //!
 //! The driving logic is deliberately split from the shard state:
 //!
-//! * [`ShardScheduler`] is what a shard must expose — a clock and a
-//!   "run until" primitive.
+//! * [`ShardScheduler`] is what a shard must expose — a clock, the
+//!   instant of its next work and a "run until" primitive.
 //! * [`drive`] owns the window loop. The caller supplies *how* to run the
 //!   shards over one window (serially, or fanned out over a worker pool)
 //!   and *how* to exchange messages at each boundary; the loop itself is
 //!   identical either way, which is what makes shard counts and worker
-//!   counts invisible in the results.
+//!   counts invisible in the results. A window in which no shard has
+//!   work only moves the clocks, so the loop does that itself instead of
+//!   fanning it out.
 //! * [`window_ends`] enumerates the boundaries: fixed multiples of the
 //!   lookahead from the origin, independent of where the run starts, so a
 //!   run split into phases crosses the same boundaries as an unsplit one.
@@ -35,6 +37,10 @@ use crate::time::{Duration, Instant};
 pub trait ShardScheduler {
     /// The shard's current simulated time.
     fn now(&self) -> Instant;
+
+    /// The instant of the earliest work pending in the shard (a scheduled
+    /// event or a staged inbound message), or `None` if it has none.
+    fn next_work(&mut self) -> Option<Instant>;
 
     /// Dispatches every pending event strictly before `horizon` and
     /// advances the clock to `horizon`.
@@ -77,6 +83,12 @@ pub fn window_ends(
 /// `sync(shards, end)`, which exchanges the messages produced during the
 /// window. `sync` runs on the caller's thread with all shards at the same
 /// instant, so it may freely move data between them.
+///
+/// A window in which no shard has work before `end` is an idle window:
+/// it is advanced with [`run_serial`] on the caller's thread instead of
+/// `run`, which costs a clock move per shard rather than a fan-out. The
+/// boundaries are the same either way, so no event changes its instant
+/// or its order.
 pub fn drive<S: ShardScheduler>(
     shards: &mut [S],
     from: Instant,
@@ -86,7 +98,11 @@ pub fn drive<S: ShardScheduler>(
     mut sync: impl FnMut(&mut [S], Instant),
 ) {
     for end in window_ends(from, horizon, lookahead) {
-        run(shards, end);
+        if shards.iter_mut().any(|s| s.next_work().is_some_and(|at| at < end)) {
+            run(shards, end);
+        } else {
+            run_serial(shards, end);
+        }
         debug_assert!(shards.iter().all(|s| s.now() == end), "a shard missed the window barrier");
         sync(shards, end);
     }
@@ -122,6 +138,11 @@ mod tests {
     impl ShardScheduler for Toy {
         fn now(&self) -> Instant {
             self.sched.now()
+        }
+
+        fn next_work(&mut self) -> Option<Instant> {
+            let staged = self.inbox.iter().map(|&(at, _)| at).min();
+            [self.sched.peek_time(), staged].into_iter().flatten().min()
         }
 
         fn run_window(&mut self, horizon: Instant) {
@@ -191,6 +212,18 @@ mod tests {
         assert_eq!(shards[1].log, vec![(Instant::from_millis(23), 2)]);
     }
 
+    /// Forwards every event shard 0 logged in the window ending at `end`
+    /// to shard 1, due one lookahead later, tagged one higher.
+    fn forward(shards: &mut [Toy], end: Instant, la: Duration) {
+        let sent: Vec<(Instant, u32)> = shards[0]
+            .log
+            .iter()
+            .filter(|&&(at, _)| at >= end - la && at < end)
+            .map(|&(at, tag)| (at + la, tag + 1))
+            .collect();
+        shards[1].inbox.extend(sent);
+    }
+
     #[test]
     fn sync_moves_messages_between_shards_at_boundaries() {
         // Shard 0 "sends" to shard 1 with one lookahead of latency: a
@@ -201,15 +234,66 @@ mod tests {
         shards[0].sched.at(Instant::from_millis(4), 100);
         let horizon = Instant::from_millis(40);
         drive(&mut shards, Instant::ZERO, horizon, la, run_serial, |shards, end| {
-            let sent: Vec<(Instant, u32)> = shards[0]
-                .log
-                .iter()
-                .filter(|&&(at, _)| at >= end - la && at < end)
-                .map(|&(at, tag)| (at + la, tag + 1))
-                .collect();
-            shards[1].inbox.extend(sent);
+            forward(shards, end, la);
         });
         assert_eq!(shards[0].log, vec![(Instant::from_millis(4), 100)]);
+        assert_eq!(shards[1].log, vec![(Instant::from_millis(14), 101)]);
+    }
+
+    #[test]
+    fn idle_windows_are_not_fanned_out() {
+        // 100 windows, three of which hold a timer.
+        let la = Duration::from_millis(10);
+        let horizon = Instant::from_millis(1_000);
+        let timers = || {
+            let mut shards = vec![Toy::new(), Toy::new()];
+            shards[0].sched.at(Instant::from_millis(5), 1);
+            shards[1].sched.at(Instant::from_millis(505), 2);
+            shards[0].sched.at(Instant::from_millis(905), 3);
+            shards
+        };
+        let mut shards = timers();
+        let (mut fanned, mut clocks) = (0, Vec::new());
+        let count = |shards: &mut [Toy], end| {
+            fanned += 1;
+            run_serial(shards, end);
+        };
+        drive(&mut shards, Instant::ZERO, horizon, la, count, |shards, end| {
+            clocks.push((end, shards.iter().map(Toy::now).collect::<Vec<_>>()));
+        });
+        assert_eq!(fanned, 3, "only the windows holding a timer are fanned out");
+        let expected: Vec<_> =
+            window_ends(Instant::ZERO, horizon, la).map(|end| (end, vec![end, end])).collect();
+        assert_eq!(expected.len(), 100);
+        assert_eq!(clocks, expected, "every clock lands on every boundary");
+
+        // The log equals that of a loop advancing every window serially.
+        let mut reference = timers();
+        for end in window_ends(Instant::ZERO, horizon, la) {
+            run_serial(&mut reference, end);
+        }
+        for (got, want) in shards.iter().zip(&reference) {
+            assert_eq!(got.log, want.log);
+        }
+        assert_eq!(shards[0].log.len() + shards[1].log.len(), 3);
+    }
+
+    #[test]
+    fn a_staged_handoff_fans_its_window_out() {
+        // Shard 1 has no timer of its own: only the handoff staged into
+        // its inbox at the first boundary makes the second window busy.
+        let la = Duration::from_millis(10);
+        let mut shards = vec![Toy::new(), Toy::new()];
+        shards[0].sched.at(Instant::from_millis(4), 100);
+        let mut fanned = Vec::new();
+        let count = |shards: &mut [Toy], end| {
+            fanned.push(end);
+            run_serial(shards, end);
+        };
+        drive(&mut shards, Instant::ZERO, Instant::from_millis(40), la, count, |shards, end| {
+            forward(shards, end, la);
+        });
+        assert_eq!(fanned, vec![Instant::from_millis(10), Instant::from_millis(20)]);
         assert_eq!(shards[1].log, vec![(Instant::from_millis(14), 101)]);
     }
 }
