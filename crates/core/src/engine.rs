@@ -34,7 +34,7 @@ use umtslab_net::bytes::BufferPool;
 use umtslab_net::link::{DuplexLink, LinkConfig, LinkSchedule, PushOutcome};
 use umtslab_net::mailbox::HandoffKind;
 use umtslab_net::packet::{Packet, PacketIdAllocator};
-use umtslab_planetlab::node::{EgressAction, Node, ETH0};
+use umtslab_planetlab::node::{Delivery, EgressAction, Node, ETH0};
 use umtslab_planetlab::slice::SliceId;
 use umtslab_sim::event::EventHandle;
 use umtslab_sim::rng::{job_seed, SimRng};
@@ -221,6 +221,9 @@ pub(crate) struct Engine {
     /// Recycles retired payload allocations back to the traffic senders,
     /// so steady-state emission allocates nothing.
     pool: BufferPool,
+    /// Swapped with a node's delivered list at each flush, so neither
+    /// list gives up its capacity.
+    deliveries: Vec<Delivery>,
 }
 
 impl Engine {
@@ -240,6 +243,7 @@ impl Engine {
             core,
             drops: TestbedDrops::default(),
             pool: BufferPool::new(),
+            deliveries: Vec::new(),
         }
     }
 
@@ -276,6 +280,12 @@ impl Engine {
         m.drops = self.drops;
         m.events = self.sched.events_processed();
         m
+    }
+
+    /// The payload pool the engine's senders emit from.
+    #[cfg(test)]
+    pub(crate) fn pool(&mut self) -> &mut BufferPool {
+        &mut self.pool
     }
 
     pub(crate) fn node(&self, node: usize) -> &Node {
@@ -461,8 +471,9 @@ impl Engine {
             Ev::CoreArrive(packet) => self.route_from_core(now, packet),
             Ev::CoreDeliver { node, kind, packet } => self.core_deliver(now, node, kind, packet),
             Ev::NodeArrive { node, packet } => {
-                let delivery = self.nodes[node].ingress(now, ETH0, packet);
-                if delivery.is_some() {
+                // Only whether it was delivered: a held copy of the delivery
+                // would keep its payload shared, and out of the pool.
+                if self.nodes[node].ingress(now, ETH0, packet).is_some() {
                     self.flush_deliveries(now, node);
                 }
                 // Ingress may have queued kernel work (ICMP replies).
@@ -599,8 +610,11 @@ impl Engine {
     }
 
     fn flush_deliveries(&mut self, now: Instant, node_idx: usize) {
-        let deliveries = self.nodes[node_idx].take_delivered();
-        for d in deliveries {
+        // An echo to a local slice flushes again from inside the loop, so
+        // the reused list is held locally until the loop ends.
+        let mut deliveries = std::mem::take(&mut self.deliveries);
+        self.nodes[node_idx].swap_delivered(&mut deliveries);
+        for d in deliveries.drain(..) {
             let port = d.packet.dst.port;
             if let Some(&aidx) = self.rx_ports.get(&(node_idx, port)) {
                 if let AgentSlot::Receiver { agent } = &mut self.agents[aidx] {
@@ -631,6 +645,7 @@ impl Engine {
             }
             self.pool.reclaim(d.packet.payload);
         }
+        self.deliveries = deliveries;
     }
 
     /// The earliest instant node `i`, its supervisor or its fault plan

@@ -555,6 +555,43 @@ pub(crate) mod tests {
         slice
     }
 
+    /// Past warm-up, every payload a steady echoed flow emits, probe or
+    /// echo, reuses a pooled allocation, refcount included; and a payload
+    /// that is still shared is never pooled.
+    #[test]
+    fn steady_emission_reuses_pooled_payloads() {
+        use crate::experiment::{ExperimentConfig, PathKind, TwoNodeTestbed};
+        let mut spec = FlowSpec::voip_g711();
+        spec.duration = Duration::from_secs(8);
+        let cfg = ExperimentConfig::paper(spec, PathKind::EthernetToEthernet, 1);
+        let mut env = TwoNodeTestbed::build(&cfg);
+        let flow_start = env.tb.now() + cfg.settle;
+        let (tx, _, dport) = env.add_measurement_flow(&cfg, flow_start);
+        let rx = env.tb.add_receiver(env.inria, env.probe_slice, dport, tx, true);
+        let inria = env.inria;
+        let pool_stats = |tb: &mut Testbed| tb.engine_mut(inria).0.pool().stats();
+
+        env.tb.run_until(flow_start + Duration::from_secs(1));
+        let ((hits0, misses0), received0) =
+            (pool_stats(&mut env.tb), env.tb.receiver_records(rx).len());
+        env.tb.run_until(flow_start + Duration::from_secs(6));
+        let ((hits1, misses1), received1) =
+            (pool_stats(&mut env.tb), env.tb.receiver_records(rx).len());
+        let received = (received1 - received0) as u64;
+        assert!(received > 200, "only {received} packets in the window");
+        assert_eq!(misses1, misses0, "a steady emission allocated a payload");
+        // Each received probe is echoed, and the probes were emitted too.
+        assert!(hits1 - hits0 >= received, "{} reuses for {received} packets", hits1 - hits0);
+
+        let pool = env.tb.engine_mut(inria).0.pool();
+        let payload = pool.filled(180, |b| b[0] = 1);
+        let pooled = pool.pooled();
+        let shared = payload.clone();
+        pool.reclaim(payload);
+        assert_eq!(pool.pooled(), pooled, "a shared payload was pooled");
+        assert_eq!((shared.len(), shared[0]), (180, 1));
+    }
+
     /// Asserts every sharded run observed the same value.
     pub(crate) fn assert_shard_count_invariant<T: PartialEq + std::fmt::Debug>(runs: &[T]) {
         assert!(runs.windows(2).all(|w| w[0] == w[1]), "shard count changed the result");

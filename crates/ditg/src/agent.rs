@@ -166,8 +166,7 @@ fn stamped(
     pool: &mut BufferPool,
 ) -> Packet {
     let (seq, flow_id, tx) = header;
-    let mut payload = pool.take(size);
-    encode_header(&mut payload, seq, flow_id, tx);
+    let payload = pool.filled(size, |buf| encode_header(buf, seq, flow_id, tx));
     Packet::udp(ids.allocate(), src, dst, payload, at)
 }
 
@@ -214,9 +213,9 @@ impl TrafficSender {
 
     /// Emits the packet due at `now` (a no-op if none is due).
     ///
-    /// The payload is written once into a buffer taken from `pool` and
-    /// frozen into the packet without copying; recycle retired payloads
-    /// into the same pool to make steady-state emission allocation-free.
+    /// The payload is written once into a buffer from `pool` and handed to
+    /// the packet without copying; reclaim retired payloads into the same
+    /// pool to make steady-state emission allocation-free.
     pub fn emit(
         &mut self,
         now: Instant,

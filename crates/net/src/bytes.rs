@@ -121,18 +121,13 @@ impl Bytes {
         Arc::strong_count(&self.data)
     }
 
-    /// Reclaims the underlying allocation if this is the only reference
-    /// *and* the view covers the whole buffer; otherwise returns `self`
-    /// unchanged. Lets buffer pools recycle retired payloads without a
-    /// copy.
-    pub fn try_reclaim(self) -> Result<Vec<u8>, Bytes> {
-        if self.start != 0 || self.end != self.data.len() {
-            return Err(self);
-        }
-        match Arc::try_unwrap(self.data) {
-            Ok(vec) => Ok(vec),
-            Err(data) => Err(Bytes { start: self.start, end: self.end, data }),
-        }
+    /// The shared allocation, if this is its only reference *and* the
+    /// view covers the whole buffer; `None` otherwise. What a
+    /// [`BufferPool`] may keep of a retired payload.
+    fn into_unique(self) -> Option<Arc<Vec<u8>>> {
+        let mut data = self.data;
+        let whole = self.start == 0 && self.end == data.len();
+        (whole && Arc::get_mut(&mut data).is_some()).then_some(data)
     }
 }
 
@@ -226,15 +221,17 @@ impl fmt::Debug for Bytes {
     }
 }
 
-/// A free-list of retired payload buffers.
+/// A free-list of retired payload allocations.
 ///
-/// Traffic generators `take` a buffer sized for the next payload, write it
-/// once, and freeze it into a [`Bytes`]; when the last reference retires
-/// (see [`Bytes::try_reclaim`]) the allocation goes back on the list. In
-/// steady state the hot path allocates nothing.
+/// Traffic generators get each payload from [`BufferPool::filled`], which
+/// writes it once and hands it out as a [`Bytes`]; when the testbed retires
+/// a packet whose payload nothing else shares, [`BufferPool::reclaim`] puts
+/// the allocation, refcount included, back on the list. In steady state
+/// emitting a payload allocates nothing.
 #[derive(Debug, Default)]
 pub struct BufferPool {
-    free: Vec<Vec<u8>>,
+    /// Each uniquely owned, so [`Arc::get_mut`] always succeeds on it.
+    free: Vec<Arc<Vec<u8>>>,
     hits: u64,
     misses: u64,
 }
@@ -248,34 +245,37 @@ impl BufferPool {
         BufferPool::default()
     }
 
-    /// Returns a zeroed buffer of exactly `len` bytes, reusing a retired
-    /// allocation when one is available.
-    pub fn take(&mut self, len: usize) -> Vec<u8> {
-        match self.free.pop() {
-            Some(mut buf) => {
+    /// A `len`-byte payload: zeroed, then written by `fill`. It reuses a
+    /// retired allocation when one is pooled, so its bytes are the same
+    /// either way.
+    pub fn filled(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) -> Bytes {
+        let data = match self.free.pop() {
+            Some(mut data) => {
                 self.hits += 1;
+                let buf = Arc::get_mut(&mut data).expect("pooled buffers are uniquely owned");
                 buf.clear();
                 buf.resize(len, 0);
-                buf
+                fill(buf);
+                data
             }
             None => {
                 self.misses += 1;
-                vec![0u8; len]
+                let mut buf = vec![0u8; len];
+                fill(&mut buf);
+                Arc::new(buf)
             }
-        }
+        };
+        Bytes { data, start: 0, end: len }
     }
 
-    /// Returns a buffer to the free list.
-    pub fn recycle(&mut self, buf: Vec<u8>) {
-        if self.free.len() < POOL_CAP {
-            self.free.push(buf);
-        }
-    }
-
-    /// Attempts to reclaim a retired payload's allocation into the pool.
+    /// Pools a retired payload's allocation if nothing else shares it and
+    /// the view covers all of it (and the pool is below [`POOL_CAP`]);
+    /// otherwise just drops this reference.
     pub fn reclaim(&mut self, bytes: Bytes) {
-        if let Ok(buf) = bytes.try_reclaim() {
-            self.recycle(buf);
+        if self.free.len() < POOL_CAP {
+            if let Some(data) = bytes.into_unique() {
+                self.free.push(data);
+            }
         }
     }
 
@@ -284,7 +284,7 @@ impl BufferPool {
         self.free.len()
     }
 
-    /// `(reuses, fresh allocations)` served by [`BufferPool::take`].
+    /// `(reuses, fresh allocations)` served by [`BufferPool::filled`].
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
@@ -372,29 +372,34 @@ mod tests {
 
     #[test]
     fn reclaim_only_unique_full_views() {
-        let a = Bytes::from(vec![7u8; 16]);
+        let mut pool = BufferPool::new();
+        let a = pool.filled(16, |b| b.fill(7));
         let b = a.clone();
-        // Shared: cannot reclaim.
-        let a = a.try_reclaim().unwrap_err();
-        drop(b);
-        // Unique full view: reclaims the exact allocation.
-        let v = a.try_reclaim().unwrap();
-        assert_eq!(v, vec![7u8; 16]);
-        // A partial view never reclaims, even when unique.
-        let c = Bytes::from(vec![1, 2, 3]).slice(0..2);
-        assert!(c.try_reclaim().is_err());
+        // Shared: not pooled.
+        pool.reclaim(a);
+        assert_eq!(pool.pooled(), 0);
+        // A partial view is never pooled, even when unique.
+        let part = pool.filled(3, |_| ()).slice(0..2);
+        assert_eq!(part.ref_count(), 1);
+        pool.reclaim(part);
+        assert_eq!(pool.pooled(), 0);
+        // Unique full view: pooled.
+        pool.reclaim(b);
+        assert_eq!(pool.pooled(), 1);
     }
 
     #[test]
     fn pool_recycles_allocations() {
         let mut pool = BufferPool::new();
-        let buf = pool.take(100);
-        assert_eq!(buf.len(), 100);
-        let frozen = Bytes::from(buf);
-        pool.reclaim(frozen);
-        let again = pool.take(64);
+        let first = pool.filled(100, |b| b[0] = 1);
+        assert_eq!(first.len(), 100);
+        let addr = Arc::as_ptr(&first.data);
+        pool.reclaim(first);
+        let again = pool.filled(64, |b| b[63] = 9);
         assert_eq!(again.len(), 64);
-        assert!(again.iter().all(|&b| b == 0), "reused buffers are zeroed");
+        assert_eq!(Arc::as_ptr(&again.data), addr, "the pooled Arc is handed out again");
+        assert!(again[..63].iter().all(|&b| b == 0), "reused buffers are zeroed before the fill");
+        assert_eq!(again[63], 9);
         assert_eq!(pool.stats(), (1, 1));
     }
 }

@@ -139,11 +139,20 @@ impl Packet {
     /// Only UDP packets can be serialized; the simulator's measurement
     /// traffic is UDP, matching the paper's methodology.
     pub fn to_wire(&self) -> Result<Vec<u8>, WireError> {
+        let mut buf = Vec::new();
+        self.to_wire_into(&mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`Packet::to_wire`] into `buf`, replacing its contents and reusing
+    /// its capacity. On error `buf` is left as it was.
+    pub fn to_wire_into(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
         if !self.serializes() {
             return Err(WireError::Malformed);
         }
         let total = self.wire_len();
-        let mut buf = vec![0u8; total];
+        buf.clear();
+        buf.resize(total, 0);
         {
             let mut udp = UdpDatagramView::new_unchecked(&mut buf[IPV4_HEADER_LEN..]);
             udp.set_src_port(self.src.port);
@@ -166,7 +175,7 @@ impl Packet {
             ip.set_dst_addr(self.dst.addr);
             ip.fill_checksum();
         }
-        Ok(buf)
+        Ok(())
     }
 
     /// Parses wire bytes back into a packet, validating both checksums.

@@ -8,43 +8,46 @@ use umtslab_net::wire::{Endpoint, Ipv4Address};
 use umtslab_sim::rng::SimRng;
 use umtslab_sim::time::{Duration, Instant};
 
-/// Take/give cycles of varying lengths and burst sizes never leave more
-/// than `POOL_CAP` buffers on the free list, whether buffers come back
-/// through `recycle` or through `reclaim` of a retired payload.
+/// Fill/reclaim cycles of varying lengths and burst sizes never leave
+/// more than `POOL_CAP` buffers on the free list, and a payload that is
+/// still shared, or a partial view of one, is never pooled.
 #[test]
 fn buffer_pool_never_holds_more_than_its_cap() {
     let mut rng = SimRng::seed_from_u64(0x0b0f);
     let mut pool = BufferPool::new();
-    let mut outstanding: Vec<Vec<u8>> = Vec::new();
-    let mut takes = 0u64;
+    let mut outstanding: Vec<Bytes> = Vec::new();
+    let mut fills = 0u64;
     for _ in 0..100_000 {
         // Bursts up to twice the cap, so returning them all would overflow
         // an uncapped free list.
         if outstanding.len() < 2 * POOL_CAP && rng.chance(0.55) {
             let len = rng.uniform_u64(0, 1_500) as usize;
-            let buf = pool.take(len);
-            assert_eq!(buf.len(), len);
-            takes += 1;
-            outstanding.push(buf);
-        } else if let Some(buf) = outstanding.pop() {
-            if rng.chance(0.5) {
-                pool.recycle(buf);
-            } else {
-                let bytes = Bytes::from(buf);
+            let bytes = pool.filled(len, |buf| buf.fill(0xA5));
+            assert_eq!(bytes.len(), len);
+            assert!(bytes.iter().all(|&b| b == 0xA5));
+            fills += 1;
+            outstanding.push(bytes);
+        } else if let Some(bytes) = outstanding.pop() {
+            let pooled = pool.pooled();
+            if rng.chance(0.2) {
                 // A second reference keeps the payload alive: reclaiming
                 // the first must not pool the shared allocation.
-                let shared = rng.chance(0.2).then(|| bytes.clone());
+                let shared = bytes.clone();
                 pool.reclaim(bytes);
-                if let Some(last) = shared {
-                    pool.reclaim(last);
-                }
+                assert_eq!(pool.pooled(), pooled, "a shared payload was pooled");
+                pool.reclaim(shared);
+            } else if !bytes.is_empty() && rng.chance(0.1) {
+                pool.reclaim(bytes.slice(0..bytes.len() - 1));
+                assert_eq!(pool.pooled(), pooled, "a partial view was pooled");
+            } else {
+                pool.reclaim(bytes);
             }
         }
         assert!(pool.pooled() <= POOL_CAP, "{} buffers pooled", pool.pooled());
     }
     let (hits, misses) = pool.stats();
-    assert_eq!(hits + misses, takes);
-    assert!(hits > misses, "the pool should serve most takes: {hits} reuses, {misses} fresh");
+    assert_eq!(hits + misses, fills);
+    assert!(hits > misses, "the pool should serve most fills: {hits} reuses, {misses} fresh");
 }
 
 fn packet(id: u64) -> Packet {

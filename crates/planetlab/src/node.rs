@@ -346,7 +346,17 @@ impl Node {
 
     /// Drains packets delivered to local sockets.
     pub fn take_delivered(&mut self) -> Vec<Delivery> {
-        std::mem::take(&mut self.delivered)
+        let mut delivered = Vec::new();
+        self.swap_delivered(&mut delivered);
+        delivered
+    }
+
+    /// Drains packets delivered to local sockets into `buf`, which must be
+    /// empty, and keeps `buf`'s capacity for the next deliveries. A caller
+    /// that swaps one buffer back and forth allocates nothing.
+    pub fn swap_delivered(&mut self, buf: &mut Vec<Delivery>) {
+        debug_assert!(buf.is_empty(), "swapping would lose {} deliveries", buf.len());
+        std::mem::swap(&mut self.delivered, buf);
     }
 
     /// Drains ICMP echo replies addressed to this node.

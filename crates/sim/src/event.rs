@@ -24,25 +24,22 @@ pub struct EventHandle {
 /// Marks a free slot (no live event has this sequence number).
 const FREE: u64 = u64::MAX;
 
-struct Entry<E> {
+/// A heap entry: the ordering key of a pending event and the slot that
+/// holds its payload. It is 24 bytes whatever the payload, so a sift moves
+/// no payload.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
     at: Instant,
     seq: u64,
     slot: u32,
-    payload: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Entry<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (and, on ties,
         // the first-scheduled) entry surfaces first.
@@ -50,14 +47,22 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// One slot of the table: the sequence number of the pending event that
+/// occupies it (or [`FREE`]) and that event's payload.
+struct Slot<E> {
+    seq: u64,
+    payload: Option<E>,
+}
+
 /// A time-ordered queue of events with payloads of type `E`.
 ///
-/// Every pending event holds a slot whose value is the event's sequence
-/// number. Popping the event live or cancelling it frees the slot for
-/// reuse, so the slot table is as large as the most events ever pending
-/// at once. A cancelled event's heap entry stays behind until it reaches
-/// the top, where it is recognised as stale (its slot no longer holds its
-/// sequence number) and dropped.
+/// The heap orders keys only; every pending event's payload sits in a
+/// slot, next to the event's sequence number. Popping the event moves the
+/// payload out and cancelling it drops the payload at once; either frees
+/// the slot for reuse, so the slot table is as large as the most events
+/// ever pending at once. A cancelled event's key stays in the heap until
+/// it reaches the top, where it is recognised as stale (its slot no
+/// longer holds its sequence number) and dropped.
 ///
 /// # Examples
 ///
@@ -72,11 +77,9 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!((t, e), (Instant::from_millis(1), "first"));
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: BinaryHeap<Key>,
     next_seq: u64,
-    /// Slot → sequence number of the pending event occupying it, or
-    /// [`FREE`].
-    slots: Vec<u64>,
+    slots: Vec<Slot<E>>,
     /// Free slots, reused before the table grows.
     free: Vec<u32>,
     live: usize,
@@ -105,44 +108,44 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: Instant, payload: E) -> EventHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let occupied = Slot { seq, payload: Some(payload) };
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = seq;
+                self.slots[slot as usize] = occupied;
                 slot
             }
             None => {
-                self.slots.push(seq);
+                self.slots.push(occupied);
                 u32::try_from(self.slots.len() - 1).expect("under 2^32 pending events")
             }
         };
-        self.heap.push(Entry { at, seq, slot, payload });
+        self.heap.push(Key { at, seq, slot });
         self.live += 1;
         EventHandle { slot, seq }
     }
 
-    /// Cancels a previously scheduled event. Returns `true` if the event was
-    /// still pending (it will never be popped), `false` if it had already
-    /// fired or been cancelled.
+    /// Cancels a previously scheduled event and drops its payload.
+    /// Returns `true` if the event was still pending (it will never be
+    /// popped), `false` if it had already fired or been cancelled.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        if self.slots.get(handle.slot as usize) != Some(&handle.seq) {
+        if self.slots.get(handle.slot as usize).map(|s| s.seq) != Some(handle.seq) {
             return false;
         }
-        self.release(handle.slot);
+        drop(self.release(handle.slot));
         true
     }
 
     /// The firing time of the next pending event, if any.
     pub fn peek_time(&mut self) -> Option<Instant> {
         self.skip_cancelled();
-        self.heap.peek().map(|e| e.at)
+        self.heap.peek().map(|k| k.at)
     }
 
-    /// Pops the next pending event.
+    /// Pops the next pending event, moving its payload out of its slot.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
         self.skip_cancelled();
-        let entry = self.heap.pop()?;
-        self.release(entry.slot);
-        Some((entry.at, entry.payload))
+        let key = self.heap.pop()?;
+        Some((key.at, self.release(key.slot)))
     }
 
     /// Number of pending (non-cancelled) events.
@@ -155,17 +158,21 @@ impl<E> EventQueue<E> {
         self.live == 0
     }
 
-    fn release(&mut self, slot: u32) {
-        self.slots[slot as usize] = FREE;
+    /// Frees an occupied slot and returns its payload.
+    fn release(&mut self, slot: u32) -> E {
+        let s = &mut self.slots[slot as usize];
+        s.seq = FREE;
+        let payload = s.payload.take().expect("an occupied slot holds its payload");
         self.free.push(slot);
         self.live -= 1;
+        payload
     }
 
-    /// Drops stale (cancelled) entries from the top of the heap. Their
-    /// slots were freed when they were cancelled.
+    /// Drops stale (cancelled) keys from the top of the heap. Their slots
+    /// were freed when they were cancelled.
     fn skip_cancelled(&mut self) {
         while let Some(top) = self.heap.peek() {
-            if self.slots[top.slot as usize] == top.seq {
+            if self.slots[top.slot as usize].seq == top.seq {
                 break;
             }
             self.heap.pop();
@@ -300,6 +307,9 @@ mod tests {
                 schedule(&mut q, now, &mut pending);
             }
             assert!(q.slots.len() <= DEPTH, "slot table grew to {}", q.slots.len());
+            let payloads = q.slots.iter().filter(|s| s.payload.is_some()).count();
+            assert_eq!(payloads, q.len(), "only pending events hold a payload");
+            assert_eq!(q.slots.len(), q.len() + q.free.len());
             assert!(
                 q.heap.len() <= DEPTH + stale.len(),
                 "heap {} stale {}",
@@ -309,5 +319,52 @@ mod tests {
         }
         assert_eq!(q.len(), DEPTH);
         assert_eq!(q.slots.len() - q.free.len(), DEPTH);
+    }
+
+    /// A payload that counts its drops.
+    struct Counted(std::rc::Rc<std::cell::Cell<u32>>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    #[test]
+    fn cancel_drops_the_payload_at_once() {
+        let drops = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut q = EventQueue::new();
+        let h = q.schedule(t(1), Counted(drops.clone()));
+        q.schedule(t(2), Counted(drops.clone()));
+        assert!(q.cancel(h));
+        // The cancelled key is still in the heap; its payload is not.
+        assert_eq!(drops.get(), 1);
+        assert_eq!(q.heap.len(), 2);
+        assert!(!q.cancel(h));
+        assert_eq!(drops.get(), 1, "a second cancel drops nothing");
+    }
+
+    #[test]
+    fn pop_moves_the_payload_out() {
+        let drops = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut q = EventQueue::new();
+        let h = q.schedule(t(1), Counted(drops.clone()));
+        q.schedule(t(2), Counted(drops.clone()));
+        let (_, first) = q.pop().expect("pending");
+        assert_eq!(drops.get(), 0, "popping drops nothing");
+        assert!(!q.cancel(h), "a popped event cannot be cancelled");
+        assert_eq!(drops.get(), 0);
+        drop(first);
+        assert_eq!(drops.get(), 1);
+        let (_, second) = q.pop().expect("pending");
+        assert_eq!(drops.get(), 1);
+        drop(second);
+        assert_eq!(drops.get(), 2);
+        assert!(q.slots.iter().all(|s| s.payload.is_none()));
+    }
+
+    #[test]
+    fn heap_entries_are_keys_of_24_bytes() {
+        assert_eq!(std::mem::size_of::<Key>(), 24);
     }
 }

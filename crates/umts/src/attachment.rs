@@ -270,6 +270,10 @@ pub struct UmtsAttachment {
     ppp_server: Option<PppEndpoint>,
     /// The GGSN's deframer for uplink data frames, reused across packets.
     ggsn_deframer: Deframer,
+    /// The uplink datagram's wire bytes and its PPP frame, reused across
+    /// packets so the byte path allocates only the re-validated payload.
+    wire_buf: Vec<u8>,
+    frame_buf: Vec<u8>,
     signaling: SignalingChannel,
     rrc: RrcController,
     uplink: UmtsBearer,
@@ -329,6 +333,8 @@ impl UmtsAttachment {
             ppp_client: None,
             ppp_server: None,
             ggsn_deframer: Deframer::new(),
+            wire_buf: Vec::new(),
+            frame_buf: Vec::new(),
             signaling,
             rrc,
             uplink,
@@ -595,12 +601,19 @@ impl UmtsAttachment {
     /// deframing + checksum validation, preserving simulation metadata.
     fn through_ppp_data_path(&mut self, packet: &Packet) -> Option<Packet> {
         let ppp = self.ppp_client.as_mut()?;
-        let wire = packet.to_wire().ok()?;
-        let framed = ppp.send_ipv4(&wire)?;
-        // Deframe on the far side (shared codec; the GGSN would do this).
-        let frames = self.ggsn_deframer.feed(&framed);
-        let frame = frames.into_iter().next()?;
-        let mut parsed = Packet::from_wire(&frame.payload, packet.id, packet.created).ok()?;
+        packet.to_wire_into(&mut self.wire_buf).ok()?;
+        if !ppp.send_ipv4_into(&self.wire_buf, &mut self.frame_buf) {
+            return None;
+        }
+        // Deframe on the far side (shared codec; the GGSN would do this)
+        // and parse the first frame's information field where it lies.
+        let mut first = None;
+        self.ggsn_deframer.feed_with(&self.frame_buf, |_, body| {
+            if first.is_none() {
+                first = Some(Packet::from_wire(body, packet.id, packet.created));
+            }
+        });
+        let mut parsed = first?.ok()?;
         parsed.mark = packet.mark;
         parsed.corrupted = packet.corrupted;
         Some(parsed)

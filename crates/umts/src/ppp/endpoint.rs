@@ -16,7 +16,7 @@
 use umtslab_net::wire::Ipv4Address;
 use umtslab_sim::time::{Duration, Instant};
 
-use super::frame::{self, encode_frame, CpCode, CpPacket, Deframer};
+use super::frame::{self, encode_frame, encode_frame_into, CpCode, CpPacket, Deframer};
 use super::fsm::{CpFsm, FsmConfig, FsmSignal};
 use super::ipcp::IpcpHandler;
 use super::lcp::{echo_payload, LcpHandler};
@@ -236,15 +236,17 @@ impl PppEndpoint {
         r
     }
 
-    /// Sends an IPv4 packet; returns the framed bytes to transmit.
+    /// Sends an IPv4 packet: frames it into `out`, replacing its contents
+    /// and reusing its capacity, and returns `true`.
     ///
-    /// Returns `None` when the session is not open (callers should treat
-    /// that as "interface down").
-    pub fn send_ipv4(&mut self, wire_bytes: &[u8]) -> Option<Vec<u8>> {
+    /// Returns `false`, leaving `out` as it was, when the session is not
+    /// open (callers should treat that as "interface down").
+    pub fn send_ipv4_into(&mut self, wire_bytes: &[u8], out: &mut Vec<u8>) -> bool {
         if self.phase != PppPhase::Open {
-            return None;
+            return false;
         }
-        Some(encode_frame(frame::protocol::IPV4, wire_bytes))
+        encode_frame_into(frame::protocol::IPV4, wire_bytes, out);
+        true
     }
 
     /// Feeds received serial/bearer bytes.
@@ -595,11 +597,12 @@ mod tests {
     fn ip_flows_end_to_end_when_open() {
         let (mut client, mut server, _, _) = bring_up(false);
         let ip_packet = vec![0x45, 0, 0, 20, 0, 0, 0, 0, 64, 17, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8];
-        let framed = client.send_ipv4(&ip_packet).expect("session open");
+        let mut framed = Vec::new();
+        assert!(client.send_ipv4_into(&ip_packet, &mut framed), "session open");
         let out = server.input_bytes(Instant::from_secs(1), &framed);
         assert_eq!(out.rx_ipv4, vec![ip_packet.clone()]);
-        // And the reverse direction.
-        let framed = server.send_ipv4(&ip_packet).unwrap();
+        // And the reverse direction, into the same buffer.
+        assert!(server.send_ipv4_into(&ip_packet, &mut framed));
         let out = client.input_bytes(Instant::from_secs(1), &framed);
         assert_eq!(out.rx_ipv4.len(), 1);
     }
@@ -607,7 +610,9 @@ mod tests {
     #[test]
     fn ip_rejected_when_not_open() {
         let mut client = PppEndpoint::client(1, None, false);
-        assert!(client.send_ipv4(&[0u8; 20]).is_none());
+        let mut framed = vec![1, 2, 3];
+        assert!(!client.send_ipv4_into(&[0u8; 20], &mut framed));
+        assert_eq!(framed, [1, 2, 3], "nothing is framed");
         // Bytes arriving before open are not delivered as IP.
         let framed = encode_frame(frame::protocol::IPV4, &[0u8; 20]);
         let out = client.input_bytes(Instant::ZERO, &framed);
@@ -670,7 +675,8 @@ mod tests {
     #[test]
     fn corrupted_bytes_are_counted_and_ignored() {
         let (mut client, mut server, _, _) = bring_up(false);
-        let mut framed = client.send_ipv4(&[0x45u8; 24]).unwrap();
+        let mut framed = Vec::new();
+        assert!(client.send_ipv4_into(&[0x45u8; 24], &mut framed));
         let mid = framed.len() / 2;
         framed[mid] ^= 0x44;
         if framed[mid] == 0x7E || framed[mid] == 0x7D {

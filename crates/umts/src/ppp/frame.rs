@@ -204,18 +204,26 @@ fn stuff_octets(out: &mut [u8], mut n: usize, data: &[u8]) -> usize {
 /// Encodes one PPP frame: flag, stuffed address/control/protocol/payload/
 /// FCS, flag.
 pub fn encode_frame(protocol: u16, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_frame_into(protocol, payload, &mut out);
+    out
+}
+
+/// [`encode_frame`] into `out`, replacing its contents and reusing its
+/// capacity.
+pub fn encode_frame_into(protocol: u16, payload: &[u8], out: &mut Vec<u8>) {
     let [proto_hi, proto_lo] = protocol.to_be_bytes();
     // Worst case: every octet escaped, plus the two flags.
-    let mut out = vec![0u8; 2 * (4 + payload.len() + 2) + 2];
+    out.clear();
+    out.resize(2 * (4 + payload.len() + 2) + 2, 0);
     out[0] = FLAG;
     let mut fcs = FCS_INIT;
-    let mut n = stuff(&mut out, 1, &[ADDRESS, CONTROL, proto_hi, proto_lo], &mut fcs);
-    n = stuff(&mut out, n, payload, &mut fcs);
+    let mut n = stuff(out, 1, &[ADDRESS, CONTROL, proto_hi, proto_lo], &mut fcs);
+    n = stuff(out, n, payload, &mut fcs);
     // FCS is transmitted least-significant byte first.
-    n = stuff_octets(&mut out, n, &(!fcs).to_le_bytes());
+    n = stuff_octets(out, n, &(!fcs).to_le_bytes());
     out[n] = FLAG;
     out.truncate(n + 1);
-    out
 }
 
 /// A decoded PPP frame.
@@ -291,6 +299,16 @@ impl Deframer {
     /// Feeds bytes; returns each complete, valid frame.
     pub fn feed(&mut self, data: &[u8]) -> Vec<PppFrame> {
         let mut frames = Vec::new();
+        self.feed_with(data, |protocol, body| {
+            frames.push(PppFrame { protocol, payload: body.to_vec() });
+        });
+        frames
+    }
+
+    /// Feeds bytes and calls `frame(protocol, information field)` for each
+    /// complete, valid frame, in order. The information field is borrowed
+    /// from the deframer's buffer, so nothing is allocated per frame.
+    pub fn feed_with(&mut self, data: &[u8], mut frame: impl FnMut(u16, &[u8])) {
         let mut rest = data;
         while !rest.is_empty() {
             if self.discarding {
@@ -303,7 +321,7 @@ impl Deframer {
             // Unstuff at most one octet past the cap, so the buffer stays
             // bounded whatever the input.
             let (chunk, tail) = rest.split_at(rest.len().min(MAX_FRAME_LEN + 1 - self.len));
-            self.unstuff(chunk, &mut frames);
+            self.unstuff(chunk, &mut frame);
             if self.len > MAX_FRAME_LEN {
                 self.reject(FrameError::TooLong);
                 self.len = 0;
@@ -312,7 +330,6 @@ impl Deframer {
             }
             rest = tail;
         }
-        frames
     }
 
     /// Unstuffs `chunk` onto the partial frame and advances the FCS over
@@ -322,7 +339,7 @@ impl Deframer {
     /// at a time: an escape octet is written like data and then
     /// overwritten, since only data octets advance the length and the
     /// FCS, and the octet after it is XORed with `0x20`.
-    fn unstuff(&mut self, chunk: &[u8], frames: &mut Vec<PppFrame>) {
+    fn unstuff(&mut self, chunk: &[u8], frame: &mut impl FnMut(u16, &[u8])) {
         // Work on a local buffer so that its writes cannot alias `self`.
         let mut buf = std::mem::take(&mut self.buf);
         let end = self.len + chunk.len();
@@ -365,7 +382,7 @@ impl Deframer {
             if b == FLAG {
                 if len > 0 {
                     match Self::finish(&buf[..len], fcs) {
-                        Ok(f) => frames.push(f),
+                        Ok((protocol, body)) => frame(protocol, body),
                         Err(e) => self.reject(e),
                     }
                     len = 0;
@@ -393,10 +410,10 @@ impl Deframer {
     }
 
     /// Validates one unstuffed frame, given the FCS register over all of
-    /// it. Over a good body followed by its own FCS the register reads
-    /// [`FCS_GOOD`], which holds exactly when `fcs16(body)` equals the
-    /// stored value.
-    fn finish(raw: &[u8], fcs: u16) -> Result<PppFrame, FrameError> {
+    /// it, and returns its protocol and information field. Over a good
+    /// body followed by its own FCS the register reads [`FCS_GOOD`], which
+    /// holds exactly when `fcs16(body)` equals the stored value.
+    fn finish(raw: &[u8], fcs: u16) -> Result<(u16, &[u8]), FrameError> {
         if raw.len() < 6 {
             return Err(FrameError::Runt);
         }
@@ -407,7 +424,7 @@ impl Deframer {
             return Err(FrameError::BadHeader);
         }
         let protocol = u16::from_be_bytes([raw[2], raw[3]]);
-        Ok(PppFrame { protocol, payload: raw[4..raw.len() - 2].to_vec() })
+        Ok((protocol, &raw[4..raw.len() - 2]))
     }
 }
 

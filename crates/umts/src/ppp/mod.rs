@@ -16,6 +16,6 @@ pub mod lcp;
 pub mod pap;
 
 pub use endpoint::{PppEndpoint, PppEvent, PppOutput, PppPhase, PppServerConfig};
-pub use frame::{encode_frame, CpCode, CpOption, CpPacket, Deframer, PppFrame};
+pub use frame::{encode_frame, encode_frame_into, CpCode, CpOption, CpPacket, Deframer, PppFrame};
 pub use fsm::{CpFsm, FsmConfig, FsmSignal, FsmState};
 pub use pap::Credentials;

@@ -138,8 +138,14 @@ fn oracle_encode(proto: u16, payload: &[u8]) -> Vec<u8> {
     raw.extend_from_slice(payload);
     let fcs = oracle_fcs16(&raw);
     raw.extend_from_slice(&fcs.to_le_bytes());
+    oracle_stuff(&raw)
+}
+
+/// Escapes `raw` one octet at a time under the default ACCM, between two
+/// flags.
+fn oracle_stuff(raw: &[u8]) -> Vec<u8> {
     let mut out = vec![0x7E];
-    for b in raw {
+    for &b in raw {
         if b == 0x7E || b == 0x7D || b < 0x20 {
             out.extend_from_slice(&[0x7D, b ^ 0x20]);
         } else {
@@ -305,6 +311,89 @@ fn deframer_agrees_with_oracle_on_hostile_input() {
         rejected += d.errors;
     }
     assert!(delivered > 0 && rejected > 0, "{delivered} delivered, {rejected} rejected");
+}
+
+/// `feed_with` and its collecting wrapper `feed` yield the same frames,
+/// `errors` and `last_error` on seeded random chunkings of valid streams,
+/// streams cut inside a `7D` escape, frames with a corrupted FCS, and
+/// runt or over-long frames; neither panics.
+#[test]
+fn feed_with_and_feed_agree_on_every_stream_kind() {
+    let mut rng = SimRng::seed_from_u64(0x020A);
+    let mut seen = [0u64; 4];
+    for case in 0..4 * CASES {
+        let kind = case % 4;
+        let mut stream = Vec::new();
+        // Offsets just past a `7D`, where kind 1 must cut the stream.
+        let mut escapes = Vec::new();
+        for _ in 0..rng.uniform_u64(1, 6) {
+            match kind {
+                0 => {
+                    let len = rng.uniform_u64(0, 400) as usize;
+                    let proto = [protocol::IPV4, protocol::LCP][rng.uniform_u64(0, 1) as usize];
+                    stream.extend(encode_frame(proto, &rand_bytes(&mut rng, len, len)));
+                }
+                1 => {
+                    let len = rng.uniform_u64(1, 200) as usize;
+                    let frame = encode_frame(protocol::IPV4, &rand_escape_heavy(&mut rng, len));
+                    escapes.extend(
+                        (0..frame.len())
+                            .filter(|&i| frame[i] == 0x7D)
+                            .map(|i| stream.len() + i + 1),
+                    );
+                    stream.extend(frame);
+                }
+                2 => {
+                    let len = rng.uniform_u64(0, 300) as usize;
+                    let mut raw = vec![0xFF, 0x03, 0x00, 0x21];
+                    raw.extend(rand_bytes(&mut rng, len, len));
+                    let fcs = oracle_fcs16(&raw) ^ (1 << rng.uniform_u64(0, 15));
+                    raw.extend_from_slice(&fcs.to_le_bytes());
+                    stream.extend(oracle_stuff(&raw));
+                }
+                _ => {
+                    let len = if rng.chance(0.5) {
+                        rng.uniform_u64(1, 5)
+                    } else {
+                        MAX_FRAME_LEN as u64 + rng.uniform_u64(1, 3_000)
+                    } as usize;
+                    stream.push(0x7E);
+                    stream.extend(rand_bytes(&mut rng, len, len).iter().map(|b| b | 0x80));
+                    stream.push(0x7E);
+                }
+            }
+            if rng.chance(0.5) {
+                let len = rng.uniform_u64(0, 16) as usize;
+                stream.extend(encode_frame(protocol::IPCP, &rand_bytes(&mut rng, len, len)));
+            }
+        }
+        // Seeded chunk boundaries; kind 1 also cuts after every third escape.
+        let mut cuts: Vec<usize> = (0..rng.uniform_u64(0, 24))
+            .map(|_| rng.uniform_u64(0, stream.len() as u64) as usize)
+            .collect();
+        cuts.extend(escapes.iter().step_by(3));
+        cuts.extend([0, stream.len()]);
+        cuts.sort_unstable();
+        let (mut by_feed, mut by_feed_with) = (Deframer::new(), Deframer::new());
+        let (mut fed, mut called) = (Vec::new(), Vec::new());
+        for w in cuts.windows(2) {
+            let chunk = &stream[w[0]..w[1]];
+            fed.extend(by_feed.feed(chunk));
+            by_feed_with.feed_with(chunk, |protocol, body| {
+                called.push(PppFrame { protocol, payload: body.to_vec() });
+            });
+        }
+        assert_eq!(fed, called, "case {case}");
+        assert_eq!(by_feed.errors, by_feed_with.errors, "case {case}");
+        assert_eq!(by_feed.last_error(), by_feed_with.last_error(), "case {case}");
+        if kind == 1 {
+            assert!(!escapes.is_empty(), "the stuffed `FF 03` header escapes its `03`");
+        }
+        seen[kind as usize] += by_feed.errors;
+    }
+    // Valid and split-escape streams carry no error; the damaged kinds do.
+    assert_eq!(seen[..2], [0, 0]);
+    assert!(seen[2] > 0 && seen[3] > 0, "{seen:?}");
 }
 
 /// A stream with no flag cannot grow the deframer without bound: the
