@@ -471,9 +471,7 @@ impl Engine {
             Ev::CoreArrive(packet) => self.route_from_core(now, packet),
             Ev::CoreDeliver { node, kind, packet } => self.core_deliver(now, node, kind, packet),
             Ev::NodeArrive { node, packet } => {
-                // Only whether it was delivered: a held copy of the delivery
-                // would keep its payload shared, and out of the pool.
-                if self.nodes[node].ingress(now, ETH0, packet).is_some() {
+                if self.nodes[node].ingress(now, ETH0, packet) {
                     self.flush_deliveries(now, node);
                 }
                 // Ingress may have queued kernel work (ICMP replies).

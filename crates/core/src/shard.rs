@@ -9,6 +9,8 @@
 //! serial model ([`Testbed::new`]) is one [`Shard`] whose engine has a
 //! local core link and never stages a handoff.
 //!
+//! [`Handoff`]: umtslab_net::mailbox::Handoff
+//!
 //! ## Shard-count invariance
 //!
 //! Results are byte-identical for any shard count because nothing a shard
@@ -45,7 +47,7 @@ use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use umtslab_net::mailbox::{Handoff, HandoffKind, Inbox, Outbox};
+use umtslab_net::mailbox::{HandoffKind, Inbox, Outbox};
 use umtslab_net::packet::Packet;
 use umtslab_net::wire::Ipv4Address;
 use umtslab_sim::shard::ShardScheduler;
@@ -167,18 +169,21 @@ pub(crate) fn publish_routes(shards: &mut [Shard], routes: &RouteTables) {
 
 /// Moves every staged handoff to its owning shard's inbox. Collection
 /// order is irrelevant: each inbox re-sorts into canonical order before
-/// injecting.
+/// injecting. Nothing is allocated: a serial testbed has no outbox, an
+/// empty outbox is skipped, and each drained one gets its vector back.
 pub(crate) fn exchange(shards: &mut [Shard]) {
     let nshards = shards.len();
-    let mut batches: Vec<Vec<Handoff>> = (0..nshards).map(|_| Vec::new()).collect();
-    for mailbox in shards.iter_mut().filter_map(Shard::mailbox) {
-        for h in mailbox.outbox.take() {
-            batches[h.dst as usize % nshards].push(h);
+    for s in 0..nshards {
+        let Some(mailbox) = shards[s].mailbox() else { continue };
+        if mailbox.outbox.is_empty() {
+            continue;
         }
-    }
-    for (s, batch) in shards.iter_mut().zip(batches) {
-        if !batch.is_empty() {
-            s.inbox.accept(batch);
+        let mut staged = mailbox.outbox.take();
+        for h in staged.drain(..) {
+            shards[h.dst as usize % nshards].inbox.push(h);
+        }
+        if let Some(mailbox) = shards[s].mailbox() {
+            mailbox.outbox.recycle(staged);
         }
     }
 }

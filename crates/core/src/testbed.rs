@@ -592,6 +592,43 @@ pub(crate) mod tests {
         assert_eq!((shared.len(), shared[0]), (180, 1));
     }
 
+    /// The UMTS twin of the test above: past warm-up, a CBR flow that
+    /// saturates the uplink bearer, each probe echoed back down it, takes
+    /// every admitted probe and every echo from the pool. Only the probes
+    /// the full bearer refuses, dropped at the node, leave it. (Whether
+    /// the byte path re-validates a probe into its own allocation or a
+    /// fresh one the counters cannot tell; the attachment's tests check
+    /// that.)
+    #[test]
+    fn steady_saturated_umts_emission_reuses_pooled_payloads() {
+        use crate::experiment::{ExperimentConfig, PathKind, TwoNodeTestbed};
+        let mut spec = FlowSpec::cbr_1mbps();
+        spec.duration = Duration::from_secs(40);
+        let cfg = ExperimentConfig::paper(spec, PathKind::UmtsToEthernet, 1);
+        let mut env = TwoNodeTestbed::build(&cfg);
+        env.umts_up(Duration::from_secs(120)).expect("the session dials up");
+        env.register_destination();
+        let flow_start = env.tb.now() + cfg.settle;
+        let (tx, _, dport) = env.add_measurement_flow(&cfg, flow_start);
+        let rx = env.tb.add_receiver(env.inria, env.probe_slice, dport, tx, true);
+        let napoli = env.napoli;
+        let pool_stats = |tb: &mut Testbed| tb.engine_mut(napoli).0.pool().stats();
+        let uplink = |tb: &Testbed| tb.metrics().uplink;
+
+        env.tb.run_until(flow_start + Duration::from_secs(10));
+        let ((hits0, misses0), up0) = (pool_stats(&mut env.tb), uplink(&env.tb));
+        let received0 = env.tb.receiver_records(rx).len();
+        env.tb.run_until(flow_start + Duration::from_secs(30));
+        let ((hits1, misses1), up1) = (pool_stats(&mut env.tb), uplink(&env.tb));
+        let received = (env.tb.receiver_records(rx).len() - received0) as u64;
+        let (offered, refused) =
+            (up1.offered - up0.offered, up1.dropped_overflow - up0.dropped_overflow);
+        assert!(refused > offered / 4, "the bearer must saturate: {refused} of {offered} refused");
+        assert!(received > 200, "only {received} packets in the window");
+        assert!(misses1 - misses0 <= refused, "{} fresh payloads", misses1 - misses0);
+        assert!(hits1 - hits0 >= received, "{} reuses for {received} probes", hits1 - hits0);
+    }
+
     /// Asserts every sharded run observed the same value.
     pub(crate) fn assert_shard_count_invariant<T: PartialEq + std::fmt::Debug>(runs: &[T]) {
         assert!(runs.windows(2).all(|w| w[0] == w[1]), "shard count changed the result");

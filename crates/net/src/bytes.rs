@@ -80,6 +80,22 @@ impl Bytes {
         Bytes::from(src.to_vec())
     }
 
+    /// Replaces the viewed bytes with a copy of `src`. The copy goes into
+    /// this view's own allocation when nothing else shares it, the view
+    /// covers all of it and `src` has its length; otherwise into a fresh
+    /// one, as [`Bytes::copy_from_slice`]. Counted as a deep copy either
+    /// way.
+    pub fn overwrite(&mut self, src: &[u8]) {
+        let whole = self.start == 0 && self.end == self.data.len() && self.len() == src.len();
+        match Arc::get_mut(&mut self.data) {
+            Some(buf) if whole => {
+                count_copy(src.len());
+                buf.copy_from_slice(src);
+            }
+            _ => *self = Bytes::copy_from_slice(src),
+        }
+    }
+
     /// Length of the view in bytes.
     pub fn len(&self) -> usize {
         self.end - self.start
@@ -324,6 +340,30 @@ mod tests {
         let after = copy_counters();
         assert_eq!(after.copies - before.copies, 2);
         assert_eq!(after.bytes - before.bytes, 8);
+    }
+
+    #[test]
+    fn overwrite_reuses_only_a_unique_whole_view_of_the_same_length() {
+        let before = copy_counters();
+        let mut a = Bytes::from(vec![1u8, 2, 3]);
+        let addr = Arc::as_ptr(&a.data);
+        a.overwrite(&[4, 5, 6]);
+        assert_eq!((a.as_slice(), Arc::as_ptr(&a.data)), (&[4u8, 5, 6][..], addr));
+        // Shared: the other view keeps its bytes.
+        let shared = a.clone();
+        a.overwrite(&[7, 8, 9]);
+        assert_eq!((shared.as_slice(), a.as_slice()), (&[4u8, 5, 6][..], &[7u8, 8, 9][..]));
+        assert_ne!(Arc::as_ptr(&a.data), addr);
+        // Another length, or a partial view: a fresh allocation.
+        let addr = Arc::as_ptr(&a.data);
+        a.overwrite(&[1, 2]);
+        assert_eq!((a.as_slice(), a.ref_count()), (&[1u8, 2][..], 1));
+        assert_ne!(Arc::as_ptr(&a.data), addr);
+        let mut part = Bytes::from(vec![0u8; 4]).slice(0..2);
+        part.overwrite(&[3, 3]);
+        assert_eq!((part.as_slice(), part.data.len()), (&[3u8, 3][..], 2));
+        let after = copy_counters();
+        assert_eq!((after.copies - before.copies, after.bytes - before.bytes), (4, 10));
     }
 
     #[test]

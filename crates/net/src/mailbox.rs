@@ -94,6 +94,16 @@ impl Outbox {
         std::mem::take(&mut self.staged)
     }
 
+    /// Hands back a vector that [`Outbox::take`] returned, once emptied,
+    /// so the next window stages into its capacity rather than a fresh
+    /// allocation. Ignored if something was staged in the meantime.
+    pub fn recycle(&mut self, mut spent: Vec<Handoff>) {
+        if self.staged.is_empty() {
+            spent.clear();
+            self.staged = spent;
+        }
+    }
+
     /// Number of staged handoffs.
     pub fn len(&self) -> usize {
         self.staged.len()
@@ -120,6 +130,11 @@ impl Inbox {
     /// Accepts a batch exchanged at a window boundary.
     pub fn accept(&mut self, batch: Vec<Handoff>) {
         self.staged.extend(batch);
+    }
+
+    /// Accepts one handoff exchanged at a window boundary.
+    pub fn push(&mut self, handoff: Handoff) {
+        self.staged.push(handoff);
     }
 
     /// Releases every staged handoff due strictly before `horizon`, in
@@ -180,6 +195,28 @@ mod tests {
         // Lane counters survive the take.
         ob.push(t, 7, 1, HandoffKind::Wire, pkt(&mut ids));
         assert_eq!(ob.take()[0].seq, 2);
+    }
+
+    #[test]
+    fn recycled_vector_is_staged_into_unless_the_outbox_refilled() {
+        let mut ids = PacketIdAllocator::new();
+        let mut ob = Outbox::new();
+        let t = Instant::from_millis(5);
+        for origin in 0..4 {
+            ob.push(t, origin, 1, HandoffKind::Wire, pkt(&mut ids));
+        }
+        let mut spent = ob.take();
+        let capacity = spent.capacity();
+        spent.truncate(1);
+        ob.recycle(spent);
+        assert!(ob.is_empty(), "recycling drops what the vector still held");
+        ob.push(t, 0, 1, HandoffKind::Wire, pkt(&mut ids));
+        let again = ob.take();
+        assert_eq!((again.len(), again.capacity()), (1, capacity));
+        // Staged meanwhile: the handoff stays, the vector is dropped.
+        ob.push(t, 0, 1, HandoffKind::Wire, pkt(&mut ids));
+        ob.recycle(again);
+        assert_eq!(ob.take().len(), 1);
     }
 
     #[test]

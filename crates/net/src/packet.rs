@@ -183,6 +183,51 @@ impl Packet {
     /// `id` and `created` are simulation-side metadata not present on the
     /// wire, so the caller supplies them.
     pub fn from_wire(bytes: &[u8], id: PacketId, created: Instant) -> Result<Packet, WireError> {
+        let fields = WireFields::parse(bytes)?;
+        Ok(Packet {
+            id,
+            src: fields.src,
+            dst: fields.dst,
+            protocol: Protocol::Udp,
+            tos: fields.tos,
+            ttl: fields.ttl,
+            mark: Mark::NONE,
+            payload: Bytes::copy_from_slice(fields.payload),
+            created,
+            corrupted: false,
+        })
+    }
+
+    /// [`Packet::from_wire`] into `packet`: every field the wire carries
+    /// is replaced, the simulation-side ones (id, creation time, mark,
+    /// corruption flag) are kept. The payload is copied into `packet`'s
+    /// own allocation where [`Bytes::overwrite`] can, so re-validating a
+    /// packet's own wire image allocates nothing; the copy is counted
+    /// either way. On an error `packet` is left as it was.
+    pub fn from_wire_into(bytes: &[u8], packet: &mut Packet) -> Result<(), WireError> {
+        let fields = WireFields::parse(bytes)?;
+        packet.src = fields.src;
+        packet.dst = fields.dst;
+        packet.protocol = Protocol::Udp;
+        packet.tos = fields.tos;
+        packet.ttl = fields.ttl;
+        packet.payload.overwrite(fields.payload);
+        Ok(())
+    }
+}
+
+/// The fields of a validated IPv4+UDP wire image, the payload borrowed.
+struct WireFields<'a> {
+    src: Endpoint,
+    dst: Endpoint,
+    tos: u8,
+    ttl: u8,
+    payload: &'a [u8],
+}
+
+impl<'a> WireFields<'a> {
+    /// Parses `bytes`, validating both checksums.
+    fn parse(bytes: &'a [u8]) -> Result<WireFields<'a>, WireError> {
         let ip = Ipv4PacketView::new_checked(bytes)?;
         if !ip.verify_checksum() {
             return Err(WireError::BadChecksum);
@@ -192,23 +237,18 @@ impl Packet {
         }
         let src_addr = ip.src_addr();
         let dst_addr = ip.dst_addr();
-        let tos = ip.tos();
-        let ttl = ip.ttl();
         let udp = UdpDatagramView::new_checked(ip.payload())?;
         if !udp.verify_checksum(src_addr, dst_addr) {
             return Err(WireError::BadChecksum);
         }
-        Ok(Packet {
-            id,
+        // The views borrow themselves; re-slice `bytes` to outlive them.
+        let payload = &bytes[IPV4_HEADER_LEN + UDP_HEADER_LEN..][..udp.payload().len()];
+        Ok(WireFields {
             src: Endpoint::new(src_addr, udp.src_port()),
             dst: Endpoint::new(dst_addr, udp.dst_port()),
-            protocol: Protocol::Udp,
-            tos,
-            ttl,
-            mark: Mark::NONE,
-            payload: Bytes::copy_from_slice(udp.payload()),
-            created,
-            corrupted: false,
+            tos: ip.tos(),
+            ttl: ip.ttl(),
+            payload,
         })
     }
 }
@@ -264,6 +304,31 @@ mod tests {
         assert_eq!(q.payload, p.payload);
         // The mark is node-local state and never crosses the wire.
         assert!(q.mark.is_none());
+    }
+
+    #[test]
+    fn from_wire_into_rereads_the_wire_fields_and_keeps_the_rest() {
+        let mut p = sample_packet();
+        p.mark = Mark(9);
+        let mut wire = p.to_wire().unwrap();
+        let last = wire.len() - 1;
+        // Damaged bytes leave the packet as it was.
+        wire[last] ^= 0x80;
+        let before = p.clone();
+        assert_eq!(Packet::from_wire_into(&wire, &mut p), Err(WireError::BadChecksum));
+        assert_eq!(p, before);
+        drop(before);
+        // Good bytes land in the packet's own payload allocation.
+        wire[last] ^= 0x80;
+        let mut q = sample_packet();
+        q.ttl = 3;
+        q.id = PacketId(8);
+        q.mark = Mark(9);
+        let addr = q.payload.as_ptr();
+        Packet::from_wire_into(&wire, &mut q).unwrap();
+        assert_eq!(q.payload.as_ptr(), addr);
+        assert_eq!((q.ttl, q.id, q.mark), (p.ttl, PacketId(8), Mark(9)));
+        assert_eq!(q.payload, p.payload);
     }
 
     #[test]

@@ -414,12 +414,19 @@ impl Node {
             }
             EgressFate::Uplink => {
                 self.trace.record(now, TraceKind::Egress, &packet, out(PPP0));
-                match self.umts.as_mut().map(|att| att.send_uplink(now, &packet)) {
-                    Some(UplinkOutcome::Queued) => return EgressAction::Umts,
-                    Some(UplinkOutcome::DroppedOverflow) => {
-                        (TraceKind::DropQueue, self.places.ppp0)
-                    }
-                    Some(UplinkOutcome::NotConnected) | None => {
+                let sent = match self.umts.as_mut() {
+                    Some(att) => att.send_uplink(now, packet),
+                    None => Err((UplinkOutcome::NotConnected, packet)),
+                };
+                // A refused packet comes back for the drop trace.
+                let outcome;
+                (outcome, packet) = match sent {
+                    Ok(()) => return EgressAction::Umts,
+                    Err(refused) => refused,
+                };
+                match outcome {
+                    UplinkOutcome::DroppedOverflow => (TraceKind::DropQueue, self.places.ppp0),
+                    UplinkOutcome::Queued | UplinkOutcome::NotConnected => {
                         (TraceKind::DropNoRoute, self.places.ppp0_down)
                     }
                 }
@@ -489,17 +496,19 @@ impl Node {
         verdict
     }
 
-    /// A packet arrives on an interface.
-    pub fn ingress(&mut self, now: Instant, iface: IfaceId, packet: Packet) -> Option<Delivery> {
+    /// A packet arrives on an interface. Returns whether it was delivered
+    /// to a slice's socket; [`Node::take_delivered`] hands the delivery
+    /// out.
+    pub fn ingress(&mut self, now: Instant, iface: IfaceId, packet: Packet) -> bool {
         self.trace.record(now, TraceKind::Ingress, &packet, self.places.ifaces[iface.0 as usize]);
         if packet.corrupted {
             self.trace.record(now, TraceKind::DropCorrupt, &packet, self.places.node);
-            return None;
+            return false;
         }
         if !self.is_local_addr(packet.dst.addr) {
             // PlanetLab nodes do not forward.
             self.trace.record(now, TraceKind::DropNoRoute, &packet, self.places.node);
-            return None;
+            return false;
         }
         // Kernel ICMP handling: answer echo requests, collect replies.
         if packet.protocol == umtslab_net::wire::Protocol::Icmp {
@@ -515,16 +524,13 @@ impl Node {
                     self.trace.record(now, TraceKind::Delivered, &packet, self.places.icmp);
                     self.icmp_inbox.push((now, packet));
                 }
-                return None;
+                return false;
             }
             self.trace.record(now, TraceKind::DropCorrupt, &packet, self.places.node);
-            return None;
+            return false;
         }
         let owner = self.sockets.get(&packet.dst.port).copied();
-        match self.deliver_local(now, iface, owner, packet) {
-            EgressAction::Local => self.delivered.last().cloned(),
-            _ => None,
-        }
+        matches!(self.deliver_local(now, iface, owner, packet), EgressAction::Local)
     }
 
     /// Hands a packet to the slice owning its destination port, or drops
@@ -634,7 +640,7 @@ impl Node {
                 match d {
                     UmtsData::ToInternet(p) => out.to_internet.push(p),
                     UmtsData::ToHost(p) => {
-                        let _ = self.ingress(now, PPP0, p);
+                        self.ingress(now, PPP0, p);
                     }
                 }
             }
@@ -954,10 +960,10 @@ mod tests {
         let mut alloc = PacketIdAllocator::new();
         let mut p = udp(&mut alloc, a("143.225.229.5"), 9001, Instant::ZERO);
         p.src = Endpoint::new(a("138.96.20.1"), 9000);
-        let d = n.ingress(Instant::from_millis(5), ETH0, p).expect("delivered");
-        assert_eq!(d.slice, s);
-        assert_eq!(d.iface, ETH0);
-        assert_eq!(n.take_delivered().len(), 1);
+        assert!(n.ingress(Instant::from_millis(5), ETH0, p));
+        let delivered = n.take_delivered();
+        assert_eq!(delivered.len(), 1);
+        assert_eq!((delivered[0].slice, delivered[0].iface), (s, ETH0));
         assert!(n.take_delivered().is_empty());
     }
 
@@ -968,14 +974,14 @@ mod tests {
         let mut alloc = PacketIdAllocator::new();
         // Unbound port.
         let p = udp(&mut alloc, a("143.225.229.5"), 4444, Instant::ZERO);
-        assert!(n.ingress(Instant::ZERO, ETH0, p).is_none());
+        assert!(!n.ingress(Instant::ZERO, ETH0, p));
         // Corrupted packet.
         let mut p = udp(&mut alloc, a("143.225.229.5"), 4444, Instant::ZERO);
         p.corrupted = true;
-        assert!(n.ingress(Instant::ZERO, ETH0, p).is_none());
+        assert!(!n.ingress(Instant::ZERO, ETH0, p));
         // Not addressed to us: nodes do not forward.
         let p = udp(&mut alloc, a("1.2.3.4"), 4444, Instant::ZERO);
-        assert!(n.ingress(Instant::ZERO, ETH0, p).is_none());
+        assert!(!n.ingress(Instant::ZERO, ETH0, p));
         assert_eq!(n.trace.of_kind(TraceKind::DropNoSocket).count(), 1);
         assert_eq!(n.trace.of_kind(TraceKind::DropCorrupt).count(), 1);
         assert_eq!(n.trace.of_kind(TraceKind::DropNoRoute).count(), 1);
@@ -1188,7 +1194,7 @@ mod tests {
             b"timestamp",
             Instant::ZERO,
         );
-        assert!(n.ingress(Instant::from_millis(1), ETH0, req).is_none());
+        assert!(!n.ingress(Instant::from_millis(1), ETH0, req));
         let out = n.poll(Instant::from_millis(1));
         assert_eq!(out.wire_tx.len(), 1);
         let reply = &out.wire_tx[0];
@@ -1216,7 +1222,7 @@ mod tests {
         );
         let reply =
             umtslab_net::icmp::echo_reply_for(&req, PacketId(52), Instant::from_millis(3)).unwrap();
-        assert!(n.ingress(Instant::from_millis(3), ETH0, reply).is_none());
+        assert!(!n.ingress(Instant::from_millis(3), ETH0, reply));
         let inbox = n.take_icmp();
         assert_eq!(inbox.len(), 1);
         assert_eq!(inbox[0].0, Instant::from_millis(3));
@@ -1239,7 +1245,7 @@ mod tests {
         let mut damaged = req.payload.to_vec();
         damaged[2] ^= 0xFF; // break the checksum
         req.payload = damaged.into();
-        assert!(n.ingress(Instant::ZERO, ETH0, req).is_none());
+        assert!(!n.ingress(Instant::ZERO, ETH0, req));
         assert_eq!(n.poll(Instant::ZERO).wire_tx.len(), 0);
         assert_eq!(n.trace.of_kind(TraceKind::DropCorrupt).count(), 1);
     }
@@ -1254,7 +1260,7 @@ mod tests {
         n.firewall.egress.remove_by_comment(ISOLATION_COMMENT);
         let req =
             umtslab_net::icmp::echo_request(PacketId(55), a("138.96.20.10"), ppp, 1, 1, b"", t);
-        assert!(n.ingress(t, PPP0, req).is_none());
+        assert!(!n.ingress(t, PPP0, req));
         // The detach refuses the uplink before the node sees the teardown.
         n.inject_umts_fault(t, SessionFault::OperatorDetach);
         let counts = |n: &Node| {
@@ -1284,7 +1290,7 @@ mod tests {
             b"",
             Instant::ZERO,
         );
-        let _ = n.ingress(Instant::ZERO, ETH0, req);
+        n.ingress(Instant::ZERO, ETH0, req);
         assert!(n.next_wakeup().is_some(), "kernel egress must request a poll");
     }
 

@@ -204,9 +204,15 @@ impl Modem {
         self.mode
     }
 
-    /// Current registration status (updated lazily on poll/input).
+    /// Current registration status (updated lazily on poll/input). A
+    /// network that denies registration reads [`RegStatus::Denied`] at
+    /// once: no [`Modem::next_wakeup`] asks for the poll that records it.
     pub fn registration(&self) -> RegStatus {
-        self.reg
+        if self.signal.registration_denied {
+            RegStatus::Denied
+        } else {
+            self.reg
+        }
     }
 
     /// The device profile.

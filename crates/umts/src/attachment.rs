@@ -507,30 +507,30 @@ impl UmtsAttachment {
     /// the full buffer refuses is counted as an overflow drop and never
     /// serialized. An admitted packet crosses the honest byte path
     /// (serialize, PPP-frame, deframe, re-validate), and the re-validated
-    /// packet is what the bearer queues.
-    pub fn send_uplink(&mut self, now: Instant, packet: &Packet) -> UplinkOutcome {
+    /// packet is what the bearer queues. A packet that is not queued is
+    /// handed back with the reason, for the caller's drop trace.
+    pub fn send_uplink(
+        &mut self,
+        now: Instant,
+        packet: Packet,
+    ) -> Result<(), (UplinkOutcome, Packet)> {
         // Exactly the ways the byte path can fail: a frame the client
         // encodes itself always deframes and re-validates.
         let open = self.ppp_client.as_ref().is_some_and(|p| p.phase() == PppPhase::Open);
         if self.dialer != DialerState::Connected || !open || !packet.serializes() {
-            return UplinkOutcome::NotConnected;
+            return Err((UplinkOutcome::NotConnected, packet));
         }
         let size = packet.wire_len();
         self.rrc.on_traffic(now, self.uplink.backlog_bytes() + size);
         self.apply_rrc(now);
         if !self.uplink.admits(size) {
             self.uplink.refuse(now);
-            return UplinkOutcome::DroppedOverflow;
+            return Err((UplinkOutcome::DroppedOverflow, packet));
         }
         let validated = self.through_ppp_data_path(packet);
-        debug_assert!(validated.is_some(), "an open session's own frame re-validates");
-        let Some(validated) = validated else {
-            return UplinkOutcome::NotConnected;
-        };
-        match self.uplink.enqueue(now, validated) {
-            Ok(()) => UplinkOutcome::Queued,
-            Err(_) => UplinkOutcome::DroppedOverflow,
-        }
+        debug_assert!(validated.is_ok(), "an open session's own frame re-validates");
+        let validated = validated.map_err(|p| (UplinkOutcome::NotConnected, p))?;
+        self.uplink.enqueue(now, validated).map_err(|p| (UplinkOutcome::DroppedOverflow, p))
     }
 
     /// Delivers an internet-side packet destined to the subscriber.
@@ -580,13 +580,15 @@ impl UmtsAttachment {
         out.events.append(&mut self.queued_events);
         // Iterate until quiescent at `now`: serial and signaling hops can
         // enable each other within the same instant.
-        for _ in 0..64 {
-            let mut progressed = false;
-            progressed |= self.pump_modem(now);
-            progressed |= self.pump_host(now, &mut out);
-            progressed |= self.pump_signaling(now);
-            if !progressed {
-                break;
+        if self.pumps_due(now) {
+            for _ in 0..64 {
+                let mut progressed = false;
+                progressed |= self.pump_modem(now);
+                progressed |= self.pump_host(now, &mut out);
+                progressed |= self.pump_signaling(now);
+                if !progressed {
+                    break;
+                }
             }
         }
         self.pump_timers(now, &mut out);
@@ -597,26 +599,43 @@ impl UmtsAttachment {
 
     // --- internals ------------------------------------------------------
 
+    /// True if the serial line, the modem or the signaling channel has
+    /// work at `now`. Otherwise a round of their pumps changes nothing:
+    /// no byte is readable, no modem output is due, and the one thing a
+    /// modem poll can still change, a denied registration, is already
+    /// what [`Modem::registration`] reports.
+    fn pumps_due(&self, now: Instant) -> bool {
+        let due = min_opt(self.serial.next_activity(), self.modem.next_wakeup());
+        min_opt(due, self.signaling.next_activity()).is_some_and(|t| t <= now)
+    }
+
     /// Runs one data packet through real serialization + PPP framing +
-    /// deframing + checksum validation, preserving simulation metadata.
-    fn through_ppp_data_path(&mut self, packet: &Packet) -> Option<Packet> {
-        let ppp = self.ppp_client.as_mut()?;
-        packet.to_wire_into(&mut self.wire_buf).ok()?;
-        if !ppp.send_ipv4_into(&self.wire_buf, &mut self.frame_buf) {
-            return None;
+    /// deframing + checksum validation, re-reading it in place from the
+    /// first frame's information field so that the simulation metadata
+    /// and its payload allocation carry over. A packet the path refuses
+    /// comes back unchanged as the error.
+    fn through_ppp_data_path(&mut self, mut packet: Packet) -> Result<Packet, Packet> {
+        let Some(ppp) = self.ppp_client.as_mut() else {
+            return Err(packet);
+        };
+        if packet.to_wire_into(&mut self.wire_buf).is_err()
+            || !ppp.send_ipv4_into(&self.wire_buf, &mut self.frame_buf)
+        {
+            return Err(packet);
         }
         // Deframe on the far side (shared codec; the GGSN would do this)
         // and parse the first frame's information field where it lies.
-        let mut first = None;
+        let mut parsed = None;
         self.ggsn_deframer.feed_with(&self.frame_buf, |_, body| {
-            if first.is_none() {
-                first = Some(Packet::from_wire(body, packet.id, packet.created));
+            if parsed.is_none() {
+                parsed = Some(Packet::from_wire_into(body, &mut packet).is_ok());
             }
         });
-        let mut parsed = first?.ok()?;
-        parsed.mark = packet.mark;
-        parsed.corrupted = packet.corrupted;
-        Some(parsed)
+        if parsed == Some(true) {
+            Ok(packet)
+        } else {
+            Err(packet)
+        }
     }
 
     fn pump_modem(&mut self, now: Instant) -> bool {
@@ -976,6 +995,7 @@ impl UmtsAttachment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::at::RegStatus;
     use crate::hostile::hostile_stream;
     use crate::serial::MAX_LINE_LEN;
     use umtslab_net::packet::{Mark, PacketId};
@@ -1012,6 +1032,17 @@ mod tests {
                 Some(t) if t > now => now = t.min(horizon),
                 Some(_) => now += Duration::from_micros(100),
                 None => return (now, events, data),
+            }
+        }
+    }
+
+    /// Offers a copy of `p` to the uplink and returns what became of it.
+    fn offer_uplink(att: &mut UmtsAttachment, now: Instant, p: &Packet) -> UplinkOutcome {
+        match att.send_uplink(now, p.clone()) {
+            Ok(()) => UplinkOutcome::Queued,
+            Err((outcome, refused)) => {
+                assert_eq!(&refused, p, "a refused packet comes back unchanged");
+                outcome
             }
         }
     }
@@ -1054,7 +1085,7 @@ mod tests {
         let mut att = attachment();
         let t0 = connect(&mut att);
         let pkt = data_pkt(&att, 1, 100);
-        assert_eq!(att.send_uplink(t0, &pkt), UplinkOutcome::Queued);
+        assert_eq!(offer_uplink(&mut att, t0, &pkt), UplinkOutcome::Queued);
         let (_, _, data) = run_until(&mut att, t0, t0 + Duration::from_secs(10), |_, _| false);
         let to_internet: Vec<_> =
             data.iter().filter(|d| matches!(d, UmtsData::ToInternet(_))).collect();
@@ -1079,7 +1110,7 @@ mod tests {
 
         // Send outbound first, let it traverse the radio, then reply.
         let pkt = data_pkt(&att, 1, 50);
-        att.send_uplink(t0, &pkt);
+        offer_uplink(&mut att, t0, &pkt);
         let (t1, _, _) = run_until(&mut att, t0, t0 + Duration::from_secs(5), |a, _| {
             a.uplink_stats().served > 0
         });
@@ -1107,7 +1138,7 @@ mod tests {
             vec![],
             Instant::ZERO,
         );
-        assert_eq!(att.send_uplink(Instant::ZERO, &p), UplinkOutcome::NotConnected);
+        assert_eq!(offer_uplink(&mut att, Instant::ZERO, &p), UplinkOutcome::NotConnected);
     }
 
     #[test]
@@ -1180,7 +1211,7 @@ mod tests {
         // Offer far more than the bearer buffer can hold at once.
         for i in 0..400 {
             let p = data_pkt(&att, i, 1000);
-            if att.send_uplink(t0, &p) == UplinkOutcome::DroppedOverflow {
+            if offer_uplink(&mut att, t0, &p) == UplinkOutcome::DroppedOverflow {
                 overflowed += 1;
             }
         }
@@ -1199,7 +1230,7 @@ mod tests {
         if att.dialer != DialerState::Connected {
             return UplinkOutcome::NotConnected;
         }
-        let Some(validated) = att.through_ppp_data_path(packet) else {
+        let Ok(validated) = att.through_ppp_data_path(packet.clone()) else {
             return UplinkOutcome::NotConnected;
         };
         att.rrc.on_traffic(now, att.uplink.backlog_bytes() + validated.wire_len());
@@ -1232,7 +1263,7 @@ mod tests {
         now: Instant,
         p: &Packet,
     ) -> UplinkOutcome {
-        let got = att.send_uplink(now, p);
+        let got = offer_uplink(att, now, p);
         assert_eq!(got, send_uplink_codec_first(oracle, now, p), "packet {:?} at {now}", p.id);
         assert_eq!(uplink_view(att), uplink_view(oracle), "packet {:?} at {now}", p.id);
         got
@@ -1325,6 +1356,149 @@ mod tests {
         assert!(queued > 0 && dropped > 0 && refused > 0, "{seen:?}");
     }
 
+    /// `poll` without the pump gate, the reference the gate is checked
+    /// against: the serial, modem and signaling pumps run at every poll,
+    /// due or not.
+    fn poll_always_pumping(att: &mut UmtsAttachment, now: Instant) -> UmtsPollOutput {
+        let mut out = UmtsPollOutput::default();
+        out.events.append(&mut att.queued_events);
+        for _ in 0..64 {
+            let mut progressed = false;
+            progressed |= att.pump_modem(now);
+            progressed |= att.pump_host(now, &mut out);
+            progressed |= att.pump_signaling(now);
+            if !progressed {
+                break;
+            }
+        }
+        att.pump_timers(now, &mut out);
+        att.pump_radio(now);
+        att.drain_pending(now, &mut out);
+        out
+    }
+
+    /// What a poll hands out and leaves behind, as a caller sees it.
+    type PollView = (Vec<UmtsEvent>, Vec<(bool, Packet)>, Option<Instant>, RrcState, RegStatus);
+
+    fn poll_view(att: &UmtsAttachment, out: UmtsPollOutput) -> PollView {
+        let data = out.data.into_iter().map(|d| match d {
+            UmtsData::ToInternet(p) => (true, p),
+            UmtsData::ToHost(p) => (false, p),
+        });
+        let (wake, rrc, reg) = (att.next_wakeup(), att.rrc_state(), att.modem.registration());
+        (out.events, data.collect(), wake, rrc, reg)
+    }
+
+    /// Polls the gated and the always-pumping attachment side by side
+    /// until `until` (or `stop`), now at the next wakeup and now a random
+    /// step off it, and checks after every poll that they agree. Returns
+    /// the last instant and how many polls the gate skipped the pumps at.
+    fn poll_side_by_side(
+        (gated, pumping): (&mut UmtsAttachment, &mut UmtsAttachment),
+        rng: &mut SimRng,
+        mut now: Instant,
+        until: Instant,
+        stop: impl Fn(&UmtsAttachment) -> bool,
+    ) -> (Instant, u64) {
+        let mut skipped = 0;
+        while now < until && !stop(gated) {
+            skipped += u64::from(!gated.pumps_due(now));
+            let a = gated.poll(now);
+            let b = poll_always_pumping(pumping, now);
+            assert_eq!(poll_view(gated, a), poll_view(pumping, b), "polled at {now}");
+            now = match gated.next_wakeup() {
+                Some(t) if t > now && rng.chance(0.5) => t,
+                _ => now + Duration::from_millis(rng.uniform_u64(1, 700)),
+            };
+        }
+        (now, skipped)
+    }
+
+    #[test]
+    fn gating_the_pumps_matches_pumping_at_every_poll() {
+        let mut skipped = 0;
+        for seed in 0..3 {
+            let mut rng = SimRng::seed_from_u64(seed);
+
+            // Registration denied: the dial fails at `AT+CREG?`.
+            let denied = || {
+                let mut att = attachment();
+                let mut signal = att.profile().network_signal();
+                signal.registration_denied = true;
+                att.modem = Modem::power_on(DeviceProfile::huawei_e620(), signal, Instant::ZERO);
+                att
+            };
+            let (mut gated, mut pumping) = (denied(), denied());
+            assert_eq!(gated.modem.registration(), RegStatus::Denied, "before any poll");
+            gated.start(Instant::ZERO);
+            pumping.start(Instant::ZERO);
+            let pair = (&mut gated, &mut pumping);
+            let (_, n) =
+                poll_side_by_side(pair, &mut rng, Instant::ZERO, Instant::from_secs(20), |a| {
+                    a.dialer == DialerState::Failed
+                });
+            assert_eq!(gated.dialer, DialerState::Failed, "seed {seed}");
+            skipped += n;
+
+            // Dial-up, a few datagrams, idle LCP keepalives, teardown.
+            let (mut gated, mut pumping) = (attachment(), attachment());
+            gated.start(Instant::ZERO);
+            pumping.start(Instant::ZERO);
+            let pair = (&mut gated, &mut pumping);
+            let (mut now, n) =
+                poll_side_by_side(pair, &mut rng, Instant::ZERO, Instant::from_secs(60), |a| {
+                    a.is_connected()
+                });
+            assert!(gated.is_connected(), "seed {seed}");
+            skipped += n;
+            let local = gated.local_addr().unwrap();
+            for id in 0..5 {
+                let p = offer_pkt(local, id, rng.uniform_u64(0, 1_400) as usize);
+                assert_eq!(offer_uplink(&mut gated, now, &p), offer_uplink(&mut pumping, now, &p));
+            }
+            let idle = now + Duration::from_secs(35);
+            let (t, n) =
+                poll_side_by_side((&mut gated, &mut pumping), &mut rng, now, idle, |_| false);
+            skipped += n;
+            now = t;
+            assert!(gated.is_connected(), "keepalives hold the idle session, seed {seed}");
+            gated.stop(now);
+            pumping.stop(now);
+            let end = now + Duration::from_secs(30);
+            let (_, n) = poll_side_by_side((&mut gated, &mut pumping), &mut rng, now, end, |a| {
+                a.local_addr().is_none()
+            });
+            assert_eq!(gated.local_addr(), None, "seed {seed}");
+            skipped += n;
+        }
+        assert!(skipped > 100, "the gate skipped the pumps at only {skipped} polls");
+    }
+
+    #[test]
+    fn an_admitted_packet_is_revalidated_into_its_own_payload() {
+        let mut att = attachment();
+        let t0 = connect(&mut att);
+        let own = data_pkt(&att, 1, 1_000);
+        let own_addr = own.payload.as_ptr();
+        let shared = data_pkt(&att, 2, 1_000);
+        let sharer = shared.payload.clone();
+        assert_eq!(att.send_uplink(t0, own), Ok(()));
+        assert_eq!(att.send_uplink(t0, shared), Ok(()));
+        let (_, _, data) = run_until(&mut att, t0, t0 + Duration::from_secs(10), |_, _| false);
+        let served: Vec<_> = data
+            .into_iter()
+            .filter_map(|d| match d {
+                UmtsData::ToInternet(p) => Some(p),
+                UmtsData::ToHost(_) => None,
+            })
+            .collect();
+        assert_eq!(served.len(), 2);
+        assert_eq!(served[0].payload.as_ptr(), own_addr, "a unique payload is reused");
+        assert_ne!(served[1].payload.as_ptr(), sharer.as_ptr(), "a shared one is not");
+        assert!(served.iter().all(|p| p.payload == vec![0xAB; 1_000]));
+        assert_eq!(sharer, vec![0xAB; 1_000]);
+    }
+
     #[test]
     fn refused_non_udp_offer_leaves_the_rrc_untouched() {
         let mut att = attachment();
@@ -1338,11 +1512,11 @@ mod tests {
 
         let mut icmp = offer_pkt(local, 1, 100);
         icmp.protocol = Protocol::Icmp;
-        assert_eq!(att.send_uplink(now, &icmp), UplinkOutcome::NotConnected);
+        assert_eq!(offer_uplink(&mut att, now, &icmp), UplinkOutcome::NotConnected);
         assert_eq!(uplink_view(&att), idle, "a refused offer must not poke the RRC");
 
         // The same offer as UDP does poke it: the view above can tell.
-        assert_eq!(att.send_uplink(now, &offer_pkt(local, 2, 100)), UplinkOutcome::Queued);
+        assert_eq!(offer_uplink(&mut att, now, &offer_pkt(local, 2, 100)), UplinkOutcome::Queued);
         assert_ne!(uplink_view(&att), idle);
     }
 
@@ -1402,7 +1576,7 @@ mod tests {
         let t0 = connect(&mut att);
         // Drive a packet so the RRC is in DCH.
         let p = data_pkt(&att, 1, 100);
-        att.send_uplink(t0, &p);
+        offer_uplink(&mut att, t0, &p);
         let (t1, _, _) = run_until(&mut att, t0, t0 + Duration::from_secs(2), |a, _| {
             a.uplink_stats().served > 0
         });
@@ -1413,7 +1587,7 @@ mod tests {
         // New traffic brings the channel back (promotion delay applies).
         let t2 = t1 + Duration::from_secs(45);
         let p = data_pkt(&att, 2, 100);
-        assert_eq!(att.send_uplink(t2, &p), UplinkOutcome::Queued);
+        assert_eq!(offer_uplink(&mut att, t2, &p), UplinkOutcome::Queued);
         let (_, _, data) = run_until(&mut att, t2, t2 + Duration::from_secs(10), |_, _| false);
         assert!(
             data.iter().any(|d| matches!(d, UmtsData::ToInternet(_))),
@@ -1433,7 +1607,7 @@ mod tests {
         let remote = Endpoint::new(Ipv4Address::new(192, 0, 2, 50), 9001);
         // Open the conntrack pinhole.
         let p = data_pkt(&att, 1, 50);
-        att.send_uplink(t0, &p);
+        offer_uplink(&mut att, t0, &p);
         let (t1, _, _) = run_until(&mut att, t0, t0 + Duration::from_secs(5), |a, _| {
             a.uplink_stats().served > 0
         });
@@ -1470,7 +1644,7 @@ mod tests {
             for _ in 0..2 {
                 let p = data_pkt(&att, id, 996);
                 id += 1;
-                let _ = att.send_uplink(now, &p);
+                let _ = offer_uplink(&mut att, now, &p);
             }
             let out = att.poll(now);
             for d in out.data {
@@ -1595,7 +1769,7 @@ mod tests {
         let mut att = attachment();
         let t0 = connect(&mut att);
         let p = data_pkt(&att, 1, 100);
-        att.send_uplink(t0, &p);
+        offer_uplink(&mut att, t0, &p);
         let (t1, _, _) = run_until(&mut att, t0, t0 + Duration::from_secs(2), |a, _| {
             a.uplink_stats().served > 0
         });
@@ -1605,7 +1779,7 @@ mod tests {
         assert!(att.is_connected(), "RRC release does not kill the PPP session");
         // New traffic re-promotes and is eventually served.
         let p = data_pkt(&att, 2, 100);
-        assert_eq!(att.send_uplink(t1, &p), UplinkOutcome::Queued);
+        assert_eq!(offer_uplink(&mut att, t1, &p), UplinkOutcome::Queued);
         let (_, _, data) = run_until(&mut att, t1, t1 + Duration::from_secs(10), |_, _| false);
         assert!(data.iter().any(|d| matches!(d, UmtsData::ToInternet(_))));
     }
@@ -1616,7 +1790,7 @@ mod tests {
         let t0 = connect(&mut att);
         for i in 0..20 {
             let p = data_pkt(&att, i, 500);
-            let _ = att.send_uplink(t0, &p);
+            let _ = offer_uplink(&mut att, t0, &p);
         }
         assert!(att.uplink_backlog() > 0);
         att.inject_fault(t0, SessionFault::BearerPreemption);

@@ -67,33 +67,30 @@ const fn fcs_tables() -> [[u16; 256]; 8] {
 fn fcs_update(mut fcs: u16, data: &[u8]) -> u16 {
     let mut words = data.chunks_exact(8);
     for octets in &mut words {
-        fcs = fcs_step8(fcs, octets);
+        fcs = fcs_step8(fcs, word(octets));
     }
     words.remainder().iter().fold(fcs, |fcs, &b| fcs_octet(fcs, b))
 }
 
-/// One table step over the first eight octets of `o`.
-fn fcs_step8(fcs: u16, o: &[u8]) -> u16 {
+/// One table step over the eight octets of word `w` (see [`word`]). The
+/// lookups that do not depend on the register are combined first, so
+/// that only the last two sit on its dependency chain from step to step.
+fn fcs_step8(fcs: u16, w: u64) -> u16 {
     let t = &FCS_TABLES;
     let [lo, hi] = fcs.to_le_bytes();
-    t[7][usize::from(o[0] ^ lo)]
-        ^ t[6][usize::from(o[1] ^ hi)]
-        ^ t[5][usize::from(o[2])]
-        ^ t[4][usize::from(o[3])]
-        ^ t[3][usize::from(o[4])]
-        ^ t[2][usize::from(o[5])]
-        ^ t[1][usize::from(o[6])]
-        ^ t[0][usize::from(o[7])]
+    let o = w.to_le_bytes();
+    let data = (t[5][usize::from(o[2])] ^ t[4][usize::from(o[3])])
+        ^ (t[3][usize::from(o[4])] ^ t[2][usize::from(o[5])])
+        ^ (t[1][usize::from(o[6])] ^ t[0][usize::from(o[7])]);
+    data ^ (t[7][usize::from(o[0] ^ lo)] ^ t[6][usize::from(o[1] ^ hi)])
 }
 
-/// One table step over four octets.
+/// One table step over four octets, ordered as [`fcs_step8`].
 fn fcs_step4(fcs: u16, o: [u8; 4]) -> u16 {
     let t = &FCS_TABLES;
     let [lo, hi] = fcs.to_le_bytes();
-    t[3][usize::from(o[0] ^ lo)]
-        ^ t[2][usize::from(o[1] ^ hi)]
-        ^ t[1][usize::from(o[2])]
-        ^ t[0][usize::from(o[3])]
+    let data = t[1][usize::from(o[2])] ^ t[0][usize::from(o[3])];
+    data ^ (t[3][usize::from(o[0] ^ lo)] ^ t[2][usize::from(o[1] ^ hi)])
 }
 
 /// The byte-at-a-time step.
@@ -111,9 +108,11 @@ pub fn fcs16(data: &[u8]) -> u16 {
 // input octet `i`, tested with carry-free bit tricks.
 const ONES: u64 = 0x0101_0101_0101_0101;
 const HIGHS: u64 = 0x8080_8080_8080_8080;
-/// `zero_octets` of a word whose octets 0, 2, 4 and 6 matched: the
-/// `7D xx 7D xx ...` run that a stuffed control-octet payload is made of.
-const EVEN_OCTETS: u64 = 0x0080_0080_0080_0080;
+/// Octets 0, 2, 4 and 6 of a word, and those octets as escapes: a word
+/// `w` with `w & EVEN_MASK == EVEN_ESCAPES` is laid out as four `7D xx`
+/// pairs, the run that a stuffed control-octet payload is made of.
+const EVEN_MASK: u64 = 0x00FF_00FF_00FF_00FF;
+const EVEN_ESCAPES: u64 = ESCAPE as u64 * 0x0001_0001_0001_0001;
 
 /// The first eight octets of `octets` as a word.
 fn word(octets: &[u8]) -> u64 {
@@ -129,12 +128,18 @@ const fn zero_octets(w: u64) -> u64 {
     !(((w & !HIGHS) + !HIGHS) | w) & HIGHS
 }
 
+/// The high bit of exactly those octets of `w` that are flag or escape.
+const fn framing_octets(w: u64) -> u64 {
+    zero_octets(w ^ (FLAG as u64 * ONES)) | zero_octets(w ^ (ESCAPE as u64 * ONES))
+}
+
+/// Octets of `w` whose top three bits are all clear: those below `0x20`.
+const CONTROLS: u64 = 0xE0 * ONES;
+
 /// The high bit of exactly those octets of `w` that the default ACCM
 /// escapes: every octet below `0x20`, plus the flag and escape octets.
 const fn escaped_in_word(w: u64) -> u64 {
-    zero_octets(w & (0xE0 * ONES))
-        | zero_octets(w ^ (FLAG as u64 * ONES))
-        | zero_octets(w ^ (ESCAPE as u64 * ONES))
+    zero_octets(w & CONTROLS) | framing_octets(w)
 }
 
 /// Octets the default async-control-character-map escapes on transmit,
@@ -160,45 +165,61 @@ const fn escape_pairs(w: u64) -> [u8; 8] {
     ((s << 8) | (ESCAPE as u64 * 0x0001_0001_0001_0001)).to_le_bytes()
 }
 
-/// Byte-stuffs `data` into `out` from index `n` and advances the FCS
-/// register over it, returning the index after the last octet written.
-/// `out` must have room for `2 * data.len() + 1` octets past `n`. Words
-/// with nothing to escape are copied whole and words that are all
-/// escapes are stuffed whole; the rest go through [`stuff_octets`].
-fn stuff(out: &mut [u8], mut n: usize, data: &[u8], fcs: &mut u16) -> usize {
+/// The inverse of [`escape_pairs`] without the XOR: the odd octets 1, 3,
+/// 5 and 7 of `w`, packed into the low half in order (the high half is
+/// zero, which is neither flag nor escape).
+const fn odd_octets(w: u64) -> u64 {
+    let mut s = (w >> 8) & EVEN_MASK;
+    s = (s | (s >> 8)) & 0x0000_FFFF_0000_FFFF;
+    (s | (s >> 16)) & 0xFFFF_FFFF
+}
+
+/// Writes `octets` at the front of `out` and returns the rest of it.
+fn put<'a>(out: &'a mut [u8], octets: &[u8]) -> &'a mut [u8] {
+    let (head, tail) = out.split_at_mut(octets.len());
+    head.copy_from_slice(octets);
+    tail
+}
+
+/// Byte-stuffs `data` into the front of `out` and advances the FCS
+/// register over it, returning the part of `out` past the last octet
+/// written. `out` must hold at least `2 * data.len()` octets. A word
+/// whose octets are all below `0x20` (a zero-filled payload's) is
+/// stuffed whole on a single test; otherwise words with nothing to
+/// escape are copied whole, words that are all escapes are stuffed
+/// whole, and the rest go through [`stuff_octets`].
+fn stuff<'a>(mut out: &'a mut [u8], data: &[u8], fcs: &mut u16) -> &'a mut [u8] {
     let mut words = data.chunks_exact(8);
     for octets in &mut words {
-        *fcs = fcs_step8(*fcs, octets);
-        let w = word(octets);
-        match escaped_in_word(w) {
-            0 => {
-                out[n..n + 8].copy_from_slice(octets);
-                n += 8;
-            }
+        // One eight-octet load; the indexed form of `word` compiles to
+        // eight single-octet loads in this loop, and costs a tenth more.
+        let w = u64::from_le_bytes(octets.try_into().expect("eight octets"));
+        *fcs = fcs_step8(*fcs, w);
+        let escaped = if w & CONTROLS == 0 { HIGHS } else { escaped_in_word(w) };
+        out = match escaped {
+            0 => put(out, octets),
             HIGHS => {
                 let x = w ^ (u64::from(XOR) * ONES);
-                out[n..n + 8].copy_from_slice(&escape_pairs(x));
-                out[n + 8..n + 16].copy_from_slice(&escape_pairs(x >> 32));
-                n += 16;
+                put(put(out, &escape_pairs(x)), &escape_pairs(x >> 32))
             }
-            _ => n = stuff_octets(out, n, octets),
-        }
+            _ => stuff_octets(out, octets),
+        };
     }
     *fcs = fcs_update(*fcs, words.remainder());
-    stuff_octets(out, n, words.remainder())
+    stuff_octets(out, words.remainder())
 }
 
 /// [`stuff`] one octet at a time, without the FCS: each octet writes its
-/// escaped pair unconditionally and only advances past the second byte
+/// escaped pair unconditionally and only moves past the second byte
 /// when it really was escaped.
-fn stuff_octets(out: &mut [u8], mut n: usize, data: &[u8]) -> usize {
+fn stuff_octets<'a>(mut out: &'a mut [u8], data: &[u8]) -> &'a mut [u8] {
     for &b in data {
         let escaped = ESCAPED[usize::from(b)];
-        out[n] = if escaped { ESCAPE } else { b };
-        out[n + 1] = b ^ XOR;
-        n += 1 + usize::from(escaped);
+        out[0] = if escaped { ESCAPE } else { b };
+        out[1] = b ^ XOR;
+        out = &mut out[1 + usize::from(escaped)..];
     }
-    n
+    out
 }
 
 /// Encodes one PPP frame: flag, stuffed address/control/protocol/payload/
@@ -213,17 +234,18 @@ pub fn encode_frame(protocol: u16, payload: &[u8]) -> Vec<u8> {
 /// capacity.
 pub fn encode_frame_into(protocol: u16, payload: &[u8], out: &mut Vec<u8>) {
     let [proto_hi, proto_lo] = protocol.to_be_bytes();
-    // Worst case: every octet escaped, plus the two flags.
-    out.clear();
-    out.resize(2 * (4 + payload.len() + 2) + 2, 0);
-    out[0] = FLAG;
+    // Worst case: every octet escaped, plus the two flags. Every octet up
+    // to the closing flag is written below, so old contents can stay.
+    let worst = 2 * (4 + payload.len() + 2) + 2;
+    out.resize(worst, 0);
     let mut fcs = FCS_INIT;
-    let mut n = stuff(out, 1, &[ADDRESS, CONTROL, proto_hi, proto_lo], &mut fcs);
-    n = stuff(out, n, payload, &mut fcs);
+    let rest = put(out, &[FLAG]);
+    let rest = stuff(rest, &[ADDRESS, CONTROL, proto_hi, proto_lo], &mut fcs);
+    let rest = stuff(rest, payload, &mut fcs);
     // FCS is transmitted least-significant byte first.
-    n = stuff_octets(out, n, &(!fcs).to_le_bytes());
-    out[n] = FLAG;
-    out.truncate(n + 1);
+    let rest = stuff_octets(rest, &(!fcs).to_le_bytes());
+    let len = worst - put(rest, &[FLAG]).len();
+    out.truncate(len);
 }
 
 /// A decoded PPP frame.
@@ -334,8 +356,9 @@ impl Deframer {
 
     /// Unstuffs `chunk` onto the partial frame and advances the FCS over
     /// it, finishing a frame at every flag. Outside an escape, a word
-    /// without flag or escape octets is copied whole and a word of four
-    /// `7D xx` pairs yields its four data octets. Otherwise octets go one
+    /// without flag or escape octets is copied whole; a run of `7D xx`
+    /// pairs yields eight data octets per two words in one FCS step, and
+    /// a lone word of four pairs yields its four. Otherwise octets go one
     /// at a time: an escape octet is written like data and then
     /// overwritten, since only data octets advance the length and the
     /// FCS, and the octet after it is XORed with `0x20`.
@@ -356,23 +379,43 @@ impl Deframer {
             if mask == 0 && i >= octets_until {
                 if let Some(octets) = chunk.get(i..i + 8) {
                     let w = word(octets);
-                    let flags = zero_octets(w ^ (u64::from(FLAG) * ONES));
-                    let escapes = zero_octets(w ^ (u64::from(ESCAPE) * ONES));
-                    if flags | escapes == 0 {
+                    if framing_octets(w) == 0 {
                         buf[len..len + 8].copy_from_slice(octets);
-                        fcs = fcs_step8(fcs, octets);
+                        fcs = fcs_step8(fcs, w);
                         len += 8;
                         i += 8;
                         continue;
                     }
-                    if flags == 0 && escapes == EVEN_OCTETS {
-                        let data =
-                            [octets[1] ^ XOR, octets[3] ^ XOR, octets[5] ^ XOR, octets[7] ^ XOR];
-                        buf[len..len + 4].copy_from_slice(&data);
-                        fcs = fcs_step4(fcs, data);
-                        len += 4;
-                        i += 8;
-                        continue;
+                    if w & EVEN_MASK == EVEN_ESCAPES {
+                        // Pairs: sixteen octets at a time while they are
+                        // eight pairs (eight data octets, one FCS step),
+                        // else the four of this word alone.
+                        let run = i;
+                        while let Some(pairs) = chunk.get(i..i + 16) {
+                            let (w, v) = (word(&pairs[..8]), word(&pairs[8..]));
+                            let data = odd_octets(w) | odd_octets(v) << 32;
+                            let layout = ((w ^ EVEN_ESCAPES) | (v ^ EVEN_ESCAPES)) & EVEN_MASK;
+                            if layout | framing_octets(data) != 0 {
+                                break;
+                            }
+                            let data = data ^ (u64::from(XOR) * ONES);
+                            buf[len..len + 8].copy_from_slice(&data.to_le_bytes());
+                            fcs = fcs_step8(fcs, data);
+                            len += 8;
+                            i += 16;
+                        }
+                        if i > run {
+                            continue;
+                        }
+                        let data = odd_octets(w);
+                        if framing_octets(data) == 0 {
+                            let data = (data ^ (u64::from(XOR) * ONES)).to_le_bytes();
+                            buf[len..len + 4].copy_from_slice(&data[..4]);
+                            fcs = fcs_step4(fcs, [data[0], data[1], data[2], data[3]]);
+                            len += 4;
+                            i += 8;
+                            continue;
+                        }
                     }
                     octets_until = i + 8;
                 }

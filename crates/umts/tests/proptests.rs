@@ -566,3 +566,91 @@ fn bearer_stats_absorb_is_fieldwise_sum() {
         }
     );
 }
+
+/// A D-ITG-shaped payload: a 16-byte header (sequence number, flow id,
+/// send time) followed by zeros, truncated to `len`. On the wire its
+/// zeros are a run of `7D 20` pairs, the codec's word fast paths.
+fn ditg_payload(len: usize) -> Vec<u8> {
+    let mut header = Vec::new();
+    header.extend_from_slice(&0x0102_7D7Eu32.to_be_bytes());
+    header.extend_from_slice(&3u32.to_be_bytes());
+    header.extend_from_slice(&12_345_678u64.to_be_bytes());
+    let mut payload = vec![0u8; len];
+    let n = len.min(header.len());
+    payload[..n].copy_from_slice(&header[..n]);
+    payload
+}
+
+/// The first `7D 20` pair of `stream` at or after `from`.
+fn pair_after(stream: &[u8], from: usize) -> usize {
+    from + stream[from..].windows(2).position(|w| w == [0x7D, 0x20]).expect("a stuffed zero")
+}
+
+/// Deframes `stream` cut at `cuts` (sorted offsets) and returns the
+/// frames and the error count.
+fn deframe_cut(stream: &[u8], cuts: &[usize]) -> (Vec<PppFrame>, u64) {
+    let mut d = Deframer::new();
+    let mut frames = Vec::new();
+    let mut from = 0;
+    for &cut in cuts.iter().chain([&stream.len()]) {
+        frames.extend(d.feed(&stream[from..cut]));
+        from = cut;
+    }
+    (frames, d.errors)
+}
+
+/// D-ITG-shaped payloads at every length from 0 to 64 and from 1,000 to
+/// 1,100 encode, deframe and checksum exactly as the oracles do.
+#[test]
+fn ditg_shaped_payloads_match_the_oracles_at_every_length() {
+    for len in (0..=64).chain(1_000..=1_100) {
+        let payload = ditg_payload(len);
+        let encoded = encode_frame(protocol::IPV4, &payload);
+        assert_eq!(encoded, oracle_encode(protocol::IPV4, &payload), "length {len}");
+        let (frames, errors) = deframe_cut(&encoded, &[]);
+        assert_eq!((&frames, errors), (&oracle_deframe(&encoded).0, 0), "length {len}");
+        assert_eq!(frames[0].payload, payload, "length {len}");
+        assert_eq!(fcs16(&payload), oracle_fcs16(&payload), "length {len}");
+    }
+}
+
+/// Inside a run of stuffed zeros, a flag, a lone `7D` or a plain octet
+/// written at each offset of two consecutive sixteen-octet blocks (the
+/// deframer's two-word step) deframes as the oracle says: the frame
+/// splits, an escape swallows its neighbour, or a pair breaks.
+#[test]
+fn a_flag_escape_or_plain_octet_at_each_block_offset_matches_the_oracle() {
+    let clean = encode_frame(protocol::IPV4, &ditg_payload(200));
+    // Well inside the zeros, on a pair boundary.
+    let start = pair_after(&clean, clean.len() / 2);
+    let mut cases = 0;
+    for offset in 0..32 {
+        for octet in [0x7E, 0x7D, 0x41] {
+            let mut stream = clean.clone();
+            stream[start + offset] = octet;
+            let expected = oracle_deframe(&stream);
+            assert_eq!(deframe_cut(&stream, &[]), expected, "{octet:#04x} at +{offset}");
+            // And cut just before and just after it.
+            let around = [start + offset, start + offset + 1];
+            assert_eq!(deframe_cut(&stream, &around), expected, "{octet:#04x} at +{offset}");
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 96);
+}
+
+/// A stream of D-ITG-shaped frames cut at every offset of a stretch of
+/// stuffed zeros (between a `7D` and its data octet, and at every point
+/// of a two-word block) deframes to the same frames.
+#[test]
+fn cuts_at_every_offset_inside_a_pair_run_are_transparent() {
+    let mut stream = encode_frame(protocol::IPV4, &ditg_payload(120));
+    stream.extend(encode_frame(protocol::IPV4, &ditg_payload(1_030)));
+    let expected = oracle_deframe(&stream);
+    assert_eq!((expected.0.len(), expected.1), (2, 0));
+    let start = pair_after(&stream, stream.len() / 2);
+    for cut in start..start + 48 {
+        assert_eq!(deframe_cut(&stream, &[cut]), expected, "cut at {cut}");
+        assert_eq!(deframe_cut(&stream, &[cut, cut + 7, cut + 16]), expected, "cuts from {cut}");
+    }
+}

@@ -90,7 +90,7 @@ fn main() {
                 }
             }
             Ev::Arrive(node_idx, packet) => {
-                let _ = nodes[node_idx].ingress(now, ETH0, packet);
+                nodes[node_idx].ingress(now, ETH0, packet);
                 // Drain kernel replies (the target answering) and inbox
                 // (the pinger receiving).
                 let out = nodes[node_idx].poll(now);
