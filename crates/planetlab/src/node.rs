@@ -606,7 +606,8 @@ impl Node {
         self.last_dial_error
     }
 
-    /// The earliest instant at which the node has internal work.
+    /// The earliest instant at which a poll of the node can change
+    /// something (see [`umtslab_umts::UmtsAttachment::next_wakeup`]).
     pub fn next_wakeup(&self) -> Option<Instant> {
         let mut t = self.umts.as_ref().and_then(umtslab_umts::UmtsAttachment::next_wakeup);
         if self.umts_vsys.pending() > 0 || !self.kernel_tx.is_empty() {

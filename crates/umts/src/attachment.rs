@@ -31,7 +31,7 @@ use crate::bearer::{BearerStats, UmtsBearer};
 use crate::operator::{AddressPool, Conntrack, OperatorProfile};
 use crate::ppp::{Credentials, Deframer, PppEndpoint, PppEvent, PppPhase, PppServerConfig};
 use crate::rrc::{RrcController, RrcState};
-use crate::serial::{LineAssembler, SerialLine};
+use crate::serial::{min_opt, LineAssembler, SerialLine};
 
 /// Why a connection attempt failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,14 +241,6 @@ impl SignalingChannel {
     fn clear(&mut self) {
         self.to_ggsn.clear();
         self.to_host.clear();
-    }
-}
-
-fn min_opt(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
     }
 }
 
@@ -552,9 +544,12 @@ impl UmtsAttachment {
         }
     }
 
-    /// The earliest instant at which [`UmtsAttachment::poll`] has work.
+    /// The earliest instant at which [`UmtsAttachment::poll`] can change
+    /// something. A serial byte counts only once it ends a PPP frame or
+    /// an AT line ([`SerialLine::next_mark`]): the bytes before it change
+    /// nothing on their own, and the poll it wakes reads them all.
     pub fn next_wakeup(&self) -> Option<Instant> {
-        let mut t = self.serial.next_activity();
+        let mut t = self.serial.next_mark();
         t = min_opt(t, self.modem.next_wakeup());
         t = min_opt(t, self.signaling.next_activity());
         t = min_opt(t, self.reg_poll_at);
@@ -1472,6 +1467,283 @@ mod tests {
             skipped += n;
         }
         assert!(skipped > 100, "the gate skipped the pumps at only {skipped} polls");
+    }
+
+    /// What one side of [`WakeTwins`] handed out: every event and datagram
+    /// with the instant of the poll that produced it.
+    #[derive(Default)]
+    struct Handed {
+        events: Vec<(Instant, UmtsEvent)>,
+        data: Vec<(Instant, bool, Packet)>,
+    }
+
+    impl Handed {
+        fn poll(&mut self, att: &mut UmtsAttachment, now: Instant) {
+            let out = att.poll(now);
+            self.events.extend(out.events.into_iter().map(|e| (now, e)));
+            self.data.extend(out.data.into_iter().map(|d| match d {
+                UmtsData::ToInternet(p) => (now, true, p),
+                UmtsData::ToHost(p) => (now, false, p),
+            }));
+        }
+    }
+
+    /// What the rest of a node can read of an attachment between polls.
+    type StateView = (DialerState, Option<PppPhase>, Option<Ipv4Address>, RrcState, RegStatus);
+
+    fn state_view(att: &UmtsAttachment) -> StateView {
+        let phase = att.ppp_client.as_ref().map(PppEndpoint::phase);
+        (att.dialer, phase, att.local_addr(), att.rrc_state(), att.modem.registration())
+    }
+
+    /// Two copies of one attachment under the same outside calls: `lazy`
+    /// is polled only at its own wakeups, `eager` also at every instant
+    /// [`SerialLine::next_activity`] names, the schedule of a wakeup that
+    /// names the first queued byte.
+    struct WakeTwins {
+        lazy: UmtsAttachment,
+        eager: UmtsAttachment,
+        lazy_out: Handed,
+        eager_out: Handed,
+        /// The last instant each side was polled at.
+        lazy_at: Instant,
+        eager_at: Instant,
+        /// Polls of the eager side at instants the lazy side skipped.
+        extra: u64,
+    }
+
+    impl WakeTwins {
+        fn new(make: impl Fn() -> UmtsAttachment) -> WakeTwins {
+            WakeTwins {
+                lazy: make(),
+                eager: make(),
+                lazy_out: Handed::default(),
+                eager_out: Handed::default(),
+                lazy_at: Instant::ZERO,
+                eager_at: Instant::ZERO,
+                extra: 0,
+            }
+        }
+
+        /// Makes the same outside call (start, stop, a fault, a reset) on
+        /// both sides.
+        fn act(&mut self, call: impl Fn(&mut UmtsAttachment)) {
+            call(&mut self.lazy);
+            call(&mut self.eager);
+        }
+
+        /// Polls the eager side at each of its own wakeups and byte
+        /// arrivals before `now`.
+        fn catch_up(&mut self, now: Instant) {
+            loop {
+                let due = [self.eager.next_wakeup(), self.eager.serial.next_activity()];
+                match due.into_iter().flatten().filter(|&t| t > self.eager_at).min() {
+                    Some(t) if t < now => {
+                        self.eager_out.poll(&mut self.eager, t);
+                        self.eager_at = t;
+                        self.extra += 1;
+                    }
+                    _ => return,
+                }
+            }
+        }
+
+        /// Polls both sides at `now` and checks that they agree.
+        fn poll(&mut self, now: Instant) {
+            self.catch_up(now);
+            self.lazy_out.poll(&mut self.lazy, now);
+            self.eager_out.poll(&mut self.eager, now);
+            (self.lazy_at, self.eager_at) = (now, now);
+            assert_eq!(self.lazy_out.events, self.eager_out.events, "events by {now}");
+            assert_eq!(self.lazy_out.data, self.eager_out.data, "data by {now}");
+            assert_eq!(state_view(&self.lazy), state_view(&self.eager), "state at {now}");
+        }
+
+        /// The lazy side's next poll after an outside call at `now`.
+        fn next_wake(&self, now: Instant) -> Option<Instant> {
+            match self.lazy.next_wakeup()? {
+                t if t > self.lazy_at => Some(t.max(now)),
+                _ => Some(self.lazy_at + Duration::from_micros(100)),
+            }
+        }
+
+        /// Polls at the lazy side's wakeups after `now` until `stop` holds
+        /// or the next one lies past `until`; returns the last instant.
+        fn run(
+            &mut self,
+            mut now: Instant,
+            until: Instant,
+            stop: impl Fn(&UmtsAttachment) -> bool,
+        ) -> Instant {
+            while let Some(t) = self.next_wake(now).filter(|&t| t <= until) {
+                self.poll(t);
+                now = t;
+                if stop(&self.lazy) {
+                    break;
+                }
+            }
+            now
+        }
+
+        /// Polls at the lazy side's wakeups after `now` until a serial
+        /// unit (an AT line or a PPP frame) is on its way that the lazy
+        /// side wakes for only after its first byte has arrived. Returns
+        /// the instant half-way between that byte and the wake, by which
+        /// the eager side has read the unit's first part.
+        fn run_to_half_unit(&mut self, mut now: Instant, until: Instant) -> Instant {
+            loop {
+                let next = self.next_wake(now).expect("a wakeup is due");
+                let first = self.lazy.serial.next_activity().filter(|&t| t > now && t < next);
+                if let Some(first) = first {
+                    let half = first + (next - first).mul_frac(1, 2);
+                    self.catch_up(half);
+                    return half;
+                }
+                assert!(next <= until, "no serial unit was under way by {until}");
+                self.poll(next);
+                now = next;
+            }
+        }
+
+        fn handed(&self, event: UmtsEvent) -> bool {
+            self.lazy_out.events.iter().any(|&(_, e)| e == event)
+        }
+    }
+
+    #[test]
+    fn waking_at_line_ends_and_flags_matches_waking_at_every_byte() {
+        let settled =
+            |a: &UmtsAttachment| matches!(a.dialer, DialerState::Idle | DialerState::Failed);
+        let minute = Duration::from_secs(60);
+        let mut extra = 0;
+        for seed in 0..3 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let make = || {
+                let creds = Some(Credentials::new("web", "web"));
+                let (profile, device) =
+                    (OperatorProfile::commercial_italy(), DeviceProfile::huawei_e620());
+                UmtsAttachment::new(profile, device, creds, seed, Instant::ZERO)
+            };
+
+            // Registration denied: the dial fails at `AT+CREG?`.
+            let mut twins = WakeTwins::new(|| {
+                let mut att = make();
+                let mut signal = att.profile().network_signal();
+                signal.registration_denied = true;
+                att.modem = Modem::power_on(DeviceProfile::huawei_e620(), signal, Instant::ZERO);
+                att
+            });
+            twins.act(|a| a.start(Instant::ZERO));
+            let now = twins.run(Instant::ZERO, Instant::ZERO + minute, settled);
+            assert!(twins.handed(UmtsEvent::Failed(DialError::RegistrationDenied)), "seed {seed}");
+            twins.poll(now + minute);
+            extra += twins.extra;
+
+            let mut twins = WakeTwins::new(make);
+            // A PAP reject injected while the probe `AT` crosses the line
+            // fails that dial at authentication.
+            twins.act(|a| a.start(Instant::ZERO));
+            let mut now = twins.run_to_half_unit(Instant::ZERO, Instant::ZERO + minute);
+            twins.act(|a| a.inject_fault(now, SessionFault::PapReject));
+            now = twins.run(now, now + minute, settled);
+            assert!(twins.handed(UmtsEvent::Failed(DialError::AuthFailed)), "seed {seed}");
+
+            // An AT timeout injected mid-command swallows it: the stage
+            // deadline fails the dial.
+            twins.act(|a| a.start(now));
+            now = twins.run_to_half_unit(now, now + minute);
+            twins.act(|a| a.inject_fault(now, SessionFault::AtTimeout));
+            now = twins.run(now, now + minute, settled);
+            assert!(twins.handed(UmtsEvent::Failed(DialError::NoCarrier)), "seed {seed}");
+
+            // A modem hang mid-command fails the dial until a reset.
+            twins.act(|a| a.start(now));
+            now = twins.run_to_half_unit(now, now + minute);
+            twins.act(|a| a.inject_fault(now, SessionFault::ModemHang));
+            now = twins.run(now, now + minute, settled);
+            assert!(twins.lazy.modem_is_hung(), "seed {seed}");
+            twins.act(|a| a.reset_modem(now));
+
+            // A clean dial-up, datagrams, and idle keepalives across an
+            // RRC release and a bearer preemption, each injected while
+            // an LCP echo crosses the line.
+            twins.act(|a| a.start(now));
+            now = twins.run(now, now + minute, UmtsAttachment::is_connected);
+            assert!(twins.lazy.is_connected(), "seed {seed}");
+            let local = twins.lazy.local_addr().unwrap();
+            for id in 0..5 {
+                let p = offer_pkt(local, id, rng.uniform_u64(0, 1_400) as usize);
+                let lazy = offer_uplink(&mut twins.lazy, now, &p);
+                assert_eq!(lazy, offer_uplink(&mut twins.eager, now, &p), "seed {seed}");
+            }
+            for fault in [SessionFault::RrcRelease, SessionFault::BearerPreemption] {
+                now = twins.run_to_half_unit(now, now + minute);
+                twins.act(|a| a.inject_fault(now, fault));
+            }
+            now = twins.run(now, now + Duration::from_secs(35), |_| false);
+            assert!(twins.lazy.is_connected(), "keepalives hold the idle session, seed {seed}");
+
+            // The GGSN terminates the session mid-echo.
+            now = twins.run_to_half_unit(now, now + minute);
+            twins.act(|a| a.inject_fault(now, SessionFault::PppTerminate));
+            now = twins.run(now, now + minute, settled);
+            assert!(twins.handed(UmtsEvent::Disconnected), "seed {seed}");
+
+            // The operator detaches the card mid-echo; it re-registers.
+            twins.act(|a| a.start(now));
+            now = twins.run(now, now + minute, UmtsAttachment::is_connected);
+            now = twins.run_to_half_unit(now, now + minute);
+            twins.act(|a| a.inject_fault(now, SessionFault::OperatorDetach));
+            now = twins.run(now, now + minute, |a| a.modem.registration() == RegStatus::Registered);
+
+            // The modem hangs mid-echo: keepalives starve the session, a
+            // reset brings the card back.
+            twins.act(|a| a.start(now));
+            now = twins.run(now, now + minute, UmtsAttachment::is_connected);
+            assert!(twins.lazy.is_connected(), "seed {seed}");
+            now = twins.run_to_half_unit(now, now + minute);
+            twins.act(|a| a.inject_fault(now, SessionFault::ModemHang));
+            now = twins.run(now, now + minute, settled);
+            assert!(twins.lazy.modem_is_hung(), "seed {seed}");
+            twins.act(|a| a.reset_modem(now));
+            twins.act(|a| a.start(now));
+            now = twins.run(now, now + minute, UmtsAttachment::is_connected);
+            assert!(twins.lazy.is_connected(), "seed {seed}");
+
+            // An orderly stop.
+            twins.act(|a| a.stop(now));
+            now = twins.run(now, now + minute, settled);
+            assert_eq!(twins.lazy.local_addr(), None, "seed {seed}");
+            twins.poll(now + minute);
+            extra += twins.extra;
+        }
+        assert!(extra > 5_000, "the eager side polled only {extra} times more");
+    }
+
+    /// An idle session's LCP keepalives wake the attachment a few times
+    /// per echo round trip (each frame's flags at either end of the line,
+    /// its signaling hop, the echo timer), not once per byte of a frame.
+    #[test]
+    fn an_idle_session_wakes_a_few_times_per_keepalive_round_trip() {
+        let mut att = attachment();
+        let mut now = connect(&mut att);
+        let end = now + Duration::from_secs(60);
+        let (mut polls, mut echoes) = (0u64, 0u64);
+        while let Some(t) = att.next_wakeup().filter(|&t| t <= end) {
+            assert!(t > now, "a wakeup at {t} after a poll at {now}");
+            // In an open, idle session an endpoint's only timer is its
+            // next Echo-Request.
+            let due = |ppp: &Option<PppEndpoint>| {
+                ppp.as_ref().and_then(PppEndpoint::next_timeout).is_some_and(|at| at <= t)
+            };
+            echoes += u64::from(due(&att.ppp_client)) + u64::from(due(&att.ppp_server));
+            let _ = att.poll(t);
+            polls += 1;
+            now = t;
+        }
+        assert!(att.is_connected(), "keepalives hold the idle session");
+        assert!(echoes >= 10, "only {echoes} echoes in a minute");
+        assert!(polls <= 10 * echoes, "{polls} polls for {echoes} echo round trips");
     }
 
     #[test]

@@ -11,18 +11,26 @@ use std::collections::VecDeque;
 
 use umtslab_sim::time::{Duration, Instant};
 
+/// True for a byte that ends something at its reader: the PPP flag that
+/// closes a frame, or the CR or LF that closes an AT line.
+fn is_mark(b: u8) -> bool {
+    b == 0x7E || b == b'\r' || b == b'\n'
+}
+
 /// One direction of the serial line.
 #[derive(Debug)]
 struct Channel {
     /// Bytes in flight or ready: `(readable_at, byte)`.
     bytes: VecDeque<(Instant, u8)>,
+    /// Arrival instants of the queued mark bytes (see [`is_mark`]).
+    marks: VecDeque<Instant>,
     /// When the shift register frees up.
     next_free: Instant,
 }
 
 impl Channel {
     fn new() -> Channel {
-        Channel { bytes: VecDeque::new(), next_free: Instant::ZERO }
+        Channel { bytes: VecDeque::new(), marks: VecDeque::new(), next_free: Instant::ZERO }
     }
 
     fn write(&mut self, now: Instant, data: &[u8], per_byte: Duration) {
@@ -30,6 +38,9 @@ impl Channel {
         for &b in data {
             t += per_byte;
             self.bytes.push_back((t, b));
+            if is_mark(b) {
+                self.marks.push_back(t);
+            }
         }
         self.next_free = t;
     }
@@ -44,11 +55,18 @@ impl Channel {
                 break;
             }
         }
+        while self.marks.front().is_some_and(|&at| at <= now) {
+            self.marks.pop_front();
+        }
         out
     }
 
     fn next_readable(&self) -> Option<Instant> {
         self.bytes.front().map(|&(at, _)| at)
+    }
+
+    fn next_mark(&self) -> Option<Instant> {
+        self.marks.front().copied().or_else(|| self.bytes.back().map(|&(at, _)| at))
     }
 }
 
@@ -100,12 +118,26 @@ impl SerialLine {
 
     /// The earliest instant at which either end has new data to read.
     pub fn next_activity(&self) -> Option<Instant> {
-        match (self.host_to_modem.next_readable(), self.modem_to_host.next_readable()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
-        }
+        min_opt(self.host_to_modem.next_readable(), self.modem_to_host.next_readable())
+    }
+
+    /// The earliest instant at which reading either end can change
+    /// something: the arrival of the first queued byte that ends a PPP
+    /// frame or an AT line at its reader (`0x7E`, CR or LF). A direction
+    /// with no such byte queued names its last queued byte, so no byte
+    /// waits past the end of its write. Reading earlier only feeds a
+    /// deframer or a line assembler a partial unit they buffer.
+    pub fn next_mark(&self) -> Option<Instant> {
+        min_opt(self.host_to_modem.next_mark(), self.modem_to_host.next_mark())
+    }
+}
+
+/// The earlier of two optional instants.
+pub(crate) fn min_opt(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(x.min(y)),
+        (x, None) => x,
+        (None, y) => y,
     }
 }
 
@@ -207,6 +239,89 @@ mod tests {
         assert_eq!(at, Instant::from_micros(1042));
         line.modem_read(at);
         assert_eq!(line.next_activity(), None);
+    }
+
+    /// The arrival instant of the `n`-th byte (1-based) of a write at zero
+    /// on an idle 9600-baud line.
+    fn byte_at(n: u64) -> Instant {
+        Instant::from_micros(1042 * n)
+    }
+
+    #[test]
+    fn next_mark_names_a_flag_a_cr_or_an_lf() {
+        for (data, mark) in [(&b"AT\rOK"[..], 3), (b"\xff\x03\xc0\x21\x7e\x01", 5), (b"OK\nAT", 3)]
+        {
+            let mut line = SerialLine::new(9600);
+            line.host_write(Instant::ZERO, data);
+            assert_eq!(line.next_mark(), Some(byte_at(mark)), "{data:?}");
+            assert_eq!(line.next_activity(), Some(byte_at(1)), "{data:?}");
+        }
+        // Either direction: the earlier mark wins.
+        let mut line = SerialLine::new(9600);
+        line.host_write(Instant::ZERO, b"ATZ\r");
+        line.modem_write(Instant::ZERO, b"\r\nOK");
+        assert_eq!(line.next_mark(), Some(byte_at(1)));
+        line.host_read(byte_at(2));
+        assert_eq!(
+            line.next_mark(),
+            Some(byte_at(4)),
+            "the host's CR and the last byte of the modem's OK"
+        );
+    }
+
+    #[test]
+    fn next_mark_falls_back_to_the_last_byte_of_an_unmarked_write() {
+        let mut line = SerialLine::new(9600);
+        assert_eq!(line.next_mark(), None);
+        line.modem_write(Instant::ZERO, b"CONN");
+        assert_eq!(line.next_mark(), Some(byte_at(4)));
+        assert_eq!(line.next_activity(), Some(byte_at(1)));
+        assert_eq!(line.host_read(byte_at(4)), b"CONN");
+        assert_eq!(line.next_mark(), None);
+    }
+
+    #[test]
+    fn next_mark_moves_on_after_a_partial_read() {
+        let mut line = SerialLine::new(9600);
+        line.host_write(Instant::ZERO, b"AB\rCD\nEF");
+        assert_eq!(line.modem_read(byte_at(2)), b"AB");
+        assert_eq!(line.next_activity(), Some(byte_at(3)));
+        assert_eq!(line.next_mark(), Some(byte_at(3)));
+        assert_eq!(line.modem_read(byte_at(3)), b"\r");
+        assert_eq!(line.next_mark(), Some(byte_at(6)));
+        assert_eq!(line.modem_read(byte_at(7)), b"CD\nE");
+        assert_eq!(line.next_activity(), Some(byte_at(8)));
+        assert_eq!(line.next_mark(), Some(byte_at(8)), "no mark left: the last byte");
+        assert_eq!(line.modem_read(byte_at(8)), b"F");
+        assert_eq!((line.next_activity(), line.next_mark()), (None, None));
+    }
+
+    #[test]
+    fn next_mark_spans_back_to_back_writes() {
+        // The first write has no mark: the second write's CR is next.
+        let mut line = SerialLine::new(9600);
+        line.host_write(Instant::ZERO, b"AT+C");
+        line.host_write(Instant::ZERO, b"GMI\r");
+        assert_eq!(line.next_mark(), Some(byte_at(8)));
+        // A mark in the first write; the second write's last byte after it.
+        let mut line = SerialLine::new(9600);
+        line.modem_write(Instant::ZERO, b"\x7e\x21");
+        line.modem_write(Instant::from_micros(500), b"\x45\x00");
+        assert_eq!(line.next_mark(), Some(byte_at(1)));
+        assert_eq!(line.host_read(byte_at(1)), b"\x7e");
+        assert_eq!(line.next_mark(), Some(byte_at(4)));
+    }
+
+    #[test]
+    fn next_mark_on_an_instantaneous_line() {
+        let mut line = SerialLine::new(0);
+        line.host_write(Instant::from_secs(1), b"ABC");
+        assert_eq!(line.next_mark(), Some(Instant::from_secs(1)));
+        line.modem_write(Instant::from_secs(1), b"OK\r\n");
+        assert_eq!(line.next_mark(), Some(Instant::from_secs(1)));
+        assert_eq!(line.modem_read(Instant::from_secs(1)), b"ABC");
+        assert_eq!(line.host_read(Instant::from_secs(1)), b"OK\r\n");
+        assert_eq!(line.next_mark(), None);
     }
 
     #[test]
